@@ -22,10 +22,7 @@ import numpy as np
 from repro.batch.cache import FactorCache
 from repro.core.factor import CholeskyFactor
 from repro.core.methods import check_factor_args
-from repro.core.pmvn import PMVNOptions, _resolve_means, pmvn_integrate_batch
-from repro.mvn.mc import mvn_mc
 from repro.mvn.result import MVNResult
-from repro.mvn.sov import mvn_sov, mvn_sov_vectorized
 from repro.runtime import Runtime
 from repro.utils.timers import TimingRegistry
 
@@ -165,7 +162,7 @@ def mvn_probability_batch(
     batches against the same covariance should hold a solver (and its factor
     cache) open instead — see ``docs/solver.md``.
     """
-    # imported late: repro.solver builds on this module's internals
+    # imported late: repro.solver imports this package (its factor cache)
     from repro.solver import MVNSolver, SolverConfig
 
     config = SolverConfig(
@@ -180,62 +177,3 @@ def mvn_probability_batch(
             boxes, means=means, rng=rng, timings=timings,
             target_error=target_error, max_samples=max_samples,
         )
-
-
-def _stamp_batch_details(results: list[MVNResult]) -> list[MVNResult]:
-    """Record each result's position in its batch (shared by both APIs)."""
-    for idx, result in enumerate(results):
-        result.details["batch_index"] = idx
-        result.details["batch_size"] = len(results)
-    return results
-
-
-def _baseline_loop(boxes, sigma, method, n_samples, means, qmc, rng) -> list[MVNResult]:
-    """Evaluate the boxes with a single-node baseline, one call per box."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    mus = _resolve_means(means, len(boxes), sigma.shape[0])
-    results = []
-    for (a, b), mu in zip(boxes, mus):
-        if method == "mc":
-            results.append(mvn_mc(a, b, sigma, n_samples=n_samples, mean=mu, rng=rng))
-        elif method == "sov-seq":
-            results.append(mvn_sov(a, b, sigma, n_samples=n_samples, mean=mu, qmc=qmc, rng=rng))
-        elif method == "sov":
-            results.append(
-                mvn_sov_vectorized(a, b, sigma, n_samples=n_samples, mean=mu, qmc=qmc, rng=rng)
-            )
-        else:  # pragma: no cover - a METHOD_SPECS baseline this loop doesn't know
-            raise AssertionError(f"unhandled baseline method {method!r}")
-    return results
-
-
-def _batched_parallel(
-    boxes, method, n_samples, means, accuracy, qmc, rng, runtime,
-    factor, chain_block, max_workspace_cols, timings,
-    backend=None, workspace=None, kernel_threads=None, fusion=None,
-) -> list[MVNResult]:
-    """The batched sweep shared by ``"dense"`` and ``"tlr"``.
-
-    The caller (:meth:`repro.solver.Model.probability_batch`) owns the
-    factorization, the runtime, the kernel backend choice and the pooled
-    sweep workspace; this helper only runs the sweep and stamps the
-    per-result metadata.
-    """
-    if not isinstance(factor, CholeskyFactor):
-        raise TypeError(f"factor must be a CholeskyFactor, got {type(factor).__name__}")
-    options = PMVNOptions(
-        n_samples=n_samples, chain_block=chain_block, qmc=qmc, rng=rng,
-        max_workspace_cols=max_workspace_cols, backend=backend,
-        workspace=workspace, timings=timings,
-        kernel_threads=kernel_threads, fusion=fusion or "auto",
-    )
-    results = pmvn_integrate_batch(boxes, factor, options, runtime=runtime, means=means)
-    for result in results:
-        result.method = f"pmvn-{method}"
-        result.details["tile_size"] = factor.tile_size
-        if method == "tlr":
-            result.details["tlr_accuracy"] = accuracy
-            result.details["max_rank"] = (
-                factor.tlr.max_offdiag_rank() if hasattr(factor, "tlr") else None
-            )
-    return results

@@ -60,6 +60,9 @@ from repro.serve.config import SIGMA_TRANSPORTS, WORKER_MODES
 
 __all__ = ["main", "build_parser"]
 
+#: the ``--backend`` choices every solver subcommand offers
+_BACKEND_CHOICES = ["numpy", "numba", "numba-parallel", "reference", "auto"]
+
 
 def _runtime_parent() -> argparse.ArgumentParser:
     """Shared ``--workers`` / ``--policy`` flags for every solver subcommand."""
@@ -81,7 +84,7 @@ def _add_mvn_problem_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--accuracy", type=float, default=1e-3, help="TLR compression accuracy")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--backend", default=None,
-                        choices=["numpy", "numba", "numba-parallel", "cupy", "reference", "auto"],
+                        choices=_BACKEND_CHOICES,
                         help="QMC kernel backend (default: $REPRO_KERNEL_BACKEND or numpy)")
     parser.add_argument("--kernel-threads", type=int, default=None,
                         help="threads for chain-parallel kernel backends "
@@ -141,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     crd.add_argument("--samples", type=int, default=2000)
     crd.add_argument("--seed", type=int, default=0)
     crd.add_argument("--backend", default=None,
-                     choices=["numpy", "numba", "numba-parallel", "cupy", "reference", "auto"],
+                     choices=_BACKEND_CHOICES,
                      help="QMC kernel backend (default: $REPRO_KERNEL_BACKEND or numpy)")
     crd.add_argument("--kernel-threads", type=int, default=None,
                      help="threads for chain-parallel kernel backends "
@@ -172,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--samples", type=int, default=2000)
     pipe.add_argument("--seed", type=int, default=0)
     pipe.add_argument("--backend", default=None,
-                      choices=["numpy", "numba", "numba-parallel", "cupy",
-                               "reference", "auto"],
+                      choices=_BACKEND_CHOICES,
                       help="QMC kernel backend (default: $REPRO_KERNEL_BACKEND or numpy)")
     pipe.add_argument("--kernel-threads", type=int, default=None,
                       help="threads for chain-parallel kernel backends")
@@ -213,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--samples", type=int, default=2000,
                          help="default QMC sample size for queries that omit it")
     gateway.add_argument("--backend", default=None,
-                         choices=["numpy", "numba", "numba-parallel", "cupy", "reference", "auto"],
+                         choices=_BACKEND_CHOICES,
                          help="QMC kernel backend (default: $REPRO_KERNEL_BACKEND or numpy)")
     gateway.add_argument("--kernel-threads", type=int, default=None,
                          help="threads for chain-parallel kernel backends "

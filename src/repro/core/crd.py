@@ -352,10 +352,9 @@ def _sequential_joint_probabilities(
     factor-bound: the chain compiles into one fused stage, which
     :func:`repro.query.executors.execute_factor_bound` dispatches as a
     single :func:`~repro.core.pmvn.pmvn_integrate_batch` call against the
-    shared factor — same boxes, same order, same options (the chain block
-    is pinned to the factor tile size), so the per-chain arithmetic — and
-    hence every probability — is identical to the historical
-    one-``pmvn_integrate``-per-prefix loop this replaces.
+    shared factor — same boxes, same order, same options, so the per-chain
+    arithmetic — and hence every probability — is identical to the
+    historical one-``pmvn_integrate``-per-prefix loop this replaces.
 
     Prefix sizes not in ``levels`` are filled by linear interpolation of the
     evaluated ones so the confidence function is defined everywhere.
@@ -372,7 +371,7 @@ def _sequential_joint_probabilities(
     sizes = np.array([pipeline.node(name).query.tag
                       for name in pipeline.node("chain").inputs])
     options = PMVNOptions(
-        n_samples=n_samples, chain_block=factor.tile_size, qmc=qmc, rng=rng,
+        n_samples=n_samples, qmc=qmc, rng=rng,
         backend=backend, workspace=workspace, timings=timings,
     )
     with timed(timings, "pmvn_sequential"):

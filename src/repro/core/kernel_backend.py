@@ -33,20 +33,8 @@ makes that inner loop allocation-free and swappable:
   setting > ``$REPRO_KERNEL_THREADS`` > numba's default, i.e. all cores).
   Requesting it without numba falls back ``numba-parallel`` → ``numba`` →
   ``numpy`` with a one-time warning.
-* ``"cupy"`` is an optional GPU backend registered only when :mod:`cupy`
-  imports *and* a CUDA device is present.  It mirrors the numpy recursion on
-  the device (``cupyx`` ``ndtr``/``ndtri``), reuses CuPy's pooled device
-  allocator for workspace, and meters every host<->device copy into module
-  counters that the sweep surfaces as ``details["h2d_seconds"]`` /
-  ``details["d2h_seconds"]`` / ``details["transfer_bytes"]`` (the phase clock
-  still books the whole tile into ``details["kernel_seconds"]``, so the
-  transfer split shows how much of "kernel" time was PCIe).  Unlike the
-  numba chain, explicitly requesting ``"cupy"`` on a machine without it
-  raises ``ValueError`` — silently swapping a GPU for one CPU core would be
-  a large silent perf regression, not a graceful fallback.
-* ``"auto"`` resolves to the fastest available CPU backend:
-  ``numba-parallel`` > ``numba`` > ``numpy``.  It never picks ``cupy``
-  implicitly; the GPU is opt-in.
+* ``"auto"`` resolves to the fastest available backend:
+  ``numba-parallel`` > ``numba`` > ``numpy``.
 
 Selection precedence: explicit ``backend=`` argument (or
 ``SolverConfig.backend`` / the CLI ``--backend`` flag) > the
@@ -59,7 +47,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -93,7 +80,7 @@ KERNEL_THREADS_ENV_VAR = "REPRO_KERNEL_THREADS"
 
 #: names that are always recognized even when their import is absent —
 #: resolution errors distinguish "unknown name" from "known but unavailable"
-_OPTIONAL_BACKENDS = ("numba", "numba-parallel", "cupy")
+_OPTIONAL_BACKENDS = ("numba", "numba-parallel")
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +197,12 @@ class KernelBackend:
     (:func:`repro.core.qmc_kernel.qmc_kernel_tile`), so backends read
     ``workspace.diag`` / ``workspace.inv_diag`` without re-validating.
     ``bit_identical`` records whether the backend reproduces the reference
-    recursion bit for bit.  ``aux``, when set, is a zero-argument callable
-    returning monotonically increasing float counters (e.g. transfer
-    seconds); the sweep snapshots it before/after and reports the per-sweep
-    delta in the result details.
+    recursion bit for bit.
     """
 
     name: str
     run: Callable = field(repr=False)
     bit_identical: bool = True
-    aux: Callable | None = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -563,92 +546,6 @@ def _build_numba_parallel_backend() -> KernelBackend | None:
 
 
 # ---------------------------------------------------------------------------
-# cupy backend: optional GPU path, registered only when a device is usable
-# ---------------------------------------------------------------------------
-
-_CUPY_TRANSFERS = {"h2d_seconds": 0.0, "d2h_seconds": 0.0, "transfer_bytes": 0.0}
-_CUPY_TRANSFER_LOCK = threading.Lock()
-
-
-def _cupy_transfer_counters() -> dict[str, float]:
-    """Cumulative host<->device transfer counters of the cupy backend."""
-    with _CUPY_TRANSFER_LOCK:
-        return dict(_CUPY_TRANSFERS)
-
-
-def _build_cupy_backend() -> KernelBackend | None:  # pragma: no cover - GPU only
-    try:
-        import cupy as cp
-        from cupyx.scipy.special import ndtr as cp_ndtr, ndtri as cp_ndtri
-
-        if cp.cuda.runtime.getDeviceCount() < 1:
-            return None
-    except Exception:
-        return None
-
-    import time as _time
-
-    def _account(h2d: float, d2h: float, nbytes: int) -> None:
-        with _CUPY_TRANSFER_LOCK:
-            _CUPY_TRANSFERS["h2d_seconds"] += h2d
-            _CUPY_TRANSFERS["d2h_seconds"] += d2h
-            _CUPY_TRANSFERS["transfer_bytes"] += float(nbytes)
-
-    def run(l_tile, r_tile, a_tile, b_tile, p_seg, y_tile,
-            prefix_sum, prefix_sumsq, workspace) -> None:
-        m = l_tile.shape[0]
-        do_prefix = prefix_sum is not None or prefix_sumsq is not None
-        up_bytes = sum(arr.nbytes for arr in (l_tile, r_tile, a_tile, b_tile, p_seg, y_tile))
-        t0 = _time.perf_counter()
-        # cp.asarray draws from CuPy's pooled allocator, so repeated tiles of
-        # one sweep recycle device blocks instead of hitting cudaMalloc
-        d_l = cp.asarray(l_tile)
-        d_r = cp.asarray(r_tile)
-        d_a = cp.asarray(a_tile)
-        d_b = cp.asarray(b_tile)
-        d_p = cp.asarray(p_seg)
-        d_y = cp.asarray(y_tile)
-        d_inv = cp.asarray(workspace.inv_diag[:m])
-        cp.cuda.runtime.deviceSynchronize()
-        h2d = _time.perf_counter() - t0
-        if do_prefix:
-            d_psum = cp.zeros(m)
-            d_psumsq = cp.zeros(m)
-        for i in range(m):
-            if i:
-                shift = d_l[i, :i] @ d_y[:i]
-            else:
-                shift = cp.zeros(d_r.shape[1])
-            inv_d = d_inv[i]
-            phi_a = cp_ndtr((d_a[i] - shift) * inv_d)
-            phi_b = cp_ndtr((d_b[i] - shift) * inv_d)
-            width = cp.maximum(phi_b - phi_a, 0.0)
-            d_p *= width
-            u = cp.clip(phi_a + d_r[i] * width, _PPF_LO, _PPF_HI)
-            d_y[i] = cp_ndtri(u)
-            if do_prefix:
-                d_psum[i] += d_p.sum()
-                d_psumsq[i] += cp.dot(d_p, d_p)
-        cp.cuda.runtime.deviceSynchronize()
-        t1 = _time.perf_counter()
-        cp.asnumpy(d_p, out=p_seg)
-        cp.asnumpy(d_y, out=y_tile)
-        down_bytes = p_seg.nbytes + y_tile.nbytes
-        if do_prefix:
-            if prefix_sum is not None:
-                prefix_sum += cp.asnumpy(d_psum)
-            if prefix_sumsq is not None:
-                prefix_sumsq += cp.asnumpy(d_psumsq)
-            down_bytes += 2 * m * 8
-        d2h = _time.perf_counter() - t1
-        _account(h2d, d2h, up_bytes + down_bytes)
-
-    return KernelBackend(
-        name="cupy", run=run, bit_identical=False, aux=_cupy_transfer_counters
-    )
-
-
-# ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
@@ -658,7 +555,6 @@ _REGISTRY: dict[str, KernelBackend] = {
 }
 
 _NUMBA_PROBED = False
-_CUPY_PROBED = False
 _FALLBACK_WARNED = False
 
 
@@ -680,20 +576,9 @@ def _probe_numba() -> None:
             _REGISTRY[built.name] = built
 
 
-def _probe_cupy() -> None:
-    global _CUPY_PROBED
-    if _CUPY_PROBED:
-        return
-    _CUPY_PROBED = True
-    built = _build_cupy_backend()
-    if built is not None:  # pragma: no cover - GPU only
-        _REGISTRY[built.name] = built
-
-
 def available_backends() -> list[str]:
     """Names of the backends usable in this environment (sorted)."""
     _probe_numba()
-    _probe_cupy()
     return sorted(_REGISTRY)
 
 
@@ -706,10 +591,8 @@ def resolve_backend_name(name: str | None, *, require_available: bool = False) -
     optional backend raises ``ValueError`` listing
     :func:`available_backends` — whether it came from an argument,
     ``SolverConfig``, or the environment variable — so typos surface at
-    configuration time instead of deep inside a sweep.  ``"cupy"`` without a
-    usable CuPy additionally raises (a GPU request must never silently run
-    on one CPU core); the numba names instead keep their graceful fallback
-    unless ``require_available`` is set.
+    configuration time instead of deep inside a sweep.  The numba names
+    keep their graceful fallback unless ``require_available`` is set.
     """
     from_env = False
     if name is None:
@@ -724,7 +607,7 @@ def resolve_backend_name(name: str | None, *, require_available: bool = False) -
             f"unknown kernel backend {name!r}{source}; known names: {known}; "
             f"available on this install: {', '.join(available_backends())}"
         )
-    if name == "cupy" or (require_available and name in _OPTIONAL_BACKENDS):
+    if require_available and name in _OPTIONAL_BACKENDS:
         if name not in available_backends():
             source = f" (from ${BACKEND_ENV_VAR})" if from_env else ""
             raise ValueError(
@@ -741,8 +624,7 @@ def get_backend(name: str | None = None) -> KernelBackend:
     (``numba-parallel`` > ``numba`` > ``numpy``); asking for a numba backend
     when numba is missing falls back down the same chain with a one-time
     warning instead of failing — kernels must keep working on minimal
-    installs.  Asking for ``"cupy"`` when it is unavailable raises (see
-    :func:`resolve_backend_name`).
+    installs.
     """
     global _FALLBACK_WARNED
     name = resolve_backend_name(name)
@@ -766,11 +648,4 @@ def get_backend(name: str | None = None) -> KernelBackend:
                 stacklevel=2,
             )
         return fallback
-    if name == "cupy":
-        _probe_cupy()
-        if name not in _REGISTRY:
-            raise ValueError(
-                f"kernel backend 'cupy' is not available on this install; "
-                f"available: {', '.join(available_backends())}"
-            )
     return _REGISTRY[name]

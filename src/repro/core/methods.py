@@ -10,13 +10,18 @@ defined here — edit the tuple, and every surface follows
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
+
+from repro.mvn.mc import mvn_mc
+from repro.mvn.sov import mvn_sov, mvn_sov_vectorized
 
 __all__ = [
     "MethodSpec",
     "METHOD_SPECS",
     "ACCEPTED_METHODS",
     "AUTO_METHOD",
+    "BASELINE_ESTIMATORS",
     "PARALLEL_METHODS",
     "canonical_method",
     "check_factor_args",
@@ -45,6 +50,10 @@ class MethodSpec:
         One-line description used in the docstring bullet list.
     tradeoff : str
         Accuracy/speed trade-off note for ``docs/methods.md``.
+    estimator : callable, optional
+        Baselines only: the one-box estimator, called as
+        ``estimator(a, b, sigma, n_samples=, mean=, qmc=, rng=)``.  The
+        parallel methods run the batched PMVN sweep instead.
     """
 
     name: str
@@ -52,6 +61,12 @@ class MethodSpec:
     kind: str
     summary: str
     tradeoff: str
+    estimator: Callable | None = field(default=None, repr=False)
+
+
+def _mc_estimator(a, b, sigma, *, n_samples, mean, qmc, rng):
+    """Naive Monte Carlo draws pseudo-random samples: ``qmc`` does not apply."""
+    return mvn_mc(a, b, sigma, n_samples=n_samples, mean=mean, rng=rng)
 
 
 METHOD_SPECS: tuple[MethodSpec, ...] = (
@@ -90,6 +105,7 @@ METHOD_SPECS: tuple[MethodSpec, ...] = (
             "no task parallelism, no tiling.  Fast and accurate for moderate `n`, "
             "the reference the parallel methods are validated against."
         ),
+        estimator=mvn_sov_vectorized,
     ),
     MethodSpec(
         name="sov-seq",
@@ -100,6 +116,7 @@ METHOD_SPECS: tuple[MethodSpec, ...] = (
             "Literal transcription of the Genz recursion with Python loops; "
             "orders of magnitude slower, kept as an executable specification."
         ),
+        estimator=mvn_sov,
     ),
     MethodSpec(
         name="mc",
@@ -111,6 +128,7 @@ METHOD_SPECS: tuple[MethodSpec, ...] = (
             "and useless for small probabilities, but assumption-free — the "
             "sanity check of last resort."
         ),
+        estimator=_mc_estimator,
     ),
     MethodSpec(
         name="auto",
@@ -142,6 +160,11 @@ ACCEPTED_METHODS: tuple[str, ...] = tuple(spec.name for spec in METHOD_SPECS)
 PARALLEL_METHODS: tuple[str, ...] = tuple(
     spec.name for spec in METHOD_SPECS if spec.kind == "parallel"
 )
+
+#: the one-box estimator of every baseline method, by canonical name
+BASELINE_ESTIMATORS: dict[str, Callable] = {
+    spec.name: spec.estimator for spec in METHOD_SPECS if spec.kind == "baseline"
+}
 
 _ALIAS_TABLE: dict[str, str] = {}
 for _spec in METHOD_SPECS:

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,9 +109,10 @@ class PMVNOptions:
     n_samples : int
         QMC sample size ``N`` (the paper uses 100 / 1,000 / 10,000).
     chain_block : int, optional
-        Number of MC chains per column block.  Defaults to the factor tile
-        size for the single-box sweep (matching the square tiles of the
-        paper) and to :data:`BATCH_CHAIN_BLOCK` for the batched sweep.
+        Number of MC chains per column block.  Every sweep, single-box or
+        batched, defaults to ``max(tile_size, min(BATCH_CHAIN_BLOCK,
+        n_samples))``: at least the factor's square tiles, wider when the
+        sample size allows.  Results do not depend on this knob.
     qmc : str
         QMC sequence name (``"richtmyer"``, ``"halton"``, ``"sobol"``,
         ``"random"``).
@@ -331,7 +332,6 @@ def pmvn_integrate_batch(
     backend = get_backend(options.backend)
     clock = _PhaseClock()
     results: list[MVNResult | None] = [None] * n_boxes
-    aux_before = backend.aux() if backend.aux is not None else None
     threads_set = options.kernel_threads is not None
     prev_threads = set_kernel_threads(options.kernel_threads) if threads_set else None
     try:
@@ -347,12 +347,6 @@ def pmvn_integrate_batch(
     if timings is not None:
         timings.add("kernel_sweep", clock.kernel)
         timings.add("gemm_propagation", clock.gemm)
-    aux_delta: dict[str, float] | None = None
-    if aux_before is not None:
-        # per-sweep delta of the backend's cumulative counters (e.g. the cupy
-        # backend's host<->device transfer seconds/bytes)
-        aux_after = backend.aux()
-        aux_delta = {key: aux_after[key] - aux_before.get(key, 0.0) for key in aux_after}
     for result in results:
         # phase seconds are whole-batch aggregates: chain blocks of different
         # boxes interleave on the workers, so per-box attribution is undefined
@@ -360,8 +354,6 @@ def pmvn_integrate_batch(
         result.details["kernel_seconds"] = clock.kernel
         result.details["gemm_seconds"] = clock.gemm
         result.details["fusion"] = "fused" if fused else "interleaved"
-        if aux_delta:
-            result.details.update(aux_delta)
     return results  # type: ignore[return-value]
 
 
@@ -897,10 +889,6 @@ def pmvn_integrate(
     mean : float or array_like
         Mean vector, absorbed into the limits.
     """
-    options = options or PMVNOptions()
-    if options.chain_block is None:
-        # the single-box sweep keeps the paper's square-tile chain blocks
-        options = replace(options, chain_block=factor.tile_size)
     if np.isscalar(mean):
         means = mean
     else:

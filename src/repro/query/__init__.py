@@ -47,7 +47,6 @@ from repro.query.pipeline import (
     SigmaRef,
     build_pipeline_plan,
     escalate_batch,
-    run_adaptive,
 )
 from repro.query.executors import (
     PipelineResult,
@@ -73,6 +72,5 @@ __all__ = [
     "execute_pipeline",
     "execute_factor_bound",
     "simulate_pipeline",
-    "run_adaptive",
     "escalate_batch",
 ]

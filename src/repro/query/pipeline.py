@@ -26,10 +26,10 @@ edges.  This module makes the whole workload a first-class object:
   query nodes fused into shared batched sweeps
   (:class:`PipelineStage` records the fusion).
 
-* :func:`run_adaptive` / :func:`escalate_batch` — the adaptive
-  ``target_error`` escalation schedule, relocated here from the solver so
-  single queries, batches and pipeline stages all follow literally the same
-  loop (bit-identical escalation decisions across entry points).
+* :func:`escalate_batch` — the adaptive ``target_error`` escalation
+  schedule.  A single query is a batch of one, so single queries, batches
+  and pipeline stages all follow literally the same loop (bit-identical
+  escalation decisions across entry points).
 
 The executors that run a compiled pipeline on a solver session, a serving
 broker or the distributed simulator live in :mod:`repro.query.executors`;
@@ -53,7 +53,6 @@ __all__ = [
     "PipelinePlan",
     "QueryPipeline",
     "build_pipeline_plan",
-    "run_adaptive",
     "escalate_batch",
 ]
 
@@ -698,44 +697,17 @@ def build_pipeline_plan(pipeline: QueryPipeline, config, planner: QueryPlanner |
 
 # -- the adaptive target_error schedule (shared by every entry point) ----------------
 
-def run_adaptive(evaluate: Callable[[int], Any], plan: QueryPlan):
-    """The single-query adaptive loop: evaluate, check, escalate, repeat.
-
-    ``evaluate(n_samples)`` runs one estimator round; the escalation
-    schedule is :func:`repro.query.next_sample_count`.  Returns
-    ``(result, rounds, samples_used, target_met)``.  This is the loop
-    :meth:`repro.solver.Model.query` executes — relocated here so pipeline
-    stages and single queries share literally the same code path.
-    """
-    n_samples = plan.n_samples
-    rounds = 0
-    samples_used = 0
-    while True:
-        result = evaluate(n_samples)
-        rounds += 1
-        samples_used += n_samples
-        if plan.target_error is None or result.error <= plan.target_error:
-            target_met = None if plan.target_error is None else True
-            break
-        escalated = next_sample_count(
-            n_samples, result.error, plan.target_error, plan.max_samples
-        )
-        if escalated is None:
-            target_met = False
-            break
-        n_samples = escalated
-    return result, rounds, samples_used, target_met
-
-
 def escalate_batch(evaluate: Callable[[list[int], int], list], plan: QueryPlan,
                    results: list, rounds: list, samples_used: list) -> None:
     """Per-box adaptive refinement of a batched sweep (in place).
 
-    Each unmet box follows exactly the single-query escalation schedule;
-    boxes landing on the same next sample count share one re-sweep
-    (``evaluate(indices, n_next)`` re-runs just those boxes).  This is the
-    loop behind :meth:`repro.solver.Model.probability_batch` and the fused
-    pipeline sweep stages — one implementation, bit-identical decisions.
+    Each unmet box follows the escalation schedule of
+    :func:`repro.query.next_sample_count`; boxes landing on the same next
+    sample count share one re-sweep (``evaluate(indices, n_next)`` re-runs
+    just those boxes).  This is the loop behind every
+    :class:`repro.solver.Model` query — single boxes, batches and fused
+    pipeline sweep stages alike: one implementation, bit-identical
+    decisions.
     """
     box_samples = [plan.n_samples] * len(results)
     while True:

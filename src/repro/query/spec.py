@@ -47,6 +47,18 @@ _WIRE_FIELDS = ("a", "b", "mean", "n_samples", "rng", "qmc",
                 "target_error", "max_samples", "tag")
 
 
+def one_sided_fraction(boxes) -> float:
+    """Fraction of the limit entries of validated ``(a, b)`` boxes that are infinite.
+
+    One-sided (CDF-style) boxes let the fused QMC kernel skip the
+    corresponding ``Phi`` evaluations, which the planner's cost model
+    credits to the kernel phase.  A batch aggregates over all its boxes.
+    """
+    infinite = sum(int(np.isneginf(a).sum()) + int(np.isposinf(b).sum()) for a, b in boxes)
+    total = sum(a.size + b.size for a, b in boxes)
+    return infinite / total if total else 0.0
+
+
 @dataclass(frozen=True, eq=False)
 class MVNQuery:
     """One validated MVN box query ``P(a <= X <= b)``.
@@ -220,12 +232,9 @@ class MVNQuery:
     def one_sided_fraction(self) -> float:
         """Fraction of the ``2n`` limit entries that are infinite.
 
-        One-sided (CDF-style) boxes let the fused QMC kernel skip the
-        corresponding ``Phi`` evaluations, which the planner's cost model
-        credits to the kernel phase.
+        The query's own box through :func:`one_sided_fraction`.
         """
-        infinite = int(np.isneginf(self.a).sum()) + int(np.isposinf(self.b).sum())
-        return infinite / float(2 * self.n)
+        return one_sided_fraction([(self.a, self.b)])
 
     @property
     def wants_adaptive(self) -> bool:

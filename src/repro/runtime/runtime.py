@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from typing import Any, Callable, Iterable
 
 from repro.runtime.estimates import INFORMATION_MODES, TaskEstimator, make_estimator
@@ -72,11 +71,6 @@ class Runtime:
     closed.
     """
 
-    #: executed-task objects retained for inspection; long-lived runtimes
-    #: (solver sessions, serve shards) would otherwise accumulate every Task
-    #: — and the argument buffers its closures reference — forever
-    EXECUTED_HISTORY = 1024
-
     def __init__(
         self,
         n_workers: int = 1,
@@ -100,7 +94,9 @@ class Runtime:
         self.information_mode = self.estimator.mode
         self.graph = TaskGraph()
         self.trace: ExecutionTrace | None = ExecutionTrace() if trace else None
-        self._executed: deque[Task] = deque(maxlen=self.EXECUTED_HISTORY)
+        #: lifetime count of executed tasks; the Task objects themselves (and
+        #: the argument buffers they reference) are dropped after each
+        #: ``wait_all``, so long-lived owners retain nothing per sweep
         self.tasks_executed = 0
         self._closed = False
 
@@ -192,7 +188,6 @@ class Runtime:
             failures = self._run_serial(pending)
         else:
             failures = self._run_threaded(pending)
-        self._executed.extend(pending)
         self.tasks_executed += len(pending)
         # reset the graph so the runtime can be reused for the next phase
         self.graph = TaskGraph()
@@ -331,17 +326,6 @@ class Runtime:
                 self.insert_task(func, (handle, AccessMode.READ), name=f"{name}[{i}]", tag=tag)
             )
         return tasks
-
-    @property
-    def executed_tasks(self) -> list[Task]:
-        """The most recent executed tasks (bounded by ``EXECUTED_HISTORY``).
-
-        The total across the runtime's lifetime is ``tasks_executed``;
-        only the trailing window of Task objects is retained so long-lived
-        owners (solver sessions, serve shards) do not leak every task ever
-        run.
-        """
-        return list(self._executed)
 
     def __enter__(self) -> "Runtime":
         return self

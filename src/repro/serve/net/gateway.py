@@ -173,6 +173,12 @@ class ServeGateway:
                                              f"(limit {self.max_line_bytes} bytes)"},
                     })
                     break
+                except asyncio.CancelledError:
+                    # loop teardown (Ctrl-C on ``repro serve``) cancelled an
+                    # idle client's read: close below and finish normally,
+                    # as around wait_closed, so Python 3.11's streams
+                    # done-callback has no cancelled handler to log
+                    break
                 if not line or not line.endswith(b"\n"):
                     # EOF: clean disconnect, or a partial line from a client
                     # that vanished mid-request — either way, just close

@@ -49,13 +49,13 @@ class SolverConfig:
         QMC sequence name (``"richtmyer"``, ``"halton"``, ``"sobol"``,
         ``"random"``).
     chain_block : int, optional
-        Chains per column block of the batched sweep (``None`` = default
-        policy; see :class:`repro.core.pmvn.PMVNOptions`).
+        Chains per column block of the sweep (``None`` = the default
+        rule; see :class:`repro.core.pmvn.PMVNOptions`).
     max_workspace_cols : int, optional
         Cap on the chains materialized at once by the batched sweep.
     backend : str, optional
         QMC kernel backend (``"numpy"``, ``"numba"``, ``"numba-parallel"``,
-        ``"cupy"``, ``"reference"``, ``"auto"``); ``None`` follows
+        ``"reference"``, ``"auto"``); ``None`` follows
         ``$REPRO_KERNEL_BACKEND`` and defaults to the fused bit-identical
         numpy backend.  Unknown names raise at construction.  See
         :mod:`repro.core.kernel_backend` and ``docs/performance.md``.

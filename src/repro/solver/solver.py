@@ -37,18 +37,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.batch.batched import _baseline_loop, _batched_parallel, _stamp_batch_details
 from repro.batch.cache import FactorCache, sigma_fingerprint
 from repro.core.crd import ConfidenceRegionResult, _confidence_region_impl
 from repro.core.factor import CholeskyFactor, TLRFactor, factorize
-from repro.core.methods import check_factor_args
-from repro.core.pmvn import SweepWorkspace, _resolve_means, pmvn_dense, pmvn_tlr
+from repro.core.methods import BASELINE_ESTIMATORS, check_factor_args
+from repro.core.pmvn import PMVNOptions, SweepWorkspace, _resolve_means, pmvn_integrate_batch
 from repro.core.update import FactorLineage, lineage_fingerprint, normalize_update, update_factor
-from repro.mvn.mc import mvn_mc
 from repro.mvn.result import MVNResult
-from repro.mvn.sov import mvn_sov, mvn_sov_vectorized
 from repro.query import MVNQuery, QueryPlan, QueryPlanner
-from repro.query.pipeline import escalate_batch, run_adaptive
+from repro.query.pipeline import escalate_batch
+from repro.query.spec import one_sided_fraction
 from repro.runtime import Runtime
 from repro.solver.config import SolverConfig
 from repro.utils.validation import check_covariance, check_limits
@@ -60,19 +58,22 @@ __all__ = ["MVNSolver", "Model"]
 _OWNED_CACHE = object()
 
 
-def _boxes_one_sided_fraction(boxes) -> float:
-    """Aggregate one-sidedness of a batch (fraction of infinite limit entries)."""
-    infinite = 0
-    total = 0
-    try:
-        for a, b in boxes:
-            a = np.asarray(a, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
-            infinite += int(np.isneginf(a).sum()) + int(np.isposinf(b).sum())
-            total += a.size + b.size
-    except (TypeError, ValueError):
-        return 0.0  # malformed boxes: let the sweep raise its precise error
-    return infinite / total if total else 0.0
+def _shared_means(mean, n_boxes: int):
+    """One mean for every box, in the form the batched means-resolver expects.
+
+    A flat length-``n`` vector already means "shared by every box" to the
+    resolver — except when ``n == n_boxes`` (e.g. a single query against a
+    1-dimensional model), where it is ambiguous; only then is it expanded
+    to an explicit ``(n_boxes, n)`` array.
+    """
+    if mean is None or np.isscalar(mean):
+        return mean
+    arr = np.asarray(mean, dtype=np.float64)
+    if arr.ndim == 0:
+        return float(arr)
+    if arr.ndim == 1 and arr.shape[0] == n_boxes:
+        return np.tile(arr.reshape(1, -1), (n_boxes, 1))
+    return arr
 
 
 class MVNSolver:
@@ -246,6 +247,8 @@ class Model:
         self._factors: dict[str, CholeskyFactor] = {}
         self._bound_method: str | None = None
         if factor is not None:
+            if not isinstance(factor, CholeskyFactor):
+                raise TypeError(f"factor must be a CholeskyFactor, got {type(factor).__name__}")
             self._bound_method = "tlr" if isinstance(factor, TLRFactor) else "dense"
             self._factors[self._bound_method] = factor
         # planner state: the structure probe depends only on (sigma, accuracy)
@@ -465,9 +468,16 @@ class Model:
         child._fingerprint = child_fp
         child._lineage = lineage
         child._probe = self._planner.inherit_probe(self._probe, u.shape[1], downdate)
+        # capture what assembles the parent's covariance, never the parent
+        # model itself: its factors and sweep workspace must be free to die
+        # with it, however long the chain of descendants grows
         sign = -1.0 if downdate else 1.0
-        parent = self
-        child._sigma_thunk = lambda: parent._sigma + sign * (u @ u.T)
+        if self._sigma_arr is not None:
+            sigma_arr = self._sigma_arr
+            child._sigma_thunk = lambda: sigma_arr + sign * (u @ u.T)
+        elif self._sigma_thunk is not None:
+            parent_thunk = self._sigma_thunk
+            child._sigma_thunk = lambda: parent_thunk() + sign * (u @ u.T)
         return child
 
     # -- queries -------------------------------------------------------------------
@@ -496,69 +506,23 @@ class Model:
     def query(self, query: MVNQuery, *, timings=None) -> MVNResult:
         """Execute one declarative :class:`repro.query.MVNQuery`.
 
-        The spec -> plan -> execute path every entry point funnels through:
-        the planner resolves the estimator (``method="auto"``) and kernel
-        backend, then the adaptive loop runs the sweep — once, or with
-        escalating sample counts when ``query.target_error`` is set —
-        reusing the model's cached factor and pooled workspaces.  The plan
-        and the escalation outcome are recorded under
-        ``result.details["plan"]``.
+        The spec -> plan -> execute path every entry point funnels through.
+        A single query is a batch of one: the planner resolves the estimator
+        (``method="auto"``) and kernel backend from the query, then the box
+        runs through exactly the sweep -> escalate -> stamp path of
+        :meth:`probability_batch` — once, or with escalating sample counts
+        when ``query.target_error`` is set — reusing the model's cached
+        factor and pooled workspaces.  The plan and the escalation outcome
+        are recorded under ``result.details["plan"]``.
         """
-        solver = self._solver
-        solver._check_open()
+        self._solver._check_open()
         if not isinstance(query, MVNQuery):
             raise TypeError(f"query must be an MVNQuery, got {type(query).__name__}")
-        check_limits(query.a, query.b, self.n)
         mean = self._mean if query.mean is None else query.mean
-        cfg = solver.config
-        qmc = cfg.qmc if query.qmc is None else query.qmc
-        plan = self.plan(query)
-
-        # the adaptive loop itself lives in repro.query.pipeline so single
-        # queries and pipeline stages share literally the same schedule
-        result, rounds, samples_used, target_met = run_adaptive(
-            lambda count: self._evaluate(
-                plan.method, query.a, query.b, mean, count, qmc,
-                query.rng, plan.backend, timings,
-            ),
-            plan,
-        )
-        result.details["plan"] = plan.as_details(
-            rounds=rounds, samples_used=samples_used, target_met=target_met
-        )
-        if self._lineage is not None:
-            result.details["lineage"] = self._lineage.as_details()
-        return result
-
-    def _evaluate(self, method, a, b, mean, n_samples, qmc, rng, backend, timings) -> MVNResult:
-        """One estimator run with an explicitly resolved method/backend."""
-        solver = self._solver
-        cfg = solver.config
-        if method == "mc":
-            return mvn_mc(a, b, self._sigma, n_samples=n_samples, mean=mean, rng=rng)
-        if method == "sov-seq":
-            return mvn_sov(a, b, self._sigma, n_samples=n_samples, mean=mean, qmc=qmc, rng=rng)
-        if method == "sov":
-            return mvn_sov_vectorized(a, b, self._sigma, n_samples=n_samples, mean=mean, qmc=qmc, rng=rng)
-        factor = self._ensure_factor(method, timings=timings)
-        if method == "dense":
-            return pmvn_dense(
-                a, b, None, n_samples=n_samples, tile_size=cfg.tile_size,
-                runtime=solver.runtime, mean=mean, qmc=qmc, rng=rng,
-                chain_block=cfg.chain_block, factor=factor,
-                backend=backend, workspace=self._sweep_workspace,
-                kernel_threads=cfg.kernel_threads,
-                timings=timings,
-            )
-        # method == "tlr" (the registry admits nothing else)
-        return pmvn_tlr(
-            a, b, None, n_samples=n_samples, tile_size=cfg.tile_size,
-            accuracy=cfg.accuracy, max_rank=cfg.max_rank, runtime=solver.runtime,
-            mean=mean, qmc=qmc, rng=rng, chain_block=cfg.chain_block,
-            factor=factor, backend=backend, workspace=self._sweep_workspace,
-            kernel_threads=cfg.kernel_threads,
-            timings=timings,
-        )
+        return self._run(
+            [(query.a, query.b)], _shared_means(mean, 1), query.qmc, query.rng,
+            timings, query,
+        )[0]
 
     def probability_batch(
         self, boxes, *, means=None, n_samples: int | None = None, rng=None,
@@ -572,26 +536,14 @@ class Model:
         :func:`repro.batch.mvn_probability_batch` does.  ``target_error=``
         applies per box: boxes whose standard error misses the target are
         re-swept at escalating sample counts (the same schedule a single
-        :meth:`probability` call would follow, so per-box results stay
-        identical across entry points for integer seeds) until the target
-        or the ``max_samples`` budget is reached.
+        :meth:`probability` call follows, so per-box results stay identical
+        across entry points for integer seeds) until the target or the
+        ``max_samples`` budget is reached.
         """
-        solver = self._solver
-        solver._check_open()
-        cfg = solver.config
-        qmc = cfg.qmc if qmc is None else qmc
+        self._solver._check_open()
         boxes = list(boxes)
-        # the same query-boundary validation every other entry point gets:
-        # a bad box must raise the uniform ValueError *before* any
-        # factorization is paid (or cached)
-        for idx, box in enumerate(boxes):
-            try:
-                a_raw, b_raw = box
-            except (TypeError, ValueError):
-                raise ValueError(f"box {idx} must be an (a, b) pair of limit vectors") from None
-            check_limits(a_raw, b_raw, self.n)
         if means is None:
-            means = self._shared_means(len(boxes))
+            means = _shared_means(self._mean, len(boxes))
         if target_error is not None and not (float(target_error) > 0.0):
             raise ValueError(f"target_error must be > 0, got {target_error!r}")
         if max_samples is not None and n_samples is not None and max_samples < n_samples:
@@ -601,19 +553,49 @@ class Model:
                 f"max_samples ({max_samples}) must be >= the initial "
                 f"n_samples ({n_samples})"
             )
-        plan = self.plan(
-            n_samples=n_samples,
-            one_sided_fraction=_boxes_one_sided_fraction(boxes),
+        results = self._run(
+            boxes, means, qmc, rng, timings, n_samples=n_samples,
             target_error=None if target_error is None else float(target_error),
             max_samples=max_samples,
         )
+        for idx, result in enumerate(results):
+            result.details["batch_index"] = idx
+            result.details["batch_size"] = len(results)
+        return results
 
-        results = self._evaluate_batch(plan, boxes, means, plan.n_samples, qmc, rng, timings)
-        rounds = [1] * len(boxes)
-        samples_used = [plan.n_samples] * len(boxes)
+    def _run(self, boxes, means, qmc, rng, timings, query=None, **overrides) -> list[MVNResult]:
+        """Validate, plan, sweep, escalate and stamp: the path of every query.
+
+        ``query`` (a single query's spec) and ``overrides`` seed the plan.
+        Under an adaptive plan, boxes that miss the target are re-swept at
+        escalating sample counts (:func:`repro.query.pipeline.escalate_batch`).
+        """
+        # the uniform query-boundary validation: a bad box raises the same
+        # ValueError on every entry point, before any factorization is paid
+        # (or cached)
+        checked = []
+        for idx, box in enumerate(boxes):
+            try:
+                a_raw, b_raw = box
+            except (TypeError, ValueError):
+                raise ValueError(f"box {idx} must be an (a, b) pair of limit vectors") from None
+            checked.append(check_limits(a_raw, b_raw, self.n))
+        plan = self.plan(query, one_sided_fraction=one_sided_fraction(checked), **overrides)
+        qmc = self.config.qmc if qmc is None else qmc
+
+        results = self._evaluate_batch(plan, checked, means, plan.n_samples, qmc, rng, timings)
+        rounds = [1] * len(checked)
+        samples_used = [plan.n_samples] * len(checked)
         if plan.target_error is not None:
-            self._escalate_batch(plan, boxes, means, qmc, rng, timings,
-                                 results, rounds, samples_used)
+            resolved = _resolve_means(means, len(checked), self.n)
+            escalate_batch(
+                lambda indices, n_next: self._evaluate_batch(
+                    plan, [checked[i] for i in indices],
+                    np.stack([resolved[i] for i in indices]),
+                    n_next, qmc, rng, timings,
+                ),
+                plan, results, rounds, samples_used,
+            )
         for idx, result in enumerate(results):
             met = None
             if plan.target_error is not None:
@@ -623,40 +605,36 @@ class Model:
             )
             if self._lineage is not None:
                 result.details["lineage"] = self._lineage.as_details()
-        return _stamp_batch_details(results)
+        return results
 
     def _evaluate_batch(self, plan: QueryPlan, boxes, means, n_samples, qmc, rng, timings) -> list[MVNResult]:
-        """One batched sweep with an explicitly resolved method/backend."""
-        solver = self._solver
-        cfg = solver.config
-        if plan.method not in ("dense", "tlr"):
-            return _baseline_loop(boxes, self._sigma, plan.method, n_samples, means, qmc, rng)
+        """One evaluation of the boxes with the planned method and backend."""
+        cfg = self.config
+        estimator = BASELINE_ESTIMATORS.get(plan.method)
+        if estimator is not None:
+            # the single-node baselines have no batched sweep: one call per box
+            mus = _resolve_means(means, len(boxes), self.n)
+            return [
+                estimator(a, b, self._sigma, n_samples=n_samples, mean=mu, qmc=qmc, rng=rng)
+                for (a, b), mu in zip(boxes, mus)
+            ]
         factor = self._ensure_factor(plan.method, timings=timings)
-        return _batched_parallel(
-            boxes, plan.method, n_samples, means, cfg.accuracy, qmc, rng,
-            solver.runtime, factor, cfg.chain_block,
-            cfg.max_workspace_cols, timings,
-            backend=plan.backend, workspace=self._sweep_workspace,
-            kernel_threads=cfg.kernel_threads, fusion=cfg.batch_fusion,
+        options = PMVNOptions(
+            n_samples=n_samples, chain_block=cfg.chain_block, qmc=qmc, rng=rng,
+            max_workspace_cols=cfg.max_workspace_cols, backend=plan.backend,
+            workspace=self._sweep_workspace, timings=timings,
+            kernel_threads=cfg.kernel_threads, fusion=cfg.batch_fusion or "auto",
         )
-
-    def _escalate_batch(self, plan, boxes, means, qmc, rng, timings,
-                        results, rounds, samples_used) -> None:
-        """Per-box adaptive refinement of a batched sweep (in place).
-
-        Each unmet box follows exactly the escalation schedule of a single
-        adaptive query (:func:`repro.query.next_sample_count`); boxes that
-        land on the same next sample count share one re-sweep.
-        """
-        resolved = _resolve_means(means, len(boxes), self.n)
-        escalate_batch(
-            lambda indices, n_next: self._evaluate_batch(
-                plan, [boxes[i] for i in indices],
-                np.stack([resolved[i] for i in indices]),
-                n_next, qmc, rng, timings,
-            ),
-            plan, results, rounds, samples_used,
-        )
+        results = pmvn_integrate_batch(boxes, factor, options, runtime=self._solver.runtime, means=means)
+        for result in results:
+            result.method = f"pmvn-{plan.method}"
+            result.details["tile_size"] = factor.tile_size
+            if plan.method == "tlr":
+                result.details["tlr_accuracy"] = cfg.accuracy
+                result.details["max_rank"] = (
+                    factor.tlr.max_offdiag_rank() if hasattr(factor, "tlr") else None
+                )
+        return results
 
     def confidence_region(
         self, threshold: float, *, algorithm: str = "prefix",
@@ -697,20 +675,3 @@ class Model:
             backend=backend, workspace=self._sweep_workspace, validate=False,
             std_memo=self._std_memo,
         )
-
-    def _shared_means(self, n_boxes: int):
-        """The model mean in the form the batched means-resolver expects.
-
-        A flat length-``n`` vector already means "shared by every box" to
-        the resolver — except when ``n == n_boxes``, where it is ambiguous;
-        only then is it expanded to an explicit ``(n_boxes, n)`` array.
-        """
-        mean = self._mean
-        if mean is None or np.isscalar(mean):
-            return mean
-        arr = np.asarray(mean, dtype=np.float64)
-        if arr.ndim == 0:
-            return float(arr)
-        if arr.ndim == 1 and arr.shape[0] == n_boxes:
-            return np.tile(arr.reshape(1, -1), (n_boxes, 1))
-        return arr

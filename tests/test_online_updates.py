@@ -18,6 +18,9 @@ The property harness of the online-updates PR.  The contract under test
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -232,6 +235,34 @@ class TestModelUpdateLineage:
             # forcing assembly produces exactly Sigma + U U^T
             np.testing.assert_allclose(child.sigma, sigma + u @ u.T,
                                        rtol=0, atol=1e-12)
+
+    def test_children_do_not_keep_ancestors_alive(self):
+        """A child's lazy covariance captures what assembles the parent's
+        covariance, never the parent model: a dropped ancestor — its factor
+        and pooled sweep workspace included — is freed, and the child's
+        covariance is still exact through an up/down chain."""
+        n = 16
+        sigma = _spd(15, n)
+        u1, u2 = _update_matrix(15, n, 2), _update_matrix(16, n, 3)
+        a, b = np.full(n, -np.inf), np.ones(n)
+        with MVNSolver(SolverConfig(method="dense", n_samples=200, tile_size=8),
+                       cache=None) as solver:
+            model = solver.model(sigma)
+            model.probability(a, b, rng=0)
+            expected = sigma.copy()
+            ancestors = []
+            for u, downdate in ((u1, False), (u2, False), (u1, True)):
+                ancestors.append(weakref.ref(model))
+                model = model.update(u, downdate=downdate)
+                model.probability(a, b, rng=0)
+                expected = expected - u @ u.T if downdate else expected + u @ u.T
+            gc.collect()
+            assert [ref() for ref in ancestors] == [None, None, None]
+            np.testing.assert_allclose(model.sigma, expected, rtol=0, atol=1e-12)
+            # a model built from a factor alone still has no covariance
+            bare = solver.model(None, factor=factorize(sigma, method="dense", tile_size=8))
+            with pytest.raises(RuntimeError, match="neither a covariance"):
+                bare.sigma
 
     def test_lineage_details_stamped_and_chained(self):
         n = 16

@@ -14,8 +14,9 @@ Five concerns:
   single calls it replaces, agrees with the broker executor, honors
   ``negate=True`` exactly like ``negative_confidence_region``, and the
   factor-bound executor matches a direct ``pmvn_integrate_batch`` call,
-* **adaptive schedule** — ``run_adaptive`` / ``escalate_batch`` implement
-  the escalation loop shared by every entry point.
+* **adaptive schedule** — ``escalate_batch`` implements the escalation
+  loop shared by every entry point; a single query is a batch of one
+  (end-to-end through ``Model.query`` in ``tests/test_query.py``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from repro.query import (
     escalate_batch,
     execute_factor_bound,
     execute_pipeline,
-    run_adaptive,
     simulate_pipeline,
 )
 from repro.core.factor import factorize
@@ -393,41 +393,46 @@ class TestAdaptiveSchedule:
         return SimpleNamespace(n_samples=n_samples, target_error=target_error,
                                max_samples=max_samples)
 
+    @staticmethod
+    def _run_one(plan, errors):
+        """The single-query adaptive loop: one box swept at
+        ``plan.n_samples``, then escalated by :func:`escalate_batch` — the
+        batch-of-one path :meth:`repro.solver.Model.query` executes.
+        Returns ``(result, rounds, samples_used, sweep sizes)``."""
+        errors = iter(errors)
+        calls = [plan.n_samples]
+        results = [SimpleNamespace(error=next(errors))]
+        rounds, used = [1], [plan.n_samples]
+
+        def evaluate(indices, n_next):
+            assert indices == [0]
+            calls.append(n_next)
+            return [SimpleNamespace(error=next(errors))]
+
+        if plan.target_error is not None:
+            escalate_batch(evaluate, plan, results, rounds, used)
+        return results[0], rounds[0], used[0], calls
+
     def test_run_adaptive_single_round_without_target(self):
-        calls = []
-
-        def evaluate(n):
-            calls.append(n)
-            return SimpleNamespace(error=0.5)
-
-        result, rounds, used, met = run_adaptive(evaluate, self._plan())
-        assert calls == [100] and rounds == 1 and used == 100 and met is None
+        result, rounds, used, calls = self._run_one(self._plan(), [0.5])
+        assert calls == [100] and rounds == 1 and used == 100
         assert result.error == 0.5
 
     def test_run_adaptive_escalates_until_met(self):
-        errors = iter([4e-2, 1e-4])
-        calls = []
-
-        def evaluate(n):
-            calls.append(n)
-            return SimpleNamespace(error=next(errors))
-
-        result, rounds, used, met = run_adaptive(
-            evaluate, self._plan(target_error=1e-3, max_samples=10**7))
-        assert rounds == 2 and met is True
+        plan = self._plan(target_error=1e-3, max_samples=10**7)
+        result, rounds, used, calls = self._run_one(plan, [4e-2, 1e-4])
+        assert rounds == 2 and result.error <= plan.target_error
         assert calls[1] > calls[0]
         assert used == sum(calls)
         assert result.error == 1e-4
 
     def test_run_adaptive_flags_budget_exhaustion(self):
-        def evaluate(n):
-            return SimpleNamespace(error=1.0)  # never meets the target
-
-        result, rounds, used, met = run_adaptive(
-            evaluate, self._plan(n_samples=100, target_error=1e-6,
-                                 max_samples=200))
-        assert met is False
-        assert rounds >= 1
+        plan = self._plan(n_samples=100, target_error=1e-6, max_samples=200)
+        # never meets the target: the loop stops once the budget admits no
+        # further growth, leaving the target unmet (``target_met=False``)
+        result, rounds, used, calls = self._run_one(plan, [1.0] * 10)
+        assert result.error > plan.target_error
+        assert rounds >= 1 and calls[-1] == plan.max_samples
 
     def test_escalate_batch_groups_resweeps(self):
         plan = self._plan(n_samples=100, target_error=1e-3, max_samples=10**7)

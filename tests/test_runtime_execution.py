@@ -1,6 +1,8 @@
 """Tests for runtime execution (serial/threaded), schedulers and traces."""
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -152,17 +154,26 @@ class TestRuntimeSerial:
         rt.wait_all()
         assert [t.result for t in tasks] == [2, 4, 6]
 
-    def test_executed_history_is_bounded(self, monkeypatch):
-        """Long-lived runtimes (solver sessions, serve shards) must not
-        retain every Task ever run — only a trailing window, plus a total
-        counter."""
-        monkeypatch.setattr(Runtime, "EXECUTED_HISTORY", 4)
+    def test_executed_history_is_bounded(self):
+        """Long-lived runtimes (solver sessions, serve shards) count every
+        task they run but keep none of them: an executed Task — and the
+        argument buffers it references — must be unreachable from the
+        runtime once ``wait_all`` returns."""
+
+        class Payload:
+            pass
+
         rt = Runtime()
+        refs = []
         for _ in range(3):
-            rt.map(lambda x: x + 1, [1, 2, 3])
+            payloads = [Payload() for _ in range(3)]
+            refs += [weakref.ref(payload) for payload in payloads]
+            rt.map(lambda payload: None, payloads)
             rt.wait_all()
+            del payloads
+        gc.collect()
         assert rt.tasks_executed == 9
-        assert len(rt.executed_tasks) == 4
+        assert all(ref() is None for ref in refs)
 
     def test_context_manager_waits(self):
         results = []

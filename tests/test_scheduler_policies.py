@@ -19,7 +19,9 @@ marker is advisory: pytest-timeout is not a dependency).
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -489,16 +491,26 @@ class TestSchedulingTrace:
         assert sum(1 for e in events if e.kind == "push") == 10
         assert sum(1 for e in events if e.kind in ("pop", "steal")) == 10
 
-    def test_sched_events_survive_executed_history_bounding(self, monkeypatch):
-        """EXECUTED_HISTORY bounds retained Task objects, never the trace."""
-        monkeypatch.setattr(Runtime, "EXECUTED_HISTORY", 4)
+    def test_sched_events_survive_executed_history_bounding(self):
+        """The runtime keeps no executed Task objects, yet the trace keeps
+        every task record and scheduling event, and the counter every task."""
+
+        class Payload:
+            pass
+
         rt = Runtime(n_workers=2, trace=True)
+        payload = Payload()
+        ref = weakref.ref(payload)
         for i in range(30):
-            rt.insert_task(lambda: None, name=f"t{i}")
+            rt.insert_task(lambda p: None, kwargs={"p": payload}, name=f"t{i}")
         rt.wait_all()
-        assert len(rt.executed_tasks) == 4
+        del payload
+        gc.collect()
+        assert ref() is None
+        assert rt.tasks_executed == 30
         assert len(rt.trace) == 30
         assert sum(1 for e in rt.trace.sched_events if e.kind == "push") == 30
+        assert sum(1 for e in rt.trace.sched_events if e.kind in ("pop", "steal")) == 30
 
 
 # -- runtime / solver / CLI wiring ------------------------------------------------

@@ -20,6 +20,7 @@ Four properties pin the subsystem:
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
 import json
 import socket
@@ -39,6 +40,7 @@ from repro.serve.net import (
     NodePool,
     SegmentKeeper,
     ServeClient,
+    ServeGateway,
     SharedSigmaStore,
     attach_descriptor,
     is_shm_descriptor,
@@ -591,3 +593,31 @@ class TestGatewayServing:
     def test_double_start_rejected(self, gateway_endpoint):
         with pytest.raises(RuntimeError, match="already started"):
             gateway_endpoint.start()
+
+
+class TestGatewayTeardown:
+    def test_loop_teardown_with_idle_client_logs_nothing(self):
+        """Stopping the loop while a client sits connected and idle (Ctrl-C
+        on ``repro serve``) cancels the handler's pending read; the handler
+        must still finish normally, or the streams done-callback logs a
+        ``CancelledError`` traceback through the loop's exception handler."""
+        handled = []
+        client = socket.socket()
+        client.setblocking(False)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda loop, context: handled.append(context))
+            gateway = await ServeGateway(_StubBroker()).start()
+            await loop.sock_connect(client, gateway.address)
+            await loop.sock_sendall(client, b'{"op": "ping", "id": 1}\n')
+            reply = b""
+            while not reply.endswith(b"\n"):
+                reply += await loop.sock_recv(client, 4096)
+            assert json.loads(reply)["ok"] is True
+            # return with the client still connected: asyncio.run's teardown
+            # cancels the handler while it waits for the next line
+
+        with client:
+            asyncio.run(main())
+        assert handled == []

@@ -17,6 +17,7 @@ import pytest
 
 from repro import (
     FactorCache,
+    MVNQuery,
     MVNSolver,
     Runtime,
     SolverConfig,
@@ -78,6 +79,34 @@ class TestParity:
             assert s_res.error == f_res.error
             assert s_res.details["batch_index"] == f_res.details["batch_index"]
             assert s_res.details["batch_size"] == len(boxes)
+
+    @pytest.mark.parametrize("method", ["dense", "tlr", "sov", "sov-seq", "mc"])
+    @pytest.mark.parametrize("seed", ["int", "generator"])
+    @pytest.mark.parametrize("mean", ["scalar", "vector", "vector-n1"])
+    @pytest.mark.parametrize("target_error", [None, 1e-4])
+    def test_query_is_a_batch_of_one(self, solver_sigma, method, seed, mean, target_error):
+        """``Model.query`` runs the batch path on one box: its answer — and
+        its plan stamp — equals ``probability_batch([box])[0]``.  The n = 1
+        case binds a flat length-1 mean, which the batched means-resolver
+        alone would reject as ambiguous (n == n_boxes)."""
+        sigma = solver_sigma[:1, :1] if mean == "vector-n1" else solver_sigma
+        n = sigma.shape[0]
+        a, b = _box(n)
+        bound_mean = 0.25 if mean == "scalar" else list(np.linspace(-0.3, 0.3, n))
+
+        def rng():
+            return 11 if seed == "int" else np.random.default_rng(11)
+
+        with MVNSolver(SolverConfig(method=method, n_samples=200, tile_size=9)) as solver:
+            model = solver.model(sigma, mean=bound_mean)
+            single = model.query(MVNQuery(a, b, rng=rng(), target_error=target_error,
+                                          max_samples=1600))
+            batch = model.probability_batch([(a, b)], rng=rng(), target_error=target_error,
+                                            max_samples=1600)[0]
+        assert single.probability == batch.probability
+        assert single.error == batch.error
+        assert single.n_samples == batch.n_samples
+        assert single.details["plan"] == batch.details["plan"]
 
     @pytest.mark.parametrize("method", PARALLEL_METHODS)
     def test_confidence_region_matches_functional(self, solver_sigma, method):
