@@ -19,11 +19,10 @@ row of the machine-readable perf trajectory started by
 ``BENCH_kernel_hotpath.json``) and a human-readable table under
 ``benchmarks/results/``.
 
-Re-run for the fused-batch PR: the default workload (``n_samples=200``,
-micro-batches of up to 16) is lane-aligned, so every served micro-batch now
-runs as one fused (boxes x samples) sweep.  The gate additionally requires
-the fused results to be **bit-identical** to a replay with the interleaved
-schedule forced — fusion is a speed knob, never a numerics knob.
+The default workload (``n_samples=200``, micro-batches of up to 16) is
+lane-aligned, so served micro-batches sweep in cross-box tiles while each
+direct reference call sweeps one box in per-box tiles: the bit-parity gate
+therefore also pins the two sweep layouts to each other.
 """
 
 from __future__ import annotations
@@ -75,9 +74,6 @@ def test_serving_throughput(benchmark):
 
     assert record["parity"]["served_bit_identical"], (
         "served results diverged from direct Model.probability calls"
-    )
-    assert record["parity"]["fused_vs_interleaved_bit_identical"], (
-        "fused batch schedule diverged from the interleaved schedule"
     )
     # the default workload is lane-aligned, so auto-fusion must have engaged
     # (a straggler micro-batch of one box legitimately stays interleaved)

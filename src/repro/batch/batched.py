@@ -101,11 +101,8 @@ def mvn_probability_batch(
     runtime: Runtime | None = None,
     factor: CholeskyFactor | None = None,
     cache: FactorCache | None = None,
-    chain_block: int | None = None,
-    max_workspace_cols: int | None = None,
     backend: str | None = None,
     kernel_threads: int | None = None,
-    fusion: str | None = None,
     timings: TimingRegistry | None = None,
     target_error: float | None = None,
     max_samples: int | None = None,
@@ -132,15 +129,10 @@ def mvn_probability_batch(
         A pre-computed factor of ``sigma``; skips factorization entirely.
     cache : FactorCache, optional
         Factor cache consulted (and populated) when ``factor`` is not given.
-    chain_block, max_workspace_cols : int, optional
-        Batched-sweep tuning; see :class:`repro.core.pmvn.PMVNOptions`.
     backend : str, optional
         QMC kernel backend (see :mod:`repro.core.kernel_backend`).
     kernel_threads : int, optional
         Thread count for chain-parallel backends (``numba-parallel``).
-    fusion : str, optional
-        Batched sweep schedule: ``"auto"`` (default) / ``"fused"`` /
-        ``"interleaved"`` — see :class:`repro.core.pmvn.PMVNOptions`.
     target_error, max_samples : optional
         Per-box adaptive accuracy targeting: boxes whose standard error
         misses ``target_error`` are re-swept at escalating sample counts
@@ -168,8 +160,7 @@ def mvn_probability_batch(
     config = SolverConfig(
         method=method, n_samples=n_samples, tile_size=tile_size,
         accuracy=accuracy, max_rank=max_rank, qmc=qmc,
-        chain_block=chain_block, max_workspace_cols=max_workspace_cols,
-        backend=backend, kernel_threads=kernel_threads, batch_fusion=fusion,
+        backend=backend, kernel_threads=kernel_threads,
     )
     check_factor_args(config.method, factor, cache)
     with MVNSolver(config, n_workers=n_workers, runtime=runtime, cache=cache) as solver:

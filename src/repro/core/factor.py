@@ -142,7 +142,7 @@ def _apply_precision(array: np.ndarray, precision: str) -> np.ndarray:
     the factorization operates on data rounded to float32 (so the accuracy
     impact is faithful), while the arithmetic itself stays in float64 — this
     reproduction cannot claim the speed benefit, only quantify the accuracy
-    cost (see ``benchmarks/bench_ablation_precision.py``).
+    cost (see the precision ablation in ``benchmarks/bench_ablation_design.py``).
     """
     if precision == "double":
         return array

@@ -19,33 +19,27 @@ admissible for compression (as the paper notes).
 Batched evaluation
 ------------------
 :func:`pmvn_integrate_batch` runs the sweep for *many* boxes against one
-pre-computed factor in a single task-graph submission: every box contributes
-its own chain blocks, and blocks from different boxes are interleaved in the
-submission order so worker threads stay saturated across box boundaries.
-Because each MC chain is independent, the per-chain probabilities are the
-same values a loop of single-box sweeps would produce — batching changes the
-schedule, not the estimator.  :func:`pmvn_integrate` is the single-box
-special case.
+pre-computed factor in a single task-graph submission; :func:`pmvn_integrate`
+is the single-box special case.  Each box draws its own variates and each MC
+chain is independent, so the per-chain probabilities are the same values a
+loop of single-box sweeps would produce — batching changes the schedule, not
+the estimator.
 
-Fused batch sweeps
-------------------
-The interleaved schedule still pays the per-tile Python and BLAS-dispatch
-overhead once per (box, chunk) pair, which dominates when a serving
-micro-batch holds many boxes with modest ``n_samples``.  The *fused* path
-instead concatenates the wave's boxes along the chain dimension into one
-virtual ``n x (boxes * n_samples)`` sweep and re-blocks it into cache-sized
-tiles that may span box boundaries — legal because the QMC kernel is exact
-for heterogeneous per-column limits (each chain only ever reads its own
-column).  Per-box estimates are gathered back by slicing each box's columns
-out of the fused probability segments in sample order, so the chain values —
-and hence the estimates — are the *same numbers* the interleaved schedule
-produces.  Bitwise equality additionally requires that every BLAS call see
-each column at the same SIMD-lane alignment in both schedules; fusion
-therefore keeps all tile widths and box offsets multiples of
-:data:`_COLUMN_LANE`, and the ``"auto"`` mode only fuses workloads where
-that alignment holds (``n_samples`` and the chain block both divisible by
-the lane).  ``PMVNOptions.fusion`` selects ``"auto"`` (default), ``"fused"``
-(force), or ``"interleaved"`` (the PR-6 schedule).
+How a wave's chains are cut into column tiles is one rule
+(:func:`_wave_tiles`).  By default every box contributes its own chunks of
+``chain_block`` chains, same-position chunks of different boxes adjacent in
+the submission order so worker threads stay saturated across box
+boundaries.  When a batch holds at least two boxes, requests no prefix sums,
+and ``n_samples`` and the chain block are both multiples of
+:data:`_COLUMN_LANE`, the wave's boxes are instead laid side by side along
+the chain dimension and cut into cache-sized tiles that may span box
+boundaries, so a serving micro-batch pays the per-tile Python and
+BLAS-dispatch overhead once rather than once per box.  That is legal because
+the QMC kernel is exact for heterogeneous per-column limits (each chain only
+reads its own column), and bitwise identical because lane-aligned cuts keep
+every column at the same SIMD-lane position in its BLAS calls.  Prefix sums
+accumulate per tile, so they need per-box tiles.  ``details["fusion"]``
+records which layout ran (``"fused"`` or ``"interleaved"``).
 """
 
 from __future__ import annotations
@@ -89,14 +83,11 @@ BATCH_CHAIN_BLOCK = 512
 #: cost ``~40 * n * cols`` bytes.
 BATCH_WORKSPACE_COLS = 4_000_000
 
-#: recognized values of ``PMVNOptions.fusion`` / ``SolverConfig.batch_fusion``
-BATCH_FUSION_MODES = ("auto", "fused", "interleaved")
-
-#: SIMD column-lane width the fused schedule aligns to.  BLAS kernels process
+#: SIMD column-lane width cross-box tiles align to.  BLAS kernels process
 #: matrix columns in fixed-width lane groups with a different microkernel for
-#: the tail; keeping every fused tile width and box offset a multiple of this
-#: lane makes each column land in the same lane group as in the interleaved
-#: schedule, so per-column GEMM/GEMV results are bitwise unchanged.
+#: the tail; keeping every cross-box tile width and box offset a multiple of
+#: this lane makes each column land in the same lane group as in per-box
+#: chunks, so per-column GEMM/GEMV results are bitwise unchanged.
 _COLUMN_LANE = 8
 
 
@@ -112,7 +103,8 @@ class PMVNOptions:
         Number of MC chains per column block.  Every sweep, single-box or
         batched, defaults to ``max(tile_size, min(BATCH_CHAIN_BLOCK,
         n_samples))``: at least the factor's square tiles, wider when the
-        sample size allows.  Results do not depend on this knob.
+        sample size allows.  Cross-box tiles (see the module docs) are at
+        least this wide.  Results do not depend on this knob.
     qmc : str
         QMC sequence name (``"richtmyer"``, ``"halton"``, ``"sobol"``,
         ``"random"``).
@@ -133,12 +125,6 @@ class PMVNOptions:
     workspace : SweepWorkspace, optional
         Pooled work buffers reused across calls (a :class:`repro.solver.Model`
         holds one per session); a fresh pool is created when omitted.
-    fusion : str
-        Batched sweep schedule: ``"auto"`` (default) fuses the wave's boxes
-        into cache-sized (boxes x samples) tiles whenever the column
-        alignment keeps results bitwise identical to the interleaved
-        schedule; ``"fused"`` forces fusion; ``"interleaved"`` forces the
-        per-box chunk schedule.  See the module docs.
     kernel_threads : int, optional
         Thread count for chain-parallel kernel backends (``numba-parallel``);
         applied for the duration of the sweep via
@@ -156,7 +142,6 @@ class PMVNOptions:
     backend: str | None = None
     workspace: "SweepWorkspace | None" = field(default=None, repr=False)
     timings: TimingRegistry | None = field(default=None, repr=False)
-    fusion: str = "auto"
     kernel_threads: int | None = None
 
 
@@ -193,6 +178,48 @@ def _gemm_limits_update(
     clock.add_gemm(time.perf_counter() - start)
 
 
+def _check_boxes(boxes, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Validate ``(a, b)`` limit pairs of dimension ``n``: every entry point's box check."""
+    checked = []
+    for idx, box in enumerate(boxes):
+        try:
+            a_raw, b_raw = box
+        except (TypeError, ValueError):
+            raise ValueError(f"box {idx} must be an (a, b) pair of limit vectors") from None
+        checked.append(check_limits(a_raw, b_raw, n))
+    return checked
+
+
+def _box_mean(mean, n: int) -> np.ndarray:
+    """One box's mean as a length-``n`` vector (from a scalar or a vector)."""
+    if np.isscalar(mean):
+        return np.full(n, float(mean))
+    mu = ensure_1d(mean, "mean")
+    if mu.shape != (n,):
+        raise ValueError(f"mean must be a scalar or have shape ({n},), got {mu.shape}")
+    return mu
+
+
+def _shared_mean(mean, n_boxes: int, n: int) -> list[np.ndarray]:
+    """One mean for every box, resolved to per-box vectors.
+
+    The single-mean rule of :func:`pmvn_integrate` and
+    :class:`repro.solver.Model` (a query's mean, or a model's mean shared by
+    a batch): ``None`` (zero), a scalar, or a length-``n`` vector, which may
+    come as a ``(1, n)`` row.  Resolving here keeps a shared vector clear of
+    :func:`_resolve_means`' ``n == n_boxes`` ambiguity check.
+    """
+    if mean is None:
+        mean = 0.0
+    elif not np.isscalar(mean):
+        mean = np.asarray(mean, dtype=np.float64)
+        if mean.ndim == 0:
+            mean = float(mean)
+        elif mean.ndim == 2 and mean.shape[0] == 1:
+            mean = mean[0]
+    return [_box_mean(mean, n)] * n_boxes
+
+
 def _resolve_means(means, n_boxes: int, n: int) -> list[np.ndarray]:
     """Canonicalize the ``means`` argument of the batched sweep.
 
@@ -204,17 +231,8 @@ def _resolve_means(means, n_boxes: int, n: int) -> list[np.ndarray]:
     """
     if means is None:
         return [np.zeros(n)] * n_boxes
-
-    def _one(mean) -> np.ndarray:
-        if np.isscalar(mean):
-            return np.full(n, float(mean))
-        mu = ensure_1d(mean, "mean")
-        if mu.shape != (n,):
-            raise ValueError(f"mean must be a scalar or have shape ({n},), got {mu.shape}")
-        return mu
-
     if np.isscalar(means):
-        return [_one(means)] * n_boxes
+        return [_box_mean(means, n)] * n_boxes
     try:
         arr = np.asarray(means, dtype=np.float64)
     except (TypeError, ValueError):
@@ -226,9 +244,9 @@ def _resolve_means(means, n_boxes: int, n: int) -> list[np.ndarray]:
                 f"as a scalar or an (n_boxes, n) array of per-box means"
             )
         if arr.shape[0] == n:
-            return [_one(arr)] * n_boxes
+            return [_box_mean(arr, n)] * n_boxes
         if arr.shape[0] == n_boxes:
-            return [_one(mean) for mean in arr]
+            return [_box_mean(mean, n) for mean in arr]
         raise ValueError(
             f"means must be a scalar, a shared ({n},) vector, {n_boxes} per-box "
             f"scalars, or an ({n_boxes}, {n}) array; got shape {arr.shape}"
@@ -240,7 +258,7 @@ def _resolve_means(means, n_boxes: int, n: int) -> list[np.ndarray]:
     seq = list(means)
     if len(seq) != n_boxes:
         raise ValueError(f"means must provide one entry per box ({n_boxes}), got {len(seq)}")
-    return [_one(mean) for mean in seq]
+    return [_box_mean(mean, n) for mean in seq]
 
 
 def pmvn_integrate_batch(
@@ -255,8 +273,9 @@ def pmvn_integrate_batch(
     This is the batched fast path behind
     :func:`repro.batch.mvn_probability_batch` and the confidence-region
     driver: the covariance is factorized *once* (by the caller), and the
-    PMVN sweeps of all boxes run through a single task-graph submission with
-    chain blocks from different boxes interleaved.
+    PMVN sweeps of all boxes run through a single task-graph submission,
+    their chains cut into column tiles by one layout rule (see the module
+    docs).
 
     Each box draws its own QMC variates from ``options.rng`` in box order,
     so the per-chain probabilities — and hence the estimates — match a loop
@@ -291,14 +310,7 @@ def pmvn_integrate_batch(
     if n_boxes == 0:
         return []
     mus = _resolve_means(means, n_boxes, n)
-    limits: list[tuple[np.ndarray, np.ndarray]] = []
-    for idx, box in enumerate(boxes):
-        try:
-            a_raw, b_raw = box
-        except (TypeError, ValueError):
-            raise ValueError(f"box {idx} must be an (a, b) pair of limit vectors") from None
-        a_vec, b_vec = check_limits(a_raw, b_raw, n)
-        limits.append((a_vec - mus[idx], b_vec - mus[idx]))
+    limits = [(a - mu, b - mu) for (a, b), mu in zip(_check_boxes(boxes, n), mus)]
 
     n_samples = check_positive_int(options.n_samples, "n_samples")
     if options.chain_block is not None:
@@ -307,6 +319,13 @@ def pmvn_integrate_batch(
         chain_block = max(factor.tile_size, min(BATCH_CHAIN_BLOCK, n_samples))
     chain_block = check_positive_int(min(chain_block, n_samples), "chain_block")
     timings = options.timings
+    # the layout rule (module docs): cross-box tiles need several boxes, no
+    # prefix sums (they accumulate per tile) and lane-aligned cuts (bitwise
+    # parity with per-box chunks)
+    fused = (
+        n_boxes > 1 and not options.return_prefix
+        and n_samples % _COLUMN_LANE == 0 and chain_block % _COLUMN_LANE == 0
+    )
 
     # Memory governor: sweep ``boxes_per_wave`` boxes concurrently through the
     # runtime, just enough chain blocks in flight to keep the workers
@@ -319,8 +338,6 @@ def pmvn_integrate_batch(
     boxes_per_wave = max(1, -(-target_blocks // chunks_per_box))
     max_cols = options.max_workspace_cols or max(n_samples, BATCH_WORKSPACE_COLS // max(n, 1))
     boxes_per_wave = min(boxes_per_wave, max(1, int(max_cols) // n_samples), n_boxes)
-
-    fused = _resolve_fusion(options, n_boxes, n_samples, chain_block)
 
     pooled = options.workspace
     if pooled is not None and pooled.checkout_wave_buffers():
@@ -335,10 +352,10 @@ def pmvn_integrate_batch(
     threads_set = options.kernel_threads is not None
     prev_threads = set_kernel_threads(options.kernel_threads) if threads_set else None
     try:
-        sweep = _sweep_wave_fused if fused else _sweep_wave
         for wave_start in range(0, n_boxes, boxes_per_wave):
             wave = list(range(wave_start, min(wave_start + boxes_per_wave, n_boxes)))
-            sweep(wave, limits, factor, options, rt, n_samples, chain_block, timings, results, workspace, backend, clock)
+            _sweep_wave(wave, limits, factor, options, rt, n_samples, chain_block, fused,
+                        results, workspace, backend, clock)
     finally:
         if threads_set:
             set_kernel_threads(prev_threads)
@@ -355,36 +372,6 @@ def pmvn_integrate_batch(
         result.details["gemm_seconds"] = clock.gemm
         result.details["fusion"] = "fused" if fused else "interleaved"
     return results  # type: ignore[return-value]
-
-
-def _resolve_fusion(
-    options: PMVNOptions, n_boxes: int, n_samples: int, chain_block: int
-) -> bool:
-    """Decide whether this batch runs the fused (boxes x samples) schedule."""
-    mode = options.fusion
-    if mode not in BATCH_FUSION_MODES:
-        raise ValueError(
-            f"fusion must be one of {BATCH_FUSION_MODES}, got {mode!r}"
-        )
-    if mode == "interleaved":
-        return False
-    if options.return_prefix:
-        if mode == "fused":
-            raise ValueError(
-                "return_prefix requires the interleaved batch schedule: prefix "
-                "sums cannot be attributed per box across fused tiles"
-            )
-        return False
-    if mode == "fused":
-        return True
-    # auto: fuse only when there is something to fuse and the column-lane
-    # alignment (see _COLUMN_LANE) keeps results bitwise identical to the
-    # interleaved schedule
-    if n_boxes < 2:
-        return False
-    if n_samples % _COLUMN_LANE or chain_block % _COLUMN_LANE:
-        return False
-    return True
 
 
 class SweepWorkspace:
@@ -503,6 +490,38 @@ class _PhaseClock:
             self.gemm += seconds
 
 
+def _wave_tiles(
+    wave: list[int], n_samples: int, chain_block: int, fused: bool
+) -> list[list[tuple[int, int, int, int]]]:
+    """Cut one wave's chains into column tiles (the sweep's one layout function).
+
+    Each tile is a list of ``(box, lo, hi, offset)`` segments: chains
+    ``[lo, hi)`` of ``box`` fill the tile's columns from ``offset`` on.
+    Per-box tiles are ``chain_block``-wide chunks in chunk-major order (the
+    same chunk of every box of the wave, then the next chunk).  ``fused``
+    tiles instead cut the wave's boxes laid side by side — box ``w`` of the
+    wave owns virtual columns ``[w * n_samples, (w+1) * n_samples)`` — into
+    tiles of ``max(chain_block, min(BATCH_CHAIN_BLOCK, total))`` columns; the
+    caller only fuses lane-aligned ``n_samples`` and ``chain_block``, so
+    every cut and box offset is a multiple of :data:`_COLUMN_LANE`.
+    """
+    if not fused:
+        chunks = [(c0, min(c0 + chain_block, n_samples)) for c0 in range(0, n_samples, chain_block)]
+        return [[(box, c0, c1, 0)] for (c0, c1) in chunks for box in wave]
+    total = len(wave) * n_samples
+    width = max(chain_block, min(BATCH_CHAIN_BLOCK, total))
+    tiles = []
+    for c0 in range(0, total, width):
+        c1 = min(c0 + width, total)
+        segments = []
+        for w_idx in range(c0 // n_samples, (c1 - 1) // n_samples + 1):
+            lo = max(c0, w_idx * n_samples)
+            hi = min(c1, (w_idx + 1) * n_samples)
+            segments.append((wave[w_idx], lo - w_idx * n_samples, hi - w_idx * n_samples, lo - c0))
+        tiles.append(segments)
+    return tiles
+
+
 def _sweep_wave(
     wave: list[int],
     limits: list[tuple[np.ndarray, np.ndarray]],
@@ -511,40 +530,39 @@ def _sweep_wave(
     rt: Runtime,
     n_samples: int,
     chain_block: int,
-    timings: TimingRegistry | None,
+    fused: bool,
     results: list,
     workspace: SweepWorkspace,
     backend: KernelBackend,
     clock: _PhaseClock,
 ) -> None:
-    """Run one wave of boxes through the runtime and fill ``results``."""
+    """Run one wave of boxes through the runtime and fill ``results``.
+
+    The wave's chains are cut into column tiles by :func:`_wave_tiles`.
+    Every column carries its own box's limits and variates, so the task
+    graph of steps (b)-(d) is the same however the tiles were cut.
+    """
     n = factor.n
+    timings = options.timings
     row_ranges = factor.row_ranges
     n_row_blocks = len(row_ranges)
+    tiles = _wave_tiles(wave, n_samples, chain_block, fused)
+    n_tiles = len(tiles)
+    widths = [sum(hi - lo for (_box, lo, hi, _off) in tile) for tile in tiles]
+
     # row blocks whose lower limits are all -inf never change under the GEMM
-    # propagation (-inf minus a finite update is -inf); their A-side axpy is
-    # skipped per box
+    # propagation (-inf minus a finite update is -inf); a tile skips that
+    # A-side axpy where every box with columns in it has such a block
     neginf_blocks = {
         box: [bool(np.all(np.isneginf(limits[box][0][r0:r1]))) for (r0, r1) in row_ranges]
         for box in wave
     }
-
-    # chain (column) blocks, box-aligned; the submission order below
-    # interleaves same-position blocks across the boxes of the wave
-    chain_ranges = [(c0, min(c0 + chain_block, n_samples)) for c0 in range(0, n_samples, chain_block)]
-    n_chunks = len(chain_ranges)
-    blocks: list[tuple[int, int, int, int]] = [
-        (box, chunk, *chain_ranges[chunk]) for chunk in range(n_chunks) for box in wave
+    skip_a = [
+        [all(neginf_blocks[box][j] for (box, _lo, _hi, _off) in tile) for j in range(n_row_blocks)]
+        for tile in tiles
     ]
-    n_blocks = len(blocks)
-
-    a_blocks: list[list[np.ndarray]] = []
-    b_blocks: list[list[np.ndarray]] = []
-    y_blocks: list[list[np.ndarray]] = []
-    r_blocks: list[list[np.ndarray]] = []
-    p_segments: list[np.ndarray] = []
-    prefix_sums = [np.zeros(n) for _ in range(n_blocks)] if options.return_prefix else None
-    prefix_sumsqs = [np.zeros(n) for _ in range(n_blocks)] if options.return_prefix else None
+    prefix_sums = [np.zeros(n) for _ in range(n_tiles)] if options.return_prefix else None
+    prefix_sumsqs = [np.zeros(n) for _ in range(n_tiles)] if options.return_prefix else None
 
     with timed(timings, "qmc_generation"):
         # Uniform variates for the whole sweep; the SOV recursion consumes one
@@ -556,11 +574,13 @@ def _sweep_wave(
             for box in wave
         }
 
+    a_blocks: list[list[np.ndarray]] = []
+    b_blocks: list[list[np.ndarray]] = []
+    y_blocks: list[list[np.ndarray]] = []
+    r_blocks: list[list[np.ndarray]] = []
+    p_segments: list[np.ndarray] = []
     with timed(timings, "workspace_setup"):
-        for slot, (box, _chunk, c0, c1) in enumerate(blocks):
-            width = c1 - c0
-            a_vec, b_vec = limits[box]
-            r_matrix = r_matrices[box]
+        for slot, (tile, width) in enumerate(zip(tiles, widths)):
             a_col = []
             b_col = []
             y_col = []
@@ -568,13 +588,16 @@ def _sweep_wave(
             for r_idx, (r0, r1) in enumerate(row_ranges):
                 rows = r1 - r0
                 a_tile = workspace.get(("a", slot, r_idx), (rows, width))
-                a_tile[...] = a_vec[r0:r1, None]
                 b_tile = workspace.get(("b", slot, r_idx), (rows, width))
-                b_tile[...] = b_vec[r0:r1, None]
                 y_tile = workspace.get(("y", slot, r_idx), (rows, width))
                 y_tile[...] = 0.0
                 r_tile = workspace.get(("r", slot, r_idx), (rows, width))
-                np.copyto(r_tile, r_matrix[r0:r1, c0:c1])
+                for box, lo, hi, off in tile:
+                    a_vec, b_vec = limits[box]
+                    seg = slice(off, off + (hi - lo))
+                    a_tile[:, seg] = a_vec[r0:r1, None]
+                    b_tile[:, seg] = b_vec[r0:r1, None]
+                    np.copyto(r_tile[:, seg], r_matrices[box][r0:r1, lo:hi])
                 a_col.append(a_tile)
                 b_col.append(b_tile)
                 y_col.append(y_tile)
@@ -588,75 +611,18 @@ def _sweep_wave(
             p_segments.append(p_seg)
     del r_matrices
 
-    labels = [f"{box}.{chunk}" for (box, chunk, _c0, _c1) in blocks]
-    skip_a = [
-        [neginf_blocks[box][j] for j in range(n_row_blocks)]
-        for (box, _chunk, _c0, _c1) in blocks
-    ]
-    _submit_sweep(
-        rt, factor, labels, a_blocks, b_blocks, y_blocks, r_blocks,
-        p_segments, prefix_sums, prefix_sumsqs, skip_a,
-        workspace, backend, clock, timings,
-    )
-
-    for box in wave:
-        own = [k for k, blk in enumerate(blocks) if blk[0] == box]
-        chain_values = np.concatenate([p_segments[k] for k in own])
-        estimate = float(chain_values.mean())
-        std_err = float(chain_values.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
-        details: dict = {"chain_block": chain_block, "n_row_blocks": n_row_blocks}
-        if options.return_prefix:
-            total_sum = np.sum([prefix_sums[k] for k in own], axis=0)
-            total_sumsq = np.sum([prefix_sumsqs[k] for k in own], axis=0)
-            prefix_mean = total_sum / n_samples
-            prefix_var = np.maximum(total_sumsq / n_samples - prefix_mean**2, 0.0)
-            details["prefix_probabilities"] = prefix_mean
-            details["prefix_errors"] = np.sqrt(prefix_var / n_samples)
-        results[box] = MVNResult(estimate, std_err, n_samples, n, method="pmvn", details=details)
-
-
-def _submit_sweep(
-    rt: Runtime,
-    factor: CholeskyFactor,
-    labels: list[str],
-    a_blocks: list[list[np.ndarray]],
-    b_blocks: list[list[np.ndarray]],
-    y_blocks: list[list[np.ndarray]],
-    r_blocks: list[list[np.ndarray]],
-    p_segments: list[np.ndarray],
-    prefix_sums: list[np.ndarray] | None,
-    prefix_sumsqs: list[np.ndarray] | None,
-    skip_a: list[list[bool]],
-    workspace: SweepWorkspace,
-    backend: KernelBackend,
-    clock: _PhaseClock,
-    timings: TimingRegistry | None,
-) -> None:
-    """Submit one wave's task graph (steps (b)-(d)) and wait for it.
-
-    Schedule-agnostic: the caller decides how the wave's chains are cut into
-    column blocks (one per ``labels`` entry — interleaved per-box chunks or
-    fused cross-box tiles) and hands over the filled tiles; this helper only
-    wires the dependency graph.  ``skip_a[k][j]`` marks column blocks whose
-    row block ``j`` has all-``-inf`` lower limits (the A-side axpy of the
-    GEMM propagation is an exact no-op there and is skipped).
-    """
-    row_ranges = factor.row_ranges
-    n_row_blocks = len(row_ranges)
-    n_blocks = len(labels)
-
     # data handles for dependency inference
     def _handles(payloads, tag):
         return [
-            [DataHandle(payloads[k][r], name=f"{tag}[{r},{labels[k]}]") for r in range(n_row_blocks)]
-            for k in range(n_blocks)
+            [DataHandle(payloads[k][r], name=f"{tag}[{r},{k}]") for r in range(n_row_blocks)]
+            for k in range(n_tiles)
         ]
 
     a_handles = _handles(a_blocks, "A")
     b_handles = _handles(b_blocks, "B")
     y_handles = _handles(y_blocks, "Y")
     r_handles = _handles(r_blocks, "R")
-    p_handles = [DataHandle(p_segments[k], name=f"p[{labels[k]}]") for k in range(n_blocks)]
+    p_handles = [DataHandle(p_segments[k], name=f"p[{k}]") for k in range(n_tiles)]
     diag_handles = [DataHandle(factor.diag_tile(r), name=f"L[{r},{r}]") for r in range(n_row_blocks)]
 
     def qmc_task(l_tile, r_tile, a_tile, b_tile, p_seg, y_tile, row_block: int, block_idx: int) -> None:
@@ -677,7 +643,7 @@ def _submit_sweep(
 
     with timed(timings, "integration"):
         # step (b): first row block
-        for k in range(n_blocks):
+        for k in range(n_tiles):
             rt.insert_task(
                 qmc_task,
                 (diag_handles[0], AccessMode.READ),
@@ -687,14 +653,14 @@ def _submit_sweep(
                 (p_handles[k], AccessMode.READWRITE),
                 (y_handles[k][0], AccessMode.READWRITE),
                 kwargs={"row_block": 0, "block_idx": k},
-                name=f"qmc(0,{labels[k]})",
+                name=f"qmc(0,{k})",
                 priority=2 * n_row_blocks,
                 tag="qmc",
             )
         # steps (c)/(d): propagate and advance the remaining row blocks
         for r in range(1, n_row_blocks):
             for j in range(r, n_row_blocks):
-                for k in range(n_blocks):
+                for k in range(n_tiles):
                     rt.insert_task(
                         _gemm_limits_update,
                         (a_handles[k][j], AccessMode.READWRITE),
@@ -706,11 +672,11 @@ def _submit_sweep(
                             "skip_a": skip_a[k][j],
                             "clock": clock,
                         },
-                        name=f"gemm({j},{labels[k]},{r - 1})",
+                        name=f"gemm({j},{k},{r - 1})",
                         priority=2 * (n_row_blocks - r) + 1,
                         tag="gemm",
                     )
-            for k in range(n_blocks):
+            for k in range(n_tiles):
                 rt.insert_task(
                     qmc_task,
                     (diag_handles[r], AccessMode.READ),
@@ -720,144 +686,32 @@ def _submit_sweep(
                     (p_handles[k], AccessMode.READWRITE),
                     (y_handles[k][r], AccessMode.READWRITE),
                     kwargs={"row_block": r, "block_idx": k},
-                    name=f"qmc({r},{labels[k]})",
+                    name=f"qmc({r},{k})",
                     priority=2 * (n_row_blocks - r),
                     tag="qmc",
                 )
         rt.wait_all()
 
-
-def _sweep_wave_fused(
-    wave: list[int],
-    limits: list[tuple[np.ndarray, np.ndarray]],
-    factor: CholeskyFactor,
-    options: PMVNOptions,
-    rt: Runtime,
-    n_samples: int,
-    chain_block: int,
-    timings: TimingRegistry | None,
-    results: list,
-    workspace: SweepWorkspace,
-    backend: KernelBackend,
-    clock: _PhaseClock,
-) -> None:
-    """Run one wave as a single fused (boxes x samples) sweep.
-
-    The wave's boxes are laid side by side along the chain dimension — box
-    ``w`` owns virtual columns ``[w * n_samples, (w+1) * n_samples)`` — and
-    the combined width is cut into tiles of up to ``width`` columns that may
-    span box boundaries.  Each column carries its own box's limits and
-    variates, which the kernel handles exactly (see the module docs), so the
-    per-chain probabilities equal the interleaved schedule's; tile widths
-    stay multiples of :data:`_COLUMN_LANE` to keep the BLAS per-column
-    results bitwise identical as well.
-    """
-    n = factor.n
-    row_ranges = factor.row_ranges
-    n_row_blocks = len(row_ranges)
-    total = len(wave) * n_samples
-    width = max(chain_block, min(BATCH_CHAIN_BLOCK, total))
-    if width % _COLUMN_LANE and width > _COLUMN_LANE:
-        width -= width % _COLUMN_LANE
-    width = min(width, total)
-
-    neginf_blocks = {
-        box: [bool(np.all(np.isneginf(limits[box][0][r0:r1]))) for (r0, r1) in row_ranges]
-        for box in wave
-    }
-
-    col_ranges = [(c0, min(c0 + width, total)) for c0 in range(0, total, width)]
-    n_blocks = len(col_ranges)
-
-    def _segments(c0: int, c1: int) -> list[tuple[int, int, int, int]]:
-        """Box segments covering fused columns [c0, c1): (box, lo, hi, offset)."""
-        segs = []
-        for w_idx in range(c0 // n_samples, (c1 - 1) // n_samples + 1):
-            lo = max(c0, w_idx * n_samples)
-            hi = min(c1, (w_idx + 1) * n_samples)
-            segs.append((wave[w_idx], lo - w_idx * n_samples, hi - w_idx * n_samples, lo - c0))
-        return segs
-
-    seg_lists = [_segments(c0, c1) for (c0, c1) in col_ranges]
-
-    with timed(timings, "qmc_generation"):
-        # one draw per box, in box order — identical rng consumption to the
-        # interleaved schedule and to a loop of single-box sweeps
-        r_matrices = {
-            box: qmc_samples(n, n_samples, method=options.qmc, rng=options.rng)
-            for box in wave
-        }
-
-    a_blocks: list[list[np.ndarray]] = []
-    b_blocks: list[list[np.ndarray]] = []
-    y_blocks: list[list[np.ndarray]] = []
-    r_blocks: list[list[np.ndarray]] = []
-    p_segments: list[np.ndarray] = []
-    with timed(timings, "workspace_setup"):
-        for slot, (c0, c1) in enumerate(col_ranges):
-            w = c1 - c0
-            a_col = []
-            b_col = []
-            y_col = []
-            r_col = []
-            for r_idx, (r0, r1) in enumerate(row_ranges):
-                rows = r1 - r0
-                a_tile = workspace.get(("a", slot, r_idx), (rows, w))
-                b_tile = workspace.get(("b", slot, r_idx), (rows, w))
-                y_tile = workspace.get(("y", slot, r_idx), (rows, w))
-                y_tile[...] = 0.0
-                r_tile = workspace.get(("r", slot, r_idx), (rows, w))
-                for box, lo, hi, off in seg_lists[slot]:
-                    a_vec, b_vec = limits[box]
-                    seg = slice(off, off + (hi - lo))
-                    a_tile[:, seg] = a_vec[r0:r1, None]
-                    b_tile[:, seg] = b_vec[r0:r1, None]
-                    np.copyto(r_tile[:, seg], r_matrices[box][r0:r1, lo:hi])
-                a_col.append(a_tile)
-                b_col.append(b_tile)
-                y_col.append(y_tile)
-                r_col.append(r_tile)
-            a_blocks.append(a_col)
-            b_blocks.append(b_col)
-            y_blocks.append(y_col)
-            r_blocks.append(r_col)
-            p_seg = workspace.get(("p", slot), (w,))
-            p_seg[...] = 1.0
-            p_segments.append(p_seg)
-    del r_matrices
-
-    # the A-side axpy of a fused tile can only be skipped when *every* box
-    # with columns in the tile has an all--inf lower-limit row block
-    skip_a = [
-        [
-            all(neginf_blocks[box][j] for (box, _lo, _hi, _off) in seg_lists[k])
-            for j in range(n_row_blocks)
-        ]
-        for k in range(n_blocks)
-    ]
-    labels = [f"f{k}" for k in range(n_blocks)]
-    _submit_sweep(
-        rt, factor, labels, a_blocks, b_blocks, y_blocks, r_blocks,
-        p_segments, None, None, skip_a, workspace, backend, clock, timings,
-    )
-
-    for w_idx, box in enumerate(wave):
-        g0 = w_idx * n_samples
-        g1 = g0 + n_samples
-        parts = []
-        for k, (c0, c1) in enumerate(col_ranges):
-            lo = max(c0, g0)
-            hi = min(c1, g1)
-            if lo < hi:
-                parts.append(p_segments[k][lo - c0:hi - c0])
-        chain_values = np.concatenate(parts)
+    # each box's chains, in sample order, as (tile, column view) pairs
+    owned: dict[int, list[tuple[int, np.ndarray]]] = {box: [] for box in wave}
+    for k, tile in enumerate(tiles):
+        for box, lo, hi, off in tile:
+            owned[box].append((k, p_segments[k][off:off + (hi - lo)]))
+    for box in wave:
+        chain_values = np.concatenate([values for (_k, values) in owned[box]])
         estimate = float(chain_values.mean())
         std_err = float(chain_values.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
-        details: dict = {
-            "chain_block": width,
-            "n_row_blocks": n_row_blocks,
-            "fused_cols": total,
-        }
+        details: dict = {"chain_block": widths[0], "n_row_blocks": n_row_blocks}
+        if fused:
+            details["fused_cols"] = len(wave) * n_samples
+        if options.return_prefix:
+            # prefix sums never fuse, so each of the box's tiles is its own
+            total_sum = np.sum([prefix_sums[k] for (k, _values) in owned[box]], axis=0)
+            total_sumsq = np.sum([prefix_sumsqs[k] for (k, _values) in owned[box]], axis=0)
+            prefix_mean = total_sum / n_samples
+            prefix_var = np.maximum(total_sumsq / n_samples - prefix_mean**2, 0.0)
+            details["prefix_probabilities"] = prefix_mean
+            details["prefix_errors"] = np.sqrt(prefix_var / n_samples)
         results[box] = MVNResult(estimate, std_err, n_samples, n, method="pmvn", details=details)
 
 
@@ -889,15 +743,27 @@ def pmvn_integrate(
     mean : float or array_like
         Mean vector, absorbed into the limits.
     """
-    if np.isscalar(mean):
-        means = mean
-    else:
-        arr = np.asarray(mean, dtype=np.float64)
-        # hand a scalar or an explicit (1, n) per-box row to the batched
-        # resolver — never a flat length-1 sequence, which it would flag as
-        # ambiguous for 1-dimensional problems (n == n_boxes == 1)
-        means = float(arr) if arr.ndim == 0 else arr[None, :]
+    means = _shared_mean(mean, 1, factor.n)
     return pmvn_integrate_batch([(a, b)], factor, options, runtime=runtime, means=means)[0]
+
+
+def _stamp_estimator(results: list[MVNResult], method: str, factor: CholeskyFactor) -> None:
+    """Stamp the estimator name and the settings of the factor it swept.
+
+    TLR settings are read off the factor itself, so a pre-built or rank-k
+    updated factor reports the accuracy it was compressed at.
+    """
+    tlr_details = {}
+    if method == "tlr":
+        tlr = getattr(factor, "tlr", None)
+        tlr_details = {
+            "tlr_accuracy": None if tlr is None else tlr.accuracy,
+            "max_rank": None if tlr is None else tlr.max_offdiag_rank(),
+        }
+    for result in results:
+        result.method = f"pmvn-{method}"
+        result.details["tile_size"] = factor.tile_size
+        result.details.update(tlr_details)
 
 
 def pmvn_dense(
@@ -935,8 +801,7 @@ def pmvn_dense(
         kernel_threads=kernel_threads,
     )
     result = pmvn_integrate(a, b, factor, options, runtime=runtime, mean=mean)
-    result.method = "pmvn-dense"
-    result.details["tile_size"] = factor.tile_size
+    _stamp_estimator([result], "dense", factor)
     return result
 
 
@@ -986,8 +851,5 @@ def pmvn_tlr(
         kernel_threads=kernel_threads,
     )
     result = pmvn_integrate(a, b, factor, options, runtime=runtime, mean=mean)
-    result.method = "pmvn-tlr"
-    result.details["tile_size"] = factor.tile_size
-    result.details["tlr_accuracy"] = accuracy
-    result.details["max_rank"] = factor.tlr.max_offdiag_rank() if hasattr(factor, "tlr") else None
+    _stamp_estimator([result], "tlr", factor)
     return result

@@ -24,13 +24,11 @@ The default workload uses the TLR method: compression makes factorization
 the dominant per-request setup cost, which is exactly the cost a serving
 layer exists to amortize (the paper's large-scale configuration).
 
-Since the fused batch schedule landed (see
-:class:`repro.core.pmvn.PMVNOptions`), a served micro-batch runs as one
-giant (boxes x samples) sweep whenever the workload is lane-aligned — the
-default ``n_samples=200`` is — so the record carries a ``fusion`` section:
-the schedule the served path actually used, plus a bitwise comparison
-against a replay with fusion forced off.  The gate only passes when the
-fused results are bit-identical to the interleaved ones.
+A served micro-batch of lane-aligned queries (the default ``n_samples=200``
+is) sweeps in cross-box tiles, while each direct reference call is a single
+box in per-box tiles (see :mod:`repro.core.pmvn`), so the bit-parity check
+also pins the two layouts to each other.  The record's ``fusion`` section
+lists the layouts the served path used.
 """
 
 from __future__ import annotations
@@ -183,16 +181,6 @@ def run_serving_benchmark(
         for served, direct in zip(served_results, reference)
     )
 
-    # fused-batch parity: replay the served path with fusion forced off; the
-    # schedule must never change the numbers, bit for bit
-    interleaved_results, _, _ = _run_served(
-        sigmas, queries, solver_config.replace(batch_fusion="interleaved"),
-        n_shards, max_batch, worker_mode, seed,
-    )
-    fused_bit_identical = all(
-        fused.probability == inter.probability and fused.error == inter.error
-        for fused, inter in zip(served_results, interleaved_results)
-    )
     served_modes = sorted(
         {
             str((result.details.get("serve") or {}).get("fusion"))
@@ -232,21 +220,13 @@ def run_serving_benchmark(
             },
         },
         "speedup": speedup,
-        "parity": {
-            "served_bit_identical": bit_identical,
-            "fused_vs_interleaved_bit_identical": fused_bit_identical,
-        },
-        "fusion": {
-            "served_modes": served_modes,
-            "fused_vs_interleaved_bit_identical": fused_bit_identical,
-        },
+        "parity": {"served_bit_identical": bit_identical},
+        "fusion": {"served_modes": served_modes},
         "gate": {
             "metric": "end-to-end speedup, served vs cold singles",
             "threshold": SERVING_SPEEDUP_GATE,
             "value": speedup,
-            "passed": speedup >= SERVING_SPEEDUP_GATE
-            and bit_identical
-            and fused_bit_identical,
+            "passed": speedup >= SERVING_SPEEDUP_GATE and bit_identical,
         },
     }
 

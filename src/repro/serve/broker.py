@@ -16,12 +16,10 @@ that owns the fingerprint (:func:`repro.serve.pool.shard_for_fingerprint`).
 Batching changes the schedule, never the estimator, and the shard runs the
 very same solver code a direct caller would — so served probabilities are
 bit-identical to direct :class:`repro.solver.Model` calls with the same
-seed (``tests/test_serve.py`` pins this per kernel backend).  When the
-shard's solver config allows it (``batch_fusion="auto"``, the default), a
-micro-batch executes as one *fused* (boxes x samples) sweep instead of N
-interleaved per-box sweeps — see the fused-batch docs in
-:mod:`repro.core.pmvn`; ``details["serve"]["fusion"]`` records which
-schedule ran.
+seed (``tests/test_serve.py`` pins this per kernel backend).  A
+micro-batch of lane-aligned queries sweeps in cross-box tiles rather than
+per-box chunks (the layout rule of :mod:`repro.core.pmvn`);
+``details["serve"]["fusion"]`` records which layout ran.
 
 Backpressure is a hard cap on submitted-but-unfinished requests
 (``max_pending``): at the limit ``submit`` blocks, and ``submit(...,

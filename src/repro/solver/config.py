@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from repro.core.kernel_backend import resolve_backend_name
 from repro.core.methods import AUTO_METHOD, PARALLEL_METHODS, canonical_method
-from repro.core.pmvn import BATCH_FUSION_MODES
 from repro.runtime.scheduler import canonical_policy
 
 __all__ = ["SolverConfig"]
@@ -48,11 +47,6 @@ class SolverConfig:
     qmc : str
         QMC sequence name (``"richtmyer"``, ``"halton"``, ``"sobol"``,
         ``"random"``).
-    chain_block : int, optional
-        Chains per column block of the sweep (``None`` = the default
-        rule; see :class:`repro.core.pmvn.PMVNOptions`).
-    max_workspace_cols : int, optional
-        Cap on the chains materialized at once by the batched sweep.
     backend : str, optional
         QMC kernel backend (``"numpy"``, ``"numba"``, ``"numba-parallel"``,
         ``"reference"``, ``"auto"``); ``None`` follows
@@ -64,12 +58,6 @@ class SolverConfig:
         (``numba-parallel``); ``None`` defers to ``$REPRO_KERNEL_THREADS``
         and then to the backend default (all cores).  Single-threaded
         backends ignore it.
-    batch_fusion : str, optional
-        Batched sweep schedule: ``"auto"`` (default) fuses a batch's boxes
-        into cache-sized (boxes x samples) tiles whenever results stay
-        bitwise identical to the interleaved schedule, ``"fused"`` forces
-        fusion, ``"interleaved"`` forces the per-box schedule.  See
-        :class:`repro.core.pmvn.PMVNOptions`.
     policy : str, optional
         Runtime scheduling policy for solvers built from this config
         (canonicalized through
@@ -85,11 +73,8 @@ class SolverConfig:
     accuracy: float = 1e-3
     max_rank: int | None = None
     qmc: str = "richtmyer"
-    chain_block: int | None = None
-    max_workspace_cols: int | None = None
     backend: str | None = None
     kernel_threads: int | None = None
-    batch_fusion: str | None = None
     policy: str | None = None
 
     def __post_init__(self) -> None:
@@ -104,15 +89,7 @@ class SolverConfig:
             raise ValueError("accuracy must be > 0")
         object.__setattr__(self, "accuracy", float(self.accuracy))
         object.__setattr__(self, "max_rank", self._positive_int("max_rank", self.max_rank, optional=True))
-        object.__setattr__(self, "chain_block", self._positive_int("chain_block", self.chain_block, optional=True))
         object.__setattr__(self, "kernel_threads", self._positive_int("kernel_threads", self.kernel_threads, optional=True))
-        if self.batch_fusion is not None:
-            fusion = str(self.batch_fusion).lower()
-            if fusion not in BATCH_FUSION_MODES:
-                raise ValueError(
-                    f"batch_fusion must be one of {BATCH_FUSION_MODES}, got {self.batch_fusion!r}"
-                )
-            object.__setattr__(self, "batch_fusion", fusion)
         if self.policy is not None:
             object.__setattr__(self, "policy", canonical_policy(self.policy))
 

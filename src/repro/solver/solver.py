@@ -41,7 +41,15 @@ from repro.batch.cache import FactorCache, sigma_fingerprint
 from repro.core.crd import ConfidenceRegionResult, _confidence_region_impl
 from repro.core.factor import CholeskyFactor, TLRFactor, factorize
 from repro.core.methods import BASELINE_ESTIMATORS, check_factor_args
-from repro.core.pmvn import PMVNOptions, SweepWorkspace, _resolve_means, pmvn_integrate_batch
+from repro.core.pmvn import (
+    PMVNOptions,
+    SweepWorkspace,
+    _check_boxes,
+    _resolve_means,
+    _shared_mean,
+    _stamp_estimator,
+    pmvn_integrate_batch,
+)
 from repro.core.update import FactorLineage, lineage_fingerprint, normalize_update, update_factor
 from repro.mvn.result import MVNResult
 from repro.query import MVNQuery, QueryPlan, QueryPlanner
@@ -49,31 +57,13 @@ from repro.query.pipeline import escalate_batch
 from repro.query.spec import one_sided_fraction
 from repro.runtime import Runtime
 from repro.solver.config import SolverConfig
-from repro.utils.validation import check_covariance, check_limits
+from repro.utils.validation import check_covariance
 
 __all__ = ["MVNSolver", "Model"]
 
 #: default sentinel: "the solver owns a fresh cache" (pass ``cache=None`` to
 #: disable caching entirely, or an existing FactorCache to share one)
 _OWNED_CACHE = object()
-
-
-def _shared_means(mean, n_boxes: int):
-    """One mean for every box, in the form the batched means-resolver expects.
-
-    A flat length-``n`` vector already means "shared by every box" to the
-    resolver — except when ``n == n_boxes`` (e.g. a single query against a
-    1-dimensional model), where it is ambiguous; only then is it expanded
-    to an explicit ``(n_boxes, n)`` array.
-    """
-    if mean is None or np.isscalar(mean):
-        return mean
-    arr = np.asarray(mean, dtype=np.float64)
-    if arr.ndim == 0:
-        return float(arr)
-    if arr.ndim == 1 and arr.shape[0] == n_boxes:
-        return np.tile(arr.reshape(1, -1), (n_boxes, 1))
-    return arr
 
 
 class MVNSolver:
@@ -520,7 +510,7 @@ class Model:
             raise TypeError(f"query must be an MVNQuery, got {type(query).__name__}")
         mean = self._mean if query.mean is None else query.mean
         return self._run(
-            [(query.a, query.b)], _shared_means(mean, 1), query.qmc, query.rng,
+            [(query.a, query.b)], _shared_mean(mean, 1, self.n), query.qmc, query.rng,
             timings, query,
         )[0]
 
@@ -543,7 +533,7 @@ class Model:
         self._solver._check_open()
         boxes = list(boxes)
         if means is None:
-            means = _shared_means(self._mean, len(boxes))
+            means = _shared_mean(self._mean, len(boxes), self.n)
         if target_error is not None and not (float(target_error) > 0.0):
             raise ValueError(f"target_error must be > 0, got {target_error!r}")
         if max_samples is not None and n_samples is not None and max_samples < n_samples:
@@ -573,13 +563,7 @@ class Model:
         # the uniform query-boundary validation: a bad box raises the same
         # ValueError on every entry point, before any factorization is paid
         # (or cached)
-        checked = []
-        for idx, box in enumerate(boxes):
-            try:
-                a_raw, b_raw = box
-            except (TypeError, ValueError):
-                raise ValueError(f"box {idx} must be an (a, b) pair of limit vectors") from None
-            checked.append(check_limits(a_raw, b_raw, self.n))
+        checked = _check_boxes(boxes, self.n)
         plan = self.plan(query, one_sided_fraction=one_sided_fraction(checked), **overrides)
         qmc = self.config.qmc if qmc is None else qmc
 
@@ -609,7 +593,6 @@ class Model:
 
     def _evaluate_batch(self, plan: QueryPlan, boxes, means, n_samples, qmc, rng, timings) -> list[MVNResult]:
         """One evaluation of the boxes with the planned method and backend."""
-        cfg = self.config
         estimator = BASELINE_ESTIMATORS.get(plan.method)
         if estimator is not None:
             # the single-node baselines have no batched sweep: one call per box
@@ -620,20 +603,12 @@ class Model:
             ]
         factor = self._ensure_factor(plan.method, timings=timings)
         options = PMVNOptions(
-            n_samples=n_samples, chain_block=cfg.chain_block, qmc=qmc, rng=rng,
-            max_workspace_cols=cfg.max_workspace_cols, backend=plan.backend,
+            n_samples=n_samples, qmc=qmc, rng=rng, backend=plan.backend,
             workspace=self._sweep_workspace, timings=timings,
-            kernel_threads=cfg.kernel_threads, fusion=cfg.batch_fusion or "auto",
+            kernel_threads=self.config.kernel_threads,
         )
         results = pmvn_integrate_batch(boxes, factor, options, runtime=self._solver.runtime, means=means)
-        for result in results:
-            result.method = f"pmvn-{plan.method}"
-            result.details["tile_size"] = factor.tile_size
-            if plan.method == "tlr":
-                result.details["tlr_accuracy"] = cfg.accuracy
-                result.details["max_rank"] = (
-                    factor.tlr.max_offdiag_rank() if hasattr(factor, "tlr") else None
-                )
+        _stamp_estimator(results, plan.method, factor)
         return results
 
     def confidence_region(

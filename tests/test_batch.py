@@ -50,22 +50,24 @@ class TestBatchMatchesSingles:
             assert batch_result.details["batch_size"] == len(boxes)
 
     def test_wave_splitting_does_not_change_results(self, batch_sigma):
-        n = batch_sigma.shape[0]
-        boxes = _boxes(n, 5)
-        one_wave = mvn_probability_batch(boxes, batch_sigma, n_samples=200, rng=3)
-        waved = mvn_probability_batch(
-            boxes, batch_sigma, n_samples=200, rng=3, max_workspace_cols=200
+        factor = factorize(batch_sigma, method="dense")
+        boxes = _boxes(factor.n, 5)
+        one_wave = pmvn_integrate_batch(boxes, factor, PMVNOptions(n_samples=200, rng=3))
+        waved = pmvn_integrate_batch(
+            boxes, factor, PMVNOptions(n_samples=200, rng=3, max_workspace_cols=200)
         )
         for a_res, b_res in zip(one_wave, waved):
             assert a_res.probability == b_res.probability
 
     def test_chain_block_does_not_change_results(self, batch_sigma):
-        n = batch_sigma.shape[0]
-        boxes = _boxes(n, 3)
-        wide = mvn_probability_batch(boxes, batch_sigma, n_samples=256, rng=5, chain_block=256)
-        narrow = mvn_probability_batch(boxes, batch_sigma, n_samples=256, rng=5, chain_block=17)
+        factor = factorize(batch_sigma, method="dense")
+        boxes = _boxes(factor.n, 3)
+        wide = pmvn_integrate_batch(boxes, factor, PMVNOptions(n_samples=256, rng=5, chain_block=256))
+        narrow = pmvn_integrate_batch(boxes, factor, PMVNOptions(n_samples=256, rng=5, chain_block=17))
         for w_res, n_res in zip(wide, narrow):
             assert w_res.probability == pytest.approx(n_res.probability, rel=1e-10)
+        with pytest.raises(ValueError, match="chain_block"):
+            pmvn_integrate_batch(boxes, factor, PMVNOptions(n_samples=256, chain_block=0))
 
     def test_shared_and_per_box_means(self, batch_sigma):
         n = batch_sigma.shape[0]

@@ -195,6 +195,24 @@ class TestPMVNIntegration:
         res = pmvn_dense(np.full(6, -np.inf), b, sigma, n_samples=4000, tile_size=3, mean=mean, rng=0)
         assert res.probability == pytest.approx(ref, abs=5e-3)
 
+    def test_entry_points_share_one_mean_rule(self, spd20):
+        """The functional (Model) path and the direct sweep accept the same
+        single means and reject the same ones with the same message."""
+        n = spd20.shape[0]
+        a, b = np.full(n, -np.inf), np.zeros(n)
+        mu = np.linspace(-0.3, 0.3, n)
+        kwargs = dict(n_samples=200, tile_size=5, rng=0)
+        for mean in (0.25, mu, list(mu), mu[None, :]):
+            via_model = mvn_probability(a, b, spd20, method="dense", mean=mean, **kwargs)
+            via_sweep = pmvn_dense(a, b, spd20, mean=mean, **kwargs)
+            assert via_model.probability == via_sweep.probability
+        for bad in (np.zeros(n + 1), np.zeros((2, n))):
+            with pytest.raises(ValueError) as from_model:
+                mvn_probability(a, b, spd20, method="dense", mean=bad, **kwargs)
+            with pytest.raises(ValueError) as from_sweep:
+                pmvn_dense(a, b, spd20, mean=bad, **kwargs)
+            assert str(from_model.value) == str(from_sweep.value)
+
     def test_prefix_probabilities_monotone_and_match_final(self, spd20):
         n = spd20.shape[0]
         factor = factorize(spd20, method="dense", tile_size=6)
@@ -213,6 +231,22 @@ class TestPMVNIntegration:
         assert res.details["tlr_accuracy"] == 1e-2
         assert res.dimension == n
         assert res.n_samples == 500
+
+    def test_tlr_accuracy_read_from_factor(self, spd20, rng):
+        """A pre-built (or rank-k updated) TLR factor reports the accuracy it
+        was compressed at, not the argument or config default."""
+        from repro.solver import MVNSolver, SolverConfig
+
+        n = spd20.shape[0]
+        a, b = np.full(n, -np.inf), np.zeros(n)
+        factor = factorize(spd20, method="tlr", tile_size=5, accuracy=1e-6)
+        direct = pmvn_tlr(a, b, spd20, n_samples=200, factor=factor, rng=0)
+        assert direct.details["tlr_accuracy"] == 1e-6
+        with MVNSolver(SolverConfig(method="tlr", n_samples=200)) as solver:
+            model = solver.model(spd20, factor=factor)
+            assert model.probability(a, b, rng=0).details["tlr_accuracy"] == 1e-6
+            child = model.update(0.1 * rng.standard_normal((n, 2)))
+            assert child.probability(a, b, rng=0).details["tlr_accuracy"] == 1e-6
 
     def test_invalid_limits_rejected(self, spd20):
         n = spd20.shape[0]

@@ -1,5 +1,5 @@
 """Tests for the parallel-kernel round: fallback chains, thread-count
-control, and fused-batch vs interleaved-batch bit-parity.
+control, and cross-box vs per-box sweep layout bit-parity.
 
 Three contracts from the raw-speed PR:
 
@@ -9,10 +9,10 @@ Three contracts from the raw-speed PR:
 * **thread control** — ``SolverConfig.kernel_threads`` /
   ``set_kernel_threads`` / ``$REPRO_KERNEL_THREADS`` resolve in that order
   and reject nonsense early;
-* **fusion parity** — the fused (boxes x samples) batch schedule is a speed
-  knob, never a numerics knob: bitwise identical to the interleaved
-  schedule across seeds, methods and limit kinds whenever it engages, and
-  the ``"auto"`` predicate only engages it on lane-aligned workloads.
+* **layout parity** — a batch swept in cross-box (``"fused"``) tiles is
+  bitwise identical to a loop of single-box sweeps in per-box tiles, across
+  seeds, methods, limit kinds, prefix output and worker counts, and the
+  layout rule only fuses lane-aligned, prefix-free batches of several boxes.
 """
 
 from __future__ import annotations
@@ -33,11 +33,8 @@ from repro.core.kernel_backend import (
     resolve_kernel_threads,
     set_kernel_threads,
 )
-from repro.core.pmvn import (
-    BATCH_FUSION_MODES,
-    PMVNOptions,
-    pmvn_integrate_batch,
-)
+from repro.core.pmvn import PMVNOptions, pmvn_integrate_batch
+from repro.runtime import Runtime
 from repro.solver import SolverConfig
 from repro.stats.qmc import qmc_samples
 
@@ -198,12 +195,11 @@ class TestThreadControl:
 
     def test_config_validates_threads_and_fusion(self):
         assert SolverConfig(kernel_threads=2).kernel_threads == 2
-        assert SolverConfig(batch_fusion="Fused").batch_fusion == "fused"
         with pytest.raises(ValueError, match="kernel_threads"):
             SolverConfig(kernel_threads=0)
-        with pytest.raises(ValueError, match="batch_fusion"):
-            SolverConfig(batch_fusion="maybe")
-        assert SolverConfig().batch_fusion is None
+        # the sweep layout is a rule of repro.core.pmvn, not a setting
+        with pytest.raises(TypeError, match="batch_fusion"):
+            SolverConfig(batch_fusion="fused")
 
     def test_batch_restores_thread_setting(self, spd36, rng):
         prev = set_kernel_threads(None)
@@ -217,21 +213,41 @@ class TestThreadControl:
 
 
 class TestFusionParity:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("prefix", [False, True])
+    @pytest.mark.parametrize("n_boxes", [1, 2, 5])
+    @pytest.mark.parametrize("n_samples", [96, 90])
+    @pytest.mark.parametrize("seed", ["int", "generator"])
     @pytest.mark.parametrize("method", ["dense", "tlr"])
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_fused_bitwise_matches_interleaved(self, spd36, rng, method, seed):
+    def test_fused_bitwise_matches_interleaved(self, spd36, rng, method, seed,
+                                               n_samples, n_boxes, prefix, workers):
+        """A batch equals its loop of single-box (per-box tile) sweeps, bit
+        for bit, and fuses exactly where the layout rule says."""
         n = spd36.shape[0]
-        boxes = _boxes(n, rng)
-        kwargs = dict(method=method, n_samples=200, tile_size=7, rng=seed)
-        if method == "tlr":
-            kwargs["accuracy"] = 1e-5
-        fused = mvn_probability_batch(boxes, spd36, fusion="fused", **kwargs)
-        inter = mvn_probability_batch(boxes, spd36, fusion="interleaved", **kwargs)
-        for f, i in zip(fused, inter):
-            assert f.probability == i.probability
-            assert f.error == i.error
-        assert all(r.details["fusion"] == "fused" for r in fused)
-        assert all(r.details["fusion"] == "interleaved" for r in inter)
+        boxes = (_boxes(n, rng) * 2)[:n_boxes]
+        factor = factorize(spd36, method=method, tile_size=12, accuracy=1e-5)
+        # a Generator is consumed box by box, so the loop gets a fresh twin
+        batch_rng, loop_rng = (
+            (7, 7) if seed == "int" else (np.random.default_rng(7), np.random.default_rng(7))
+        )
+        with Runtime(n_workers=workers) as rt:
+            def sweep(box_list, source):
+                options = PMVNOptions(n_samples=n_samples, rng=source, return_prefix=prefix)
+                return pmvn_integrate_batch(box_list, factor, options, runtime=rt)
+
+            batch = sweep(boxes, batch_rng)
+            singles = [sweep([box], loop_rng)[0] for box in boxes]
+        fuses = n_boxes > 1 and not prefix and n_samples % 8 == 0
+        for got, want in zip(batch, singles):
+            assert got.probability == want.probability
+            assert got.error == want.error
+            if prefix:
+                np.testing.assert_array_equal(got.details["prefix_probabilities"],
+                                              want.details["prefix_probabilities"])
+                np.testing.assert_array_equal(got.details["prefix_errors"],
+                                              want.details["prefix_errors"])
+            assert got.details["fusion"] == ("fused" if fuses else "interleaved")
+            assert want.details["fusion"] == "interleaved"
 
     def test_auto_fuses_only_lane_aligned(self, spd36, rng):
         boxes = _boxes(spd36.shape[0], rng)[:2]
@@ -245,38 +261,12 @@ class TestFusionParity:
                                        tile_size=12, rng=1)
         assert single[0].details["fusion"] == "interleaved"
 
-    def test_auto_matches_forced_fused_bitwise(self, spd36, rng):
-        boxes = _boxes(spd36.shape[0], rng)
-        auto = mvn_probability_batch(boxes, spd36, n_samples=200, tile_size=7, rng=3)
-        forced = mvn_probability_batch(boxes, spd36, n_samples=200, tile_size=7,
-                                       rng=3, fusion="fused")
-        for a, f in zip(auto, forced):
-            assert a.probability == f.probability
-            assert a.error == f.error
-
-    def test_fused_with_return_prefix_rejected(self, spd36):
-        n = spd36.shape[0]
-        factor = factorize(spd36, method="dense", tile_size=12)
-        options = PMVNOptions(n_samples=96, rng=0, return_prefix=True,
-                              fusion="fused")
-        boxes = [(np.full(n, -np.inf), np.full(n, 1.0))] * 2
-        with pytest.raises(ValueError, match="return_prefix"):
-            pmvn_integrate_batch(boxes, factor, options)
-
-    def test_fusion_mode_validated(self, spd36):
-        assert BATCH_FUSION_MODES == ("auto", "fused", "interleaved")
-        factor = factorize(spd36, method="dense", tile_size=12)
-        n = spd36.shape[0]
-        boxes = [(np.full(n, -np.inf), np.full(n, 1.0))] * 2
-        with pytest.raises(ValueError, match="fusion"):
-            pmvn_integrate_batch(boxes, factor,
-                                 PMVNOptions(n_samples=96, rng=0, fusion="speedy"))
-
     def test_fused_uses_wide_tiles(self, spd36, rng):
         """The fused sweep's chain block spans boxes (that is the point)."""
         boxes = _boxes(spd36.shape[0], rng)
         fused = mvn_probability_batch(boxes, spd36, n_samples=96, tile_size=12,
-                                      rng=2, fusion="fused")
+                                      rng=2)
+        assert fused[0].details["fusion"] == "fused"
         assert fused[0].details["fused_cols"] == 96 * len(boxes)
         assert fused[0].details["chain_block"] > 96
 

@@ -320,8 +320,6 @@ class TestConfig:
             SolverConfig(accuracy=0.0)
         with pytest.raises(ValueError, match="max_rank"):
             SolverConfig(max_rank=0)
-        with pytest.raises(ValueError, match="chain_block"):
-            SolverConfig(chain_block=0)
 
     def test_replace_revalidates(self):
         config = SolverConfig(method="dense")
