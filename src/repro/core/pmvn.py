@@ -20,10 +20,14 @@ Batched evaluation
 ------------------
 :func:`pmvn_integrate_batch` runs the sweep for *many* boxes against one
 pre-computed factor in a single task-graph submission; :func:`pmvn_integrate`
-is the single-box special case.  Each box draws its own variates and each MC
-chain is independent, so the per-chain probabilities are the same values a
-loop of single-box sweeps would produce — batching changes the schedule, not
-the estimator.
+is the single-box special case.  Every box sweeps the variates a
+single-box call with the same ``rng`` would draw, and each MC chain is
+independent, so the per-chain probabilities are the same values a loop of
+single-box sweeps would produce — batching changes the schedule, not the
+estimator.  An integer seed yields the same variates for every box, so it
+is drawn once per sweep and shared read-only; a ``Generator`` (or ``None``)
+draws once per box, in box order, so the batch consumes it exactly like the
+loop.  Either way the results are unchanged.
 
 How a wave's chains are cut into column tiles is one rule
 (:func:`_wave_tiles`).  By default every box contributes its own chunks of
@@ -277,9 +281,11 @@ def pmvn_integrate_batch(
     their chains cut into column tiles by one layout rule (see the module
     docs).
 
-    Each box draws its own QMC variates from ``options.rng`` in box order,
-    so the per-chain probabilities — and hence the estimates — match a loop
-    of :func:`pmvn_integrate` calls with the same seed.
+    An integer ``options.rng`` seeds the same variates for every box, so
+    they are drawn once per sweep and shared; a ``Generator`` (or ``None``)
+    draws once per box, in box order.  Either way the per-chain
+    probabilities — and hence the estimates — match a loop of
+    :func:`pmvn_integrate` calls with the same seed.
 
     Parameters
     ----------
@@ -339,6 +345,19 @@ def pmvn_integrate_batch(
     max_cols = options.max_workspace_cols or max(n_samples, BATCH_WORKSPACE_COLS // max(n, 1))
     boxes_per_wave = min(boxes_per_wave, max(1, int(max_cols) // n_samples), n_boxes)
 
+    # Uniform variates: the SOV recursion consumes one row per dimension
+    # (the last dimension's draw is unused).  Every box's default_rng(seed)
+    # of an integer seed yields the same matrix, so it is drawn once and
+    # shared read-only; other sources draw per box, in box order.
+    def draw() -> np.ndarray:
+        return qmc_samples(n, n_samples, method=options.qmc, rng=options.rng)
+
+    shared = None
+    if isinstance(options.rng, (int, np.integer)):
+        with timed(timings, "qmc_generation"):
+            shared = draw()
+        shared.flags.writeable = False
+
     pooled = options.workspace
     if pooled is not None and pooled.checkout_wave_buffers():
         workspace, claimed = pooled, True
@@ -354,8 +373,14 @@ def pmvn_integrate_batch(
     try:
         for wave_start in range(0, n_boxes, boxes_per_wave):
             wave = list(range(wave_start, min(wave_start + boxes_per_wave, n_boxes)))
-            _sweep_wave(wave, limits, factor, options, rt, n_samples, chain_block, fused,
-                        results, workspace, backend, clock)
+            if shared is None:
+                with timed(timings, "qmc_generation"):
+                    variates = {box: draw() for box in wave}
+            else:
+                variates = dict.fromkeys(wave, shared)
+            _sweep_wave(wave, variates, limits, factor, options, rt, n_samples, chain_block,
+                        fused, results, workspace, backend, clock)
+            del variates  # free this wave's draws before the next wave's
     finally:
         if threads_set:
             set_kernel_threads(prev_threads)
@@ -524,6 +549,7 @@ def _wave_tiles(
 
 def _sweep_wave(
     wave: list[int],
+    variates: dict[int, np.ndarray],
     limits: list[tuple[np.ndarray, np.ndarray]],
     factor: CholeskyFactor,
     options: PMVNOptions,
@@ -538,9 +564,11 @@ def _sweep_wave(
 ) -> None:
     """Run one wave of boxes through the runtime and fill ``results``.
 
-    The wave's chains are cut into column tiles by :func:`_wave_tiles`.
-    Every column carries its own box's limits and variates, so the task
-    graph of steps (b)-(d) is the same however the tiles were cut.
+    ``variates[box]`` is the ``(n, n_samples)`` uniform matrix of each box
+    of the wave.  The wave's chains are cut into column tiles by
+    :func:`_wave_tiles`.  Every column carries its own box's limits and
+    variates, so the task graph of steps (b)-(d) is the same however the
+    tiles were cut.
     """
     n = factor.n
     timings = options.timings
@@ -563,16 +591,6 @@ def _sweep_wave(
     ]
     prefix_sums = [np.zeros(n) for _ in range(n_tiles)] if options.return_prefix else None
     prefix_sumsqs = [np.zeros(n) for _ in range(n_tiles)] if options.return_prefix else None
-
-    with timed(timings, "qmc_generation"):
-        # Uniform variates for the whole sweep; the SOV recursion consumes one
-        # row of uniforms per dimension (the last dimension's draw is unused).
-        # One draw per box, in box order, so a batched call consumes the rng
-        # exactly like the equivalent loop of single-box sweeps.
-        r_matrices = {
-            box: qmc_samples(n, n_samples, method=options.qmc, rng=options.rng)
-            for box in wave
-        }
 
     a_blocks: list[list[np.ndarray]] = []
     b_blocks: list[list[np.ndarray]] = []
@@ -597,7 +615,7 @@ def _sweep_wave(
                     seg = slice(off, off + (hi - lo))
                     a_tile[:, seg] = a_vec[r0:r1, None]
                     b_tile[:, seg] = b_vec[r0:r1, None]
-                    np.copyto(r_tile[:, seg], r_matrices[box][r0:r1, lo:hi])
+                    np.copyto(r_tile[:, seg], variates[box][r0:r1, lo:hi])
                 a_col.append(a_tile)
                 b_col.append(b_tile)
                 y_col.append(y_tile)
@@ -609,7 +627,6 @@ def _sweep_wave(
             p_seg = workspace.get(("p", slot), (width,))
             p_seg[...] = 1.0
             p_segments.append(p_seg)
-    del r_matrices
 
     # data handles for dependency inference
     def _handles(payloads, tag):

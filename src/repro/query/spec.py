@@ -38,6 +38,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.stats.qmc import canonical_qmc
 from repro.utils.validation import check_limits
 
 __all__ = ["MVNQuery"]
@@ -81,7 +82,9 @@ class MVNQuery:
         an integer seed (or ``None``), exactly like
         :meth:`repro.serve.QueryBroker.submit`.
     qmc : str, optional
-        QMC sequence override (``None`` follows the config).
+        QMC sequence override (``None`` follows the config); canonicalized
+        like :attr:`repro.solver.SolverConfig.qmc`, so unknown names raise
+        here.
     target_error : float, optional
         Requested standard-error ceiling.  When set, the executor re-runs
         the estimator with escalating sample counts (reusing the cached
@@ -114,7 +117,7 @@ class MVNQuery:
         if self.n_samples is not None:
             object.__setattr__(self, "n_samples", self._positive_int("n_samples", self.n_samples))
         if self.qmc is not None:
-            object.__setattr__(self, "qmc", str(self.qmc))
+            object.__setattr__(self, "qmc", canonical_qmc(self.qmc))
         if self.target_error is not None:
             target = float(self.target_error)
             if not (target > 0.0):

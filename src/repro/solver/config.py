@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from repro.core.kernel_backend import resolve_backend_name
 from repro.core.methods import AUTO_METHOD, PARALLEL_METHODS, canonical_method
 from repro.runtime.scheduler import canonical_policy
+from repro.stats.qmc import canonical_qmc
 
 __all__ = ["SolverConfig"]
 
@@ -46,7 +47,9 @@ class SolverConfig:
         Hard rank cap for TLR tiles.
     qmc : str
         QMC sequence name (``"richtmyer"``, ``"halton"``, ``"sobol"``,
-        ``"random"``).
+        ``"random"``; canonicalized through
+        :func:`repro.stats.qmc.canonical_qmc`, so ``"lattice"`` is
+        ``"richtmyer"`` and unknown names raise at construction).
     backend : str, optional
         QMC kernel backend (``"numpy"``, ``"numba"``, ``"numba-parallel"``,
         ``"reference"``, ``"auto"``); ``None`` follows
@@ -79,6 +82,7 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", canonical_method(self.method))
+        object.__setattr__(self, "qmc", canonical_qmc(self.qmc))
         if self.backend is not None:
             # canonicalize and validate the name now; availability (e.g. a
             # missing numba) is resolved at kernel-dispatch time

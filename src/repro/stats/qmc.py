@@ -18,6 +18,14 @@ pseudo-random fallback:
 
 All generators produce points in the open unit cube ``(0, 1)`` (endpoints are
 avoided because the SOV recursion feeds them into ``Phi^{-1}``).
+
+Generation is one in-place pass over the point set: fractional parts are
+taken as ``x -= floor(x)`` (exact for ``x >= 0``, so bitwise equal to
+``x % 1.0``) and the clip into ``(0, 1)`` is an ``out=`` maximum/minimum.
+:class:`RichtmyerLattice` and :class:`HaltonSequence` build their points
+dimension-major, so their ``points()`` returns the ``(n_points, dim)``
+transpose view of a C-contiguous ``(dim, n_points)`` array and
+:func:`qmc_samples` hands that array back without a copy.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ __all__ = [
     "HaltonSequence",
     "RichtmyerLattice",
     "SobolSequence",
+    "canonical_qmc",
     "qmc_samples",
     "sequence_from_name",
     "first_primes",
@@ -65,12 +74,14 @@ class QMCSequence:
         raise NotImplementedError
 
     def _randomize(self, pts: np.ndarray, shift: bool) -> np.ndarray:
+        """Shift (optionally) and clip a freshly built point set in place."""
         if shift:
-            offset = self.rng.random(self.dim)
-            pts = (pts + offset) % 1.0
+            # pts + offset lies in [0, 2), where x - floor(x) == x % 1.0 exactly
+            pts += self.rng.random(self.dim)
+            pts -= np.floor(pts)
         # keep strictly inside (0, 1) for the downstream Phi^{-1}
-        eps = np.finfo(np.float64).tiny
-        return np.clip(pts, eps, 1.0 - 1e-16)
+        np.maximum(pts, np.finfo(np.float64).tiny, out=pts)
+        return np.minimum(pts, 1.0 - 1e-16, out=pts)
 
 
 class UniformRandom(QMCSequence):
@@ -96,9 +107,10 @@ class RichtmyerLattice(QMCSequence):
 
     def points(self, n_points: int) -> np.ndarray:
         n_points = check_positive_int(n_points, "n_points")
-        k = np.arange(1, n_points + 1, dtype=np.float64)[:, None]
-        pts = np.mod(k * self._alphas[None, :], 1.0)
-        return self._randomize(pts, shift=self.shift)
+        k = np.arange(1, n_points + 1, dtype=np.float64)
+        pts = np.multiply.outer(self._alphas, k)
+        pts -= np.floor(pts)
+        return self._randomize(pts.T, shift=self.shift)
 
 
 class HaltonSequence(QMCSequence):
@@ -124,10 +136,10 @@ class HaltonSequence(QMCSequence):
     def points(self, n_points: int) -> np.ndarray:
         n_points = check_positive_int(n_points, "n_points")
         indices = np.arange(self.skip + 1, self.skip + n_points + 1, dtype=np.int64)
-        pts = np.empty((n_points, self.dim), dtype=np.float64)
+        pts = np.empty((self.dim, n_points), dtype=np.float64)
         for j, base in enumerate(self._bases):
-            pts[:, j] = self._radical_inverse(indices, int(base))
-        return self._randomize(pts, shift=self.shift)
+            pts[j] = self._radical_inverse(indices, int(base))
+        return self._randomize(pts.T, shift=self.shift)
 
 
 class SobolSequence(QMCSequence):
@@ -149,20 +161,32 @@ class SobolSequence(QMCSequence):
 
 _SEQUENCES = {
     "random": UniformRandom,
-    "mc": UniformRandom,
     "richtmyer": RichtmyerLattice,
-    "lattice": RichtmyerLattice,
     "halton": HaltonSequence,
     "sobol": SobolSequence,
 }
 
+_ALIASES = {"mc": "random", "lattice": "richtmyer"}
+
+
+def canonical_qmc(name: str) -> str:
+    """Canonical QMC sequence name: lower-cased, aliases resolved.
+
+    ``"lattice"`` is ``"richtmyer"`` and ``"mc"`` is ``"random"``; any other
+    unknown name raises ``ValueError`` listing the accepted names.
+    """
+    key = str(name).lower()
+    key = _ALIASES.get(key, key)
+    if key not in _SEQUENCES:
+        raise ValueError(
+            f"unknown QMC sequence {name!r}; available: {sorted([*_SEQUENCES, *_ALIASES])}"
+        )
+    return key
+
 
 def sequence_from_name(name: str, dim: int, rng=None) -> QMCSequence:
     """Instantiate a sequence generator by name."""
-    key = name.lower()
-    if key not in _SEQUENCES:
-        raise ValueError(f"unknown QMC sequence {name!r}; available: {sorted(set(_SEQUENCES))}")
-    return _SEQUENCES[key](dim, rng=rng)
+    return _SEQUENCES[canonical_qmc(name)](dim, rng=rng)
 
 
 def qmc_samples(dim: int, n_samples: int, method: str = "richtmyer", rng=None) -> np.ndarray:

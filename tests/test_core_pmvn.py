@@ -12,9 +12,11 @@ from repro.core import (
     mvn_probability,
     pmvn_dense,
     pmvn_integrate,
+    pmvn_integrate_batch,
     pmvn_tlr,
     qmc_kernel_tile,
 )
+from repro.core import pmvn as pmvn_module
 from repro.kernels import ExponentialKernel, Geometry, build_covariance
 from repro.mvn import mvn_sov_vectorized
 from repro.runtime import Runtime
@@ -260,6 +262,44 @@ class TestPMVNIntegration:
         pmvn_dense(np.full(n, -np.inf), np.full(n, 0.0), spd20, n_samples=500, tile_size=6, timings=reg, rng=0)
         for region in ("factorization", "integration", "qmc_generation"):
             assert reg.count(region) >= 1
+
+
+class TestVariateDraws:
+    """An integer seed draws one variate matrix per sweep; other sources one per box."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        original = pmvn_module.qmc_samples
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("rng"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pmvn_module, "qmc_samples", counting)
+        return calls
+
+    @staticmethod
+    def _sweep(spd20, rng):
+        """Five identical boxes, swept in three waves (two boxes fit 128 columns)."""
+        n = spd20.shape[0]
+        box = (np.full(n, -np.inf), np.full(n, 0.5))
+        options = PMVNOptions(n_samples=64, rng=rng, max_workspace_cols=128)
+        return pmvn_integrate_batch([box] * 5, factorize(spd20, tile_size=6), options)
+
+    @pytest.mark.parametrize("seed", [3, np.int64(3)])
+    def test_integer_seed_draws_once(self, spd20, draws, seed):
+        results = self._sweep(spd20, seed)
+        assert len(draws) == 1
+        assert len({result.probability for result in results}) == 1
+
+    @pytest.mark.parametrize("source", ["generator", None])
+    def test_other_sources_draw_per_box(self, spd20, draws, source):
+        rng = np.random.default_rng(3) if source == "generator" else None
+        results = self._sweep(spd20, rng)
+        assert len(draws) == 5
+        # identical boxes, different variates: every estimate differs
+        assert len({result.probability for result in results}) == 5
 
 
 class TestTopLevelAPI:

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    FactorCache,
     MVNQuery,
     MVNResult,
     MVNSolver,
@@ -90,6 +91,21 @@ class TestMVNQueryValidation:
             MVNQuery([0.0], [1.0], target_error=0.0)
         with pytest.raises(ValueError, match="max_samples"):
             MVNQuery([0.0], [1.0], n_samples=100, max_samples=50)
+
+    def test_qmc_name_canonicalized_at_construction(self, sigma25):
+        """Unknown QMC names fail at the boundary; aliases take the canonical name."""
+        with pytest.raises(ValueError, match="unknown QMC sequence 'nope'"):
+            MVNQuery([0.0], [1.0], qmc="nope")
+        with pytest.raises(ValueError, match="unknown QMC sequence 'nope'"):
+            SolverConfig(method="tlr", qmc="nope")
+        assert MVNQuery([0.0], [1.0], qmc="Lattice").qmc == "richtmyer"
+        assert SolverConfig(qmc="Lattice").qmc == "richtmyer"
+        # the functional API raises before it pays for a factorization
+        cache = FactorCache()
+        n = sigma25.shape[0]
+        with pytest.raises(ValueError, match="unknown QMC sequence 'nope'"):
+            mvn_probability(*_box(n), sigma25, method="tlr", qmc="nope", cache=cache)
+        assert cache.factorize_count == 0
 
     def test_derived_properties(self):
         q = MVNQuery([-np.inf, 0.0], [1.0, np.inf], tag={"cell": 3})

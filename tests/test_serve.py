@@ -217,6 +217,24 @@ class TestMicroBatching:
         assert all(result.details["serve"]["batch_size"] == 1 for result in results)
         assert broker.stats().batches == 4
 
+    def test_qmc_spellings_share_a_sweep_and_unknown_fails_at_submit(self):
+        """QMC names join the batch key canonicalized: spellings of one
+        sequence share a sweep, and an unknown name never reaches a shard."""
+        sigma = _spd(8, seed=12)
+        a, b = _boxes(8, 1)[0]
+        config = ServeConfig(n_shards=1, worker_mode="thread",
+                             max_batch=16, batch_window=0.25)
+        with QueryBroker(config, SolverConfig(method="dense", n_samples=100)) as broker:
+            with pytest.raises(ValueError, match="unknown QMC sequence 'nope'"):
+                broker.submit(a, b, sigma, rng=0, qmc="nope")
+            futures = [broker.submit(a, b, sigma, rng=0, qmc=name)
+                       for name in ("richtmyer", "Richtmyer", "lattice")]
+            results = [future.result(timeout=60) for future in futures]
+        assert {result.details["serve"]["batch_size"] for result in results} == {3}
+        assert len({result.probability for result in results}) == 1
+        stats = broker.stats()
+        assert (stats.batches, stats.failed, stats.submitted) == (1, 0, 3)
+
     def test_max_batch_splits_oversized_buckets(self):
         sigma = _spd(6, seed=11)
         boxes = _boxes(6, 7)

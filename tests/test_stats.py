@@ -23,7 +23,7 @@ from repro.stats import (
     sequence_from_name,
     truncnorm_sample,
 )
-from repro.stats.qmc import first_primes
+from repro.stats.qmc import canonical_qmc, first_primes
 
 
 class TestNormal:
@@ -113,6 +113,65 @@ class TestQMC:
             RichtmyerLattice(0)
         with pytest.raises(ValueError):
             UniformRandom(2).points(0)
+
+    def test_canonical_names(self):
+        assert canonical_qmc("Lattice") == "richtmyer"
+        assert canonical_qmc("MC") == "random"
+        assert canonical_qmc("Sobol") == "sobol"
+        with pytest.raises(ValueError, match=r"unknown QMC sequence 'nope'; available: "
+                                             r"\['halton', 'lattice', 'mc', 'random', "
+                                             r"'richtmyer', 'sobol'\]"):
+            canonical_qmc("nope")
+
+
+def _reference_points(name: str, dim: int, n_points: int, rng: np.random.Generator) -> np.ndarray:
+    """Point-major ``(n_points, dim)`` construction, written out step by step:
+    ``np.mod`` fractional parts, ``(pts + offset) % 1.0`` shifts, ``np.clip``."""
+    name = {"mc": "random", "lattice": "richtmyer"}.get(name, name)
+    shift = name in ("richtmyer", "halton")
+    if name == "random":
+        pts = rng.random((n_points, dim))
+    elif name == "richtmyer":
+        k = np.arange(1, n_points + 1, dtype=np.float64)[:, None]
+        alphas = np.sqrt(first_primes(dim).astype(np.float64))
+        pts = np.mod(k * alphas[None, :], 1.0)
+    elif name == "halton":
+        indices = np.arange(21, 21 + n_points, dtype=np.int64)  # skip = 20
+        pts = np.empty((n_points, dim))
+        for j, base in enumerate(first_primes(dim)):
+            idx, frac, col = indices.copy(), 1.0 / base, np.zeros(n_points)
+            while np.any(idx > 0):
+                col += frac * (idx % base)
+                idx //= base
+                frac /= base
+            pts[:, j] = col
+    else:
+        from scipy.stats import qmc as scipy_qmc
+
+        seed = int(rng.integers(0, 2**31 - 1))
+        pts = scipy_qmc.Sobol(d=dim, scramble=True, seed=seed).random(n_points)
+    if shift:
+        pts = (pts + rng.random(dim)) % 1.0
+    return np.clip(pts, np.finfo(np.float64).tiny, 1.0 - 1e-16)
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
+@pytest.mark.parametrize("name", ["random", "mc", "richtmyer", "lattice", "halton", "sobol"])
+def test_qmc_samples_bitwise_match_point_major_reference(name):
+    """The in-place, dimension-major generation changes no output bit."""
+    def check(got, dim, n_points, ref_rng):
+        ref = np.ascontiguousarray(_reference_points(name, dim, n_points, ref_rng).T)
+        assert got.shape == (dim, n_points) and got.flags.c_contiguous
+        assert got.tobytes() == ref.tobytes(), (name, dim, n_points)
+
+    for dim in (1, 2, 7, 255, 1024):
+        for n_points in (1, 3, 100, 257, 1000):
+            for seed in (0, 1, 12345):
+                got = qmc_samples(dim, n_points, method=name, rng=seed)
+                check(got, dim, n_points, np.random.default_rng(seed))
+            stream, ref_stream = np.random.default_rng(7), np.random.default_rng(7)
+            for _draw in range(3):
+                check(qmc_samples(dim, n_points, method=name, rng=stream), dim, n_points, ref_stream)
 
 
 class TestMLE:
