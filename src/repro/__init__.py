@@ -21,8 +21,13 @@ Abdulah, Cao, Ltaief, Sun, Genton and Keyes.  The package provides:
   (:mod:`repro.batch`),
 * concurrent query serving — a micro-batching ``QueryBroker`` over sharded
   warm solvers (:mod:`repro.serve`),
-* datasets, a simulated distributed-memory cluster and performance models
+* datasets, a simulated distributed-memory cluster and the performance
+  models behind the Table II/III and Figure 4/7 extrapolations
   (:mod:`repro.datasets`, :mod:`repro.distributed`, :mod:`repro.perf`).
+
+The measured perf gates are not part of the package: each is one
+``benchmarks/bench_*.py`` file that appends its record to
+``BENCH_history.jsonl``.
 
 Quick start
 -----------

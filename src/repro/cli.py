@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Three subcommands cover the library's main workflows without writing Python:
+Eight subcommands cover the library's main workflows without writing Python:
 
 ``repro mvn``
     Estimate an MVN probability for a covariance matrix stored in ``.npy`` /
@@ -19,6 +19,11 @@ Three subcommands cover the library's main workflows without writing Python:
     Run confidence-region detection on a synthetic dataset (or a covariance /
     mean pair loaded from ``.npy``) and optionally save the result.
 
+``repro pipeline``
+    Build a multi-query pipeline (:mod:`repro.query.pipeline`) on a
+    synthetic dataset and print its compiled stages (``explain``) or run it
+    on a solver session (``run``).
+
 ``repro update``
     Apply a rank-k Cholesky up/down-date to a warm factor
     (:meth:`repro.solver.Model.update`) and query the updated model,
@@ -30,13 +35,11 @@ Three subcommands cover the library's main workflows without writing Python:
     speaking ``MVNQuery``/``MVNResult`` dictionaries, with optional
     queue-depth autoscaling of the shard count.
 
-``repro serve-bench``
-    Replay a mixed multi-covariance workload through the concurrent serving
-    subsystem (:mod:`repro.serve`) and report throughput vs a cold
-    single-query loop, with batching/sharding statistics.
-
 ``repro calibrate``
     Measure the local kernel rates used by the performance models.
+
+The measured performance gates are not subcommands: each is one
+``benchmarks/bench_*.py`` file run under pytest.
 
 The CLI is intentionally thin: it parses arguments, builds exactly one
 :class:`repro.solver.MVNSolver` per invocation (the same session API the
@@ -238,24 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="autoscaler lower bound")
     gateway.add_argument("--max-shards", type=int, default=4,
                          help="autoscaler upper bound")
-
-    serve = sub.add_parser(
-        "serve-bench",
-        help="serving-throughput benchmark: micro-batched shards vs cold singles",
-    )
-    serve.add_argument("--queries", type=int, default=64, help="total queries in the workload")
-    serve.add_argument("--sigmas", type=int, default=2, help="distinct covariances (>= 2)")
-    serve.add_argument("--dimension", type=int, default=400, help="MVN dimension of each covariance")
-    serve.add_argument("--samples", type=int, default=200, help="QMC sample size per query")
-    serve.add_argument("--method", default="tlr", choices=["dense", "tlr"])
-    serve.add_argument("--shards", type=int, default=2, help="warm solver shards")
-    serve.add_argument("--max-batch", type=int, default=16, help="micro-batch capacity")
-    serve.add_argument("--mode", default="thread", choices=["auto", "thread", "process"],
-                       help="shard worker mode")
-    serve.add_argument("--repeats", type=int, default=2, help="timed repetitions (minima reported)")
-    serve.add_argument("--seed", type=int, default=3)
-    serve.add_argument("--json", type=Path, default=None,
-                       help="also write the machine-readable record to this path")
 
     cal = sub.add_parser("calibrate", help="measure local kernel rates")
     cal.add_argument("--tile-size", type=int, default=256)
@@ -605,37 +590,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_serve_bench(args) -> int:
-    from repro.perf.serving import SERVING_SPEEDUP_GATE, run_serving_benchmark
-    from repro.serve.stats import ServeStats
-    from repro.utils.reporting import Table
-
-    record = run_serving_benchmark(
-        n=args.dimension, n_queries=args.queries, n_sigmas=args.sigmas,
-        n_samples=args.samples, method=args.method, n_shards=args.shards,
-        max_batch=args.max_batch, worker_mode=args.mode, repeats=args.repeats,
-        seed=args.seed, json_path=args.json,
-    )
-    table = Table(
-        ["path", "elapsed (s)", "queries/s"],
-        title=f"{args.queries} queries, {args.sigmas} Sigmas, n={args.dimension}, "
-              f"N={args.samples}, {args.method}, {args.shards} shards ({args.mode})",
-    )
-    for name, data in record["paths"].items():
-        table.add_row([name, f"{data['elapsed']:.3f}", f"{data['queries_per_second']:.2f}"])
-    table.add_row(["speedup", f"{record['speedup']:.2f}x", ""])
-    print(table.render())
-    print()
-    stats = ServeStats.from_dict(record["serving"]["stats"], max_batch=args.max_batch)
-    print(stats.render())
-    print()
-    print(f"bit-identical to direct solver calls: {record['parity']['served_bit_identical']}")
-    print(f"gate (>= {SERVING_SPEEDUP_GATE}x): {'passed' if record['gate']['passed'] else 'FAILED'}")
-    if args.json is not None:
-        print(f"wrote {args.json}")
-    return 0 if record["gate"]["passed"] else 1
-
-
 def _cmd_calibrate(args) -> int:
     from repro.perf import calibrate
 
@@ -660,8 +614,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_update(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "serve-bench":
-        return _cmd_serve_bench(args)
     if args.command == "calibrate":
         return _cmd_calibrate(args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover

@@ -8,23 +8,18 @@ kernel rates onto modelled architectures and cluster sizes:
 * :mod:`repro.perf.machines` — named machine specifications matching the
   paper's testbeds (core counts, clock, per-core flop rates).
 * :mod:`repro.perf.calibration` — micro-benchmarks measuring the local GEMM,
-  POTRF and QMC-kernel rates that anchor the models.
+  POTRF and QMC-kernel rates that anchor the models (``repro calibrate``).
 * :mod:`repro.perf.models` — closed-form cost models of the dense and TLR
   PMVN phases (Cholesky + integration sweep) used by the distributed
   simulator and the Figure 4 / Table II / Figure 7 benches.
+
+The package ships no benchmark harness: the measured perf gates live one
+file each under ``benchmarks/`` and append their records to
+``BENCH_history.jsonl``.
 """
 
 from repro.perf.machines import MachineSpec, MACHINES, get_machine
 from repro.perf.calibration import CalibrationResult, calibrate
-from repro.perf.hotpath import run_hotpath_benchmark, hotpath_workload
-from repro.perf.online_updates import (
-    run_online_update_benchmark,
-    online_update_scenarios,
-)
-from repro.perf.pipeline import run_pipeline_benchmark, pipeline_workload
-from repro.perf.planner import run_planner_benchmark, planner_scenarios
-from repro.perf.scheduler import run_scheduler_benchmark, scheduler_workload
-from repro.perf.serving import run_serving_benchmark, serving_workload
 from repro.perf.models import (
     PMVNCostModel,
     dense_cholesky_flops,
@@ -39,37 +34,9 @@ __all__ = [
     "get_machine",
     "CalibrationResult",
     "calibrate",
-    "run_hotpath_benchmark",
-    "hotpath_workload",
-    "run_online_update_benchmark",
-    "online_update_scenarios",
-    "run_pipeline_benchmark",
-    "pipeline_workload",
-    "run_planner_benchmark",
-    "planner_scenarios",
-    "run_scheduler_benchmark",
-    "scheduler_workload",
-    "run_serving_benchmark",
-    "serving_workload",
-    "run_distributed_serving_benchmark",
-    "distributed_serving_workload",
     "PMVNCostModel",
     "dense_cholesky_flops",
     "tlr_cholesky_model_flops",
     "sweep_flops",
     "predict_shared_memory_time",
 ]
-
-_LAZY = ("run_distributed_serving_benchmark", "distributed_serving_workload")
-
-
-def __getattr__(name):
-    # repro.perf.distributed_serving sits *above* repro.distributed (it
-    # simulates a cluster), while repro.distributed.cluster imports
-    # repro.perf.machines — importing it eagerly here would make the package
-    # graph circular, so it loads on first attribute access instead.
-    if name in _LAZY:
-        from repro.perf import distributed_serving
-
-        return getattr(distributed_serving, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -209,25 +209,3 @@ class ServeStats:
         ]
         return cls(max_batch=payload.get("max_batch", max_batch),
                    shards=shards, **counters)
-
-    def render(self) -> str:
-        """Human-readable multi-line summary (what ``repro serve-bench`` prints)."""
-        lines = [
-            f"submitted={self.submitted} completed={self.completed} "
-            f"failed={self.failed} rejected={self.rejected}",
-            f"batches={self.batches} mean_batch_size={self.mean_batch_size:.2f} "
-            f"batch_fill_ratio={self.batch_fill_ratio:.2f} "
-            f"max_queue_depth={self.max_queue_depth}",
-            f"sigma_sends={self.sigma_sends} sigma_skips={self.sigma_skips} "
-            f"sigma_bytes={self.sigma_bytes} preloads={self.preloads}",
-            f"lineage_routes={self.lineage_routes} "
-            f"lineage_fallbacks={self.lineage_fallbacks} "
-            f"update_sends={self.update_sends} update_bytes={self.update_bytes}",
-        ]
-        for s in self.shards:
-            lines.append(
-                f"shard {s.shard}: requests={s.requests} batches={s.batches} "
-                f"models={s.models} factorized={s.factorize_count} "
-                f"updates={s.updates} hit_rate={s.hit_rate:.2f}"
-            )
-        return "\n".join(lines)

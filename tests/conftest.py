@@ -11,11 +11,6 @@ from repro.kernels import ExponentialKernel, Geometry, MaternKernel, build_covar
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "perf_smoke: quick-mode checks of the performance benchmark plumbing "
-        "(select with `pytest -m perf_smoke`)",
-    )
-    config.addinivalue_line(
-        "markers",
         "docs: executable documentation — doc-snippet execution and doc-drift "
         "guards (select with `pytest -m docs`); part of the default tier-1 run",
     )

@@ -26,6 +26,8 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.distributed import ClusterSpec, build_pmvn_task_graph
+from repro.distributed.pmvn_model import KernelRates
 from repro.runtime import (
     ACCEPTED_POLICIES,
     INFORMATION_MODES,
@@ -77,6 +79,25 @@ def random_tasks(seed: int, n: int, n_workers: int = 4, homed: bool = False) -> 
             )
         )
     return tasks
+
+
+def mixed_pmvn_graph(n_workers: int) -> list:
+    """Two TLR and one dense PMVN problem merged into one simulator DAG."""
+    cluster = ClusterSpec(n_nodes=n_workers)
+    rates = KernelRates()
+    merged: list = []
+    for i, spec in enumerate((
+        dict(n=256, n_samples=256, tile_size=64, method="tlr", chain_block=128),
+        dict(n=192, n_samples=192, tile_size=64, method="dense", chain_block=96),
+        dict(n=256, n_samples=192, tile_size=64, method="tlr", chain_block=96),
+    )):
+        graph = build_pmvn_task_graph(cluster=cluster, rates=rates, **spec)
+        offset = len(merged)
+        for task in graph:
+            task.deps = [d + offset for d in task.deps]
+            task.name = f"S{i}:{task.name}"
+        merged.extend(graph)
+    return merged
 
 
 def shrink_to_minimal_prefix(ops, fails) -> list:
@@ -381,9 +402,8 @@ class TestReplayDeterminism:
     def test_simulator_replays_identically(self, policy):
         """Same seeded graph, same policy -> same makespan, same event tape."""
         from repro.distributed.simulator import SchedulerSimulator
-        from repro.perf.scheduler import scheduler_workload
 
-        tasks = scheduler_workload(n_workers=4, quick=True)
+        tasks = mixed_pmvn_graph(n_workers=4)
         runs = [SchedulerSimulator(4, policy).run(tasks) for _ in range(2)]
         assert runs[0].makespan == runs[1].makespan
         assert runs[0].events == runs[1].events
@@ -391,9 +411,8 @@ class TestReplayDeterminism:
 
     def test_simulator_policies_execute_every_task(self):
         from repro.distributed.simulator import SchedulerSimulator
-        from repro.perf.scheduler import scheduler_workload
 
-        tasks = scheduler_workload(n_workers=4, quick=True)
+        tasks = mixed_pmvn_graph(n_workers=4)
         for policy in ALL_POLICIES:
             result = SchedulerSimulator(4, policy).run(tasks)
             assert result.n_tasks == len(tasks)
