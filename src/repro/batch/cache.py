@@ -55,7 +55,9 @@ def sigma_fingerprint(sigma) -> str:
     arr = np.ascontiguousarray(np.asarray(sigma, dtype=np.float64))
     digest = hashlib.sha256()
     digest.update(str(arr.shape).encode())
-    digest.update(arr.tobytes())
+    # hash the contiguous buffer itself: the same bytes as ``arr.tobytes()``
+    # without an O(n^2) copy
+    digest.update(arr)
     return digest.hexdigest()
 
 

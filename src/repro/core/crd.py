@@ -38,8 +38,9 @@ from repro.core.factor import CholeskyFactor, factorize
 from repro.core.pmvn import PMVNOptions, pmvn_integrate
 from repro.runtime import Runtime
 from repro.stats.normal import norm_cdf
+from repro.tile.layout import tile_ranges
 from repro.utils.timers import TimingRegistry, timed
-from repro.utils.validation import check_covariance, check_probability, ensure_1d
+from repro.utils.validation import check_probability, ensure_1d
 
 __all__ = [
     "ConfidenceRegionResult",
@@ -106,14 +107,45 @@ class ConfidenceRegionResult:
         return int(np.count_nonzero(self.excursion_set(alpha)))
 
 
+#: edge of the block pairs :func:`_standardized_problem` scales and
+#: symmetrizes in place (a pair and its scratch stay cache-resident)
+_STANDARDIZE_BLOCK = 128
+
+
 def _standardized_problem(sigma: np.ndarray, mean: np.ndarray, threshold: float, order: np.ndarray):
-    """Reorder and standardize: correlation matrix + standardized limits."""
+    """Reorder and standardize: correlation matrix + standardized limits.
+
+    Entry ``(i, j)`` of the reordered correlation matrix is
+    ``0.5 * (c[p, q] + c[q, p])`` with ``c[p, q] = sigma[p, q] / (std[p] *
+    std[q])``, ``p = order[i]`` and ``q = order[j]``, and a unit diagonal.
+    The one ``n x n`` array is the gather ``sigma[np.ix_(order, order)]``; it is
+    then scaled and symmetrized in place, block pair by block pair, with the
+    same operations in the same order as the whole-matrix formula, so the
+    result is bit-identical to it even for a slightly asymmetric ``sigma``.
+    """
     std = np.sqrt(np.diag(sigma))
-    corr = sigma / np.outer(std, std)
-    corr = 0.5 * (corr + corr.T)
-    np.fill_diagonal(corr, 1.0)
-    corr_ord = corr[np.ix_(order, order)]
-    a_std = (threshold - mean[order]) / std[order]
+    std_ord = std[order]
+    corr_ord = sigma[np.ix_(order, order)]
+    n = corr_ord.shape[0]
+    blocks = tile_ranges(n, _STANDARDIZE_BLOCK)
+    scale = np.empty((blocks[0][1], blocks[0][1]))
+    for idx, (r0, r1) in enumerate(blocks):
+        for c0, c1 in blocks[idx:]:
+            upper = corr_ord[r0:r1, c0:c1]
+            lower = corr_ord[c0:c1, r0:r1]
+            outer = np.multiply(std_ord[r0:r1, None], std_ord[None, c0:c1], out=scale[:r1 - r0, :c1 - c0])
+            np.divide(upper, outer, out=upper)
+            if c0 == r0:
+                # a diagonal block is its own mirror: sum through the scratch
+                np.add(upper, upper.T, out=outer)
+                np.multiply(outer, 0.5, out=upper)
+                continue
+            np.divide(lower, outer.T, out=lower)
+            np.add(upper, lower.T, out=upper)
+            np.multiply(upper, 0.5, out=upper)
+            lower[...] = upper.T
+    np.fill_diagonal(corr_ord, 1.0)
+    a_std = (threshold - mean[order]) / std_ord
     return corr_ord, a_std
 
 
@@ -209,18 +241,18 @@ def _confidence_region_impl(
     cache=None,
     backend: str | None = None,
     workspace=None,
-    validate: bool = True,
     std_memo: dict | None = None,
 ) -> ConfidenceRegionResult:
-    """Algorithm 1 proper (shared by the wrapper above and the solver API).
+    """Algorithm 1 proper, run by :meth:`repro.solver.Model.confidence_region`.
 
     ``backend`` / ``workspace`` select the QMC kernel implementation and the
     pooled sweep buffers for the PMVN sweeps (see
-    :class:`repro.core.pmvn.PMVNOptions`).  ``validate=False`` skips the
-    :func:`~repro.utils.validation.check_covariance` pass (an ``O(n^2)``
-    symmetry scan) for callers that already validated this covariance — a
-    :class:`~repro.solver.solver.Model` checks once and then amortizes it
-    over every detection it runs.
+    :class:`repro.core.pmvn.PMVNOptions`).  ``sigma`` must already have
+    passed :func:`~repro.utils.validation.check_covariance`: a
+    :class:`~repro.solver.solver.Model` checks its covariance once, not once
+    per detection.  The reordered correlation matrix is still checked on
+    every detection, by :func:`~repro.core.factor.factorize` (or skipped
+    with it on a factor-cache hit).
 
     ``std_memo`` (a mutable dict owned by the caller) memoizes the reordered
     correlation matrix per ``(ordering, nugget)``: the matrix depends on the
@@ -231,10 +263,7 @@ def _confidence_region_impl(
     ``O(n^2)`` content hash as well.  The memoized matrix is never mutated
     (the factorization paths copy), so the reuse is bit-identical.
     """
-    if validate:
-        sigma = check_covariance(sigma, "covariance")
-    else:
-        sigma = np.ascontiguousarray(sigma, dtype=np.float64)
+    sigma = np.ascontiguousarray(sigma, dtype=np.float64)
     n = sigma.shape[0]
     mu = np.full(n, float(mean)) if np.isscalar(mean) else ensure_1d(mean, "mean")
     if mu.shape[0] != n:

@@ -127,8 +127,9 @@ class PMVNOptions:
         to the fused bit-identical ``"numpy"`` backend.  See
         :mod:`repro.core.kernel_backend`.
     workspace : SweepWorkspace, optional
-        Pooled work buffers reused across calls (a :class:`repro.solver.Model`
-        holds one per session); a fresh pool is created when omitted.
+        Pooled work buffers reused across calls (a
+        :class:`repro.solver.MVNSolver` holds one for all its models); a
+        fresh pool is created when omitted.
     kernel_threads : int, optional
         Thread count for chain-parallel kernel backends (``numba-parallel``);
         applied for the duration of the sweep via
@@ -158,6 +159,7 @@ def _gemm_limits_update(
     r: int,
     workspace: "SweepWorkspace",
     skip_a: bool,
+    skip_b: bool,
     clock: "_PhaseClock",
 ) -> None:
     """Task body for step (c): subtract ``L[j, r] @ Y[r]`` from both limit blocks.
@@ -165,8 +167,9 @@ def _gemm_limits_update(
     The product lands in a per-worker scratch block (``out=`` GEMM / low-rank
     apply) and is then axpy'd into the limit blocks in place, so the trailing
     updates allocate nothing.  ``skip_a`` marks row blocks whose lower limits
-    are all ``-inf``: subtracting a finite update from ``-inf`` is an exact
-    no-op, so the A-side traffic is skipped entirely (bit-identical).
+    are all ``-inf`` and ``skip_b`` those whose upper limits are all
+    ``+inf``: subtracting a finite update from an infinity is an exact
+    no-op, so that side's traffic is skipped entirely (bit-identical).
     """
     start = time.perf_counter()
     rows, cols = a_block.shape
@@ -176,7 +179,8 @@ def _gemm_limits_update(
         factor.apply_offdiag_into(j, r, y_block, out=update)
         if not skip_a:
             a_block -= update
-        b_block -= update
+        if not skip_b:
+            b_block -= update
     finally:
         workspace.release_gemm_scratch(base)
     clock.add_gemm(time.perf_counter() - start)
@@ -408,9 +412,9 @@ class SweepWorkspace:
     later *call*, when the pool is held by a session object — recycles the
     same buffers.  Three kinds of buffer live here:
 
-    * the wave matrices (limits / variates / samples / probabilities), keyed
-      by (role, block slot, row block); a wave whose tail chunk is narrower
-      simply takes a column view,
+    * the wave matrices (limits / samples / probabilities, and the variates
+      of tiles that span boxes), keyed by (role, block slot, row block); a
+      wave whose tail chunk is narrower simply takes a column view,
     * a checkout pool of :class:`~repro.core.kernel_backend.KernelWorkspace`
       objects (the kernel's row-scratch vectors), and
     * a checkout pool of GEMM scratch blocks for the limit-propagation
@@ -440,8 +444,8 @@ class SweepWorkspace:
         are keyed by (role, slot, row block) and would be shared by two
         sweeps running at once.  A sweep that fails to claim them falls back
         to a transient workspace instead of corrupting the pooled one — so
-        concurrent queries against one :class:`~repro.solver.Model` stay
-        correct, they just don't both get warm buffers.
+        concurrent sweeps against one :class:`~repro.solver.MVNSolver`'s
+        pool stay correct, they just don't both get warm buffers.
         """
         with self._lock:
             if self._wave_in_use:
@@ -578,17 +582,22 @@ def _sweep_wave(
     n_tiles = len(tiles)
     widths = [sum(hi - lo for (_box, lo, hi, _off) in tile) for tile in tiles]
 
-    # row blocks whose lower limits are all -inf never change under the GEMM
-    # propagation (-inf minus a finite update is -inf); a tile skips that
-    # A-side axpy where every box with columns in it has such a block
-    neginf_blocks = {
-        box: [bool(np.all(np.isneginf(limits[box][0][r0:r1]))) for (r0, r1) in row_ranges]
-        for box in wave
-    }
-    skip_a = [
-        [all(neginf_blocks[box][j] for (box, _lo, _hi, _off) in tile) for j in range(n_row_blocks)]
-        for tile in tiles
-    ]
+    # row blocks whose lower limits are all -inf (upper limits all +inf)
+    # never change under the GEMM propagation (an infinity minus a finite
+    # update is itself); a tile skips that side's axpy where every box with
+    # columns in it has such a block
+    def infinite_blocks(side: int, test) -> list[list[bool]]:
+        per_box = {
+            box: [bool(np.all(test(limits[box][side][r0:r1]))) for (r0, r1) in row_ranges]
+            for box in wave
+        }
+        return [
+            [all(per_box[box][j] for (box, _lo, _hi, _off) in tile) for j in range(n_row_blocks)]
+            for tile in tiles
+        ]
+
+    skip_a = infinite_blocks(0, np.isneginf)
+    skip_b = infinite_blocks(1, np.isposinf)
     prefix_sums = [np.zeros(n) for _ in range(n_tiles)] if options.return_prefix else None
     prefix_sumsqs = [np.zeros(n) for _ in range(n_tiles)] if options.return_prefix else None
 
@@ -609,13 +618,20 @@ def _sweep_wave(
                 b_tile = workspace.get(("b", slot, r_idx), (rows, width))
                 y_tile = workspace.get(("y", slot, r_idx), (rows, width))
                 y_tile[...] = 0.0
-                r_tile = workspace.get(("r", slot, r_idx), (rows, width))
+                if len(tile) == 1:
+                    # a one-box tile reads its variates in place: the
+                    # kernel only reads them, row by row
+                    box, lo, hi, _off = tile[0]
+                    r_tile = variates[box][r0:r1, lo:hi]
+                else:
+                    r_tile = workspace.get(("r", slot, r_idx), (rows, width))
+                    for box, lo, hi, off in tile:
+                        np.copyto(r_tile[:, off:off + (hi - lo)], variates[box][r0:r1, lo:hi])
                 for box, lo, hi, off in tile:
                     a_vec, b_vec = limits[box]
                     seg = slice(off, off + (hi - lo))
                     a_tile[:, seg] = a_vec[r0:r1, None]
                     b_tile[:, seg] = b_vec[r0:r1, None]
-                    np.copyto(r_tile[:, seg], variates[box][r0:r1, lo:hi])
                 a_col.append(a_tile)
                 b_col.append(b_tile)
                 y_col.append(y_tile)
@@ -687,6 +703,7 @@ def _sweep_wave(
                             "factor": factor, "j": j, "r": r - 1,
                             "workspace": workspace,
                             "skip_a": skip_a[k][j],
+                            "skip_b": skip_b[k][j],
                             "clock": clock,
                         },
                         name=f"gemm({j},{k},{r - 1})",

@@ -134,6 +134,11 @@ class MVNSolver:
         self.planner = QueryPlanner() if planner is None else planner
         if not isinstance(self.planner, QueryPlanner):
             raise TypeError(f"planner must be a QueryPlanner, got {type(self.planner).__name__}")
+        # pooled sweep buffers (wave matrices + per-worker kernel/GEMM
+        # scratch) shared by every model of this session, so a new model,
+        # an updated child or a detection on a fresh mean sweeps warm
+        # buffers instead of first-touching its own pool
+        self._sweep_workspace: SweepWorkspace | None = SweepWorkspace()
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------------
@@ -145,12 +150,13 @@ class MVNSolver:
     def close(self) -> None:
         """End the session: close the owned runtime, drop the owned cache.
 
-        Idempotent.  A borrowed runtime/cache is left untouched so it can
-        serve other solvers.
+        Also releases the pooled sweep buffers.  Idempotent.  A borrowed
+        runtime/cache is left untouched so it can serve other solvers.
         """
         if self._closed:
             return
         self._closed = True
+        self._sweep_workspace = None
         if self._owns_runtime:
             self.runtime.close()
         if self._owns_cache and self.cache is not None:
@@ -223,9 +229,8 @@ class Model:
             raise ValueError("Model needs a covariance matrix or a pre-computed factor")
         self._fingerprint: str | None = None
         self._lineage: FactorLineage | None = None
-        # covariance validation (an O(n^2) symmetry scan) happens at most
-        # once per model, not once per detection — pipelines that run many
-        # confidence regions against one model amortize it away entirely
+        # covariance validation happens at most once per model, not once
+        # per detection (see _confidence_region_impl)
         self._sigma_validated = False
         # reordered correlation matrices per (detection ordering, nugget):
         # a threshold sweep with a threshold-invariant ordering standardizes
@@ -245,10 +250,9 @@ class Model:
         # and is memoized so repeated auto queries plan without re-probing
         self._planner = solver.planner
         self._probe: dict | None = None
-        # pooled sweep buffers (wave matrices + per-worker kernel/GEMM
-        # scratch) shared by every query against this model, so repeated
-        # probabilities run allocation-free after the first call
-        self._sweep_workspace = SweepWorkspace()
+        # sweeps run on the solver's pooled buffers, so a model costs no
+        # pool of its own; a sweep that finds the pool busy (another model
+        # of this solver sweeping at the same time) runs on a transient one
 
     @property
     def solver(self) -> MVNSolver:
@@ -459,8 +463,8 @@ class Model:
         child._lineage = lineage
         child._probe = self._planner.inherit_probe(self._probe, u.shape[1], downdate)
         # capture what assembles the parent's covariance, never the parent
-        # model itself: its factors and sweep workspace must be free to die
-        # with it, however long the chain of descendants grows
+        # model itself: its factors must be free to die with it, however
+        # long the chain of descendants grows
         sign = -1.0 if downdate else 1.0
         if self._sigma_arr is not None:
             sigma_arr = self._sigma_arr
@@ -479,7 +483,7 @@ class Model:
 
         Bit-identical to :func:`repro.mvn_probability` with the same
         settings and seed; the factorization — and, for the factor-based
-        methods, the pooled sweep workspace — is reused across calls.
+        methods, the solver's pooled sweep workspace — is reused across calls.
         ``timings=`` accepts a :class:`repro.utils.timers.TimingRegistry`
         that receives the per-phase breakdown (factorization, QMC
         generation, kernel sweep, GEMM propagation).  ``target_error=``
@@ -604,7 +608,7 @@ class Model:
         factor = self._ensure_factor(plan.method, timings=timings)
         options = PMVNOptions(
             n_samples=n_samples, qmc=qmc, rng=rng, backend=plan.backend,
-            workspace=self._sweep_workspace, timings=timings,
+            workspace=self._solver._sweep_workspace, timings=timings,
             kernel_threads=self.config.kernel_threads,
         )
         results = pmvn_integrate_batch(boxes, factor, options, runtime=self._solver.runtime, means=means)
@@ -647,6 +651,6 @@ class Model:
             accuracy=cfg.accuracy, max_rank=cfg.max_rank,
             runtime=solver.runtime, qmc=qmc, rng=rng, nugget=nugget,
             timings=timings, levels=levels, cache=solver.cache,
-            backend=backend, workspace=self._sweep_workspace, validate=False,
+            backend=backend, workspace=solver._sweep_workspace,
             std_memo=self._std_memo,
         )

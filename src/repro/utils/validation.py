@@ -56,12 +56,69 @@ def check_square(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def check_symmetric(a, name: str = "matrix", tol: float = 1e-8) -> np.ndarray:
-    """Validate that ``a`` is symmetric up to relative tolerance ``tol``."""
+#: relative symmetry tolerance of :func:`check_symmetric` and
+#: :func:`check_covariance`
+_SYMMETRY_TOL = 1e-8
+
+#: edge of the square blocks the symmetry check compares pairwise; a block
+#: pair and its scratch stay cache-resident, so the check streams the matrix
+#: once instead of building ``n x n`` temporaries
+_SYMMETRY_BLOCK = 128
+
+
+def _asymmetric_pair(x: np.ndarray, y: np.ndarray, atol: float, scratch: np.ndarray) -> bool:
+    """Whether ``x`` and ``y.T`` (one block pair) break ``np.allclose(..., rtol=0)``.
+
+    Finite entries are close when ``|x - y| <= atol``; an infinite entry
+    only equals itself, and NaN equals nothing.  The pair verdict is
+    symmetric in ``x`` and ``y``, so each pair of blocks is compared once.
+    """
+    diff = np.subtract(x, y.T, out=scratch)
+    np.abs(diff, out=diff)
+    peak = float(diff.max())
+    if np.isfinite(peak):
+        # every entry of the pair is finite: one comparison decides
+        return peak > atol
+    # an infinite or NaN entry (or an overflowing difference): elementwise
+    close = (np.isfinite(x) & np.isfinite(y.T) & (diff <= atol)) | (x == y.T)
+    return not close.all()
+
+
+def _symmetric_peak(arr: np.ndarray, name: str, tol: float) -> float:
+    """Check symmetry of a square ``arr``; return ``max |arr|`` (NaN if any NaN).
+
+    The verdict is ``np.allclose(arr, arr.T, atol=tol * max(1, max|arr|),
+    rtol=0)``, evaluated block pair by block pair in cache-sized scratch.
+    """
+    if arr.size == 0:
+        raise ValueError(f"{name} must not be empty, got shape {arr.shape}")
+    # max(max, -min) is max|arr| without an n x n temporary; NaN propagates
+    # through both reductions, and max(1.0, nan) is 1.0 as before
+    peak = max(float(arr.max()), -float(arr.min()))
+    atol = tol * max(1.0, peak)
+    n = arr.shape[0]
+    step = _SYMMETRY_BLOCK
+    scratch = np.empty((min(step, n), min(step, n)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for r0 in range(0, n, step):
+            r1 = min(r0 + step, n)
+            for c0 in range(r0, n, step):
+                c1 = min(c0 + step, n)
+                if _asymmetric_pair(arr[r0:r1, c0:c1], arr[c0:c1, r0:r1], atol,
+                                    scratch[:r1 - r0, :c1 - c0]):
+                    raise ValueError(f"{name} must be symmetric (tolerance {tol})")
+    return peak
+
+
+def check_symmetric(a, name: str = "matrix", tol: float = _SYMMETRY_TOL) -> np.ndarray:
+    """Validate that ``a`` is symmetric up to relative tolerance ``tol``.
+
+    The tolerance is absolute, ``tol * max(1, max |a|)``: the verdict of
+    ``np.allclose(a, a.T, atol=tol * max(1, max|a|), rtol=0)``, without its
+    ``n x n`` temporaries.
+    """
     arr = check_square(a, name)
-    scale = max(1.0, float(np.max(np.abs(arr))))
-    if not np.allclose(arr, arr.T, atol=tol * scale, rtol=0.0):
-        raise ValueError(f"{name} must be symmetric (tolerance {tol})")
+    _symmetric_peak(arr, name, tol)
     return arr
 
 
@@ -71,9 +128,11 @@ def check_covariance(sigma, name: str = "covariance", require_spd: bool = False)
     Checks squareness, symmetry, strictly positive diagonal and, when
     ``require_spd`` is set, positive definiteness via a Cholesky attempt.
     """
-    arr = check_symmetric(sigma, name)
+    arr = check_square(sigma, name)
+    peak = _symmetric_peak(arr, name, _SYMMETRY_TOL)
     diag = np.diag(arr)
-    if np.any(diag <= 0.0) or not np.all(np.isfinite(arr)):
+    # max |arr| is finite exactly when every entry is
+    if np.any(diag <= 0.0) or not np.isfinite(peak):
         raise ValueError(f"{name} must have a strictly positive, finite diagonal")
     if require_spd:
         try:

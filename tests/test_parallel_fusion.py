@@ -11,8 +11,9 @@ Three contracts from the raw-speed PR:
   and reject nonsense early;
 * **layout parity** — a batch swept in cross-box (``"fused"``) tiles is
   bitwise identical to a loop of single-box sweeps in per-box tiles, across
-  seeds, methods, limit kinds, prefix output and worker counts, and the
-  layout rule only fuses lane-aligned, prefix-free batches of several boxes.
+  seeds, methods, limit kinds (``+inf`` upper rows included, which skip the
+  B-side propagation), prefix output and worker counts, and the layout rule
+  only fuses lane-aligned, prefix-free batches of several boxes.
 """
 
 from __future__ import annotations
@@ -49,13 +50,26 @@ def spd36(rng):
     return build_covariance(ExponentialKernel(1.0, 0.25), geom.locations, nugget=1e-8)
 
 
+#: box kinds whose upper limits are +inf on whole 12-row blocks, on some
+#: rows of every block, or everywhere (a confidence-region prefix sweep)
+UPPER_INF = ("inf-blocks", "inf-rows", "inf-upper")
+
+
 def _boxes(n, rng, kinds=("one-sided", "two-sided", "mixed")):
     out = []
+    block = np.arange(n) // 12
     for kind in kinds:
         if kind == "one-sided":
             out.append((np.full(n, -np.inf), rng.uniform(0.5, 2.0, n)))
         elif kind == "two-sided":
             out.append((-rng.uniform(1.0, 3.0, n), rng.uniform(0.5, 2.0, n)))
+        elif kind == "inf-blocks":
+            out.append((-rng.uniform(1.0, 3.0, n),
+                        np.where(block == 1, rng.uniform(0.5, 2.0, n), np.inf)))
+        elif kind == "inf-rows":
+            out.append((-rng.uniform(1.0, 3.0, n), np.where(np.arange(n) % 3 == 0, np.inf, 1.2)))
+        elif kind == "inf-upper":
+            out.append((np.where(block == 2, -np.inf, -1.5), np.full(n, np.inf)))
         else:
             out.append((
                 np.where(np.arange(n) % 3 == 0, -np.inf, -1.5),
@@ -219,13 +233,28 @@ class TestFusionParity:
     @pytest.mark.parametrize("n_samples", [96, 90])
     @pytest.mark.parametrize("seed", ["int", "generator"])
     @pytest.mark.parametrize("method", ["dense", "tlr"])
-    def test_fused_bitwise_matches_interleaved(self, spd36, rng, method, seed,
+    @pytest.mark.parametrize("kinds", ["mixed", "upper-inf"])
+    def test_fused_bitwise_matches_interleaved(self, spd36, rng, monkeypatch, kinds, method, seed,
                                                n_samples, n_boxes, prefix, workers):
         """A batch equals its loop of single-box (per-box tile) sweeps, bit
-        for bit, and fuses exactly where the layout rule says."""
-        n = spd36.shape[0]
-        boxes = (_boxes(n, rng) * 2)[:n_boxes]
+        for bit, and fuses exactly where the layout rule says.  Row blocks
+        whose upper limits are all +inf skip the B-side propagation exactly
+        where every column's rows are +inf, boxes of one fused tile
+        differing included."""
+        import repro.core.pmvn as pmvn_mod
+
+        n = spd36.shape[0]  # three row blocks of 12
+        box_kinds = UPPER_INF if kinds == "upper-inf" else ("one-sided", "two-sided", "mixed")
+        boxes = (_boxes(n, rng, box_kinds) * 2)[:n_boxes]
         factor = factorize(spd36, method=method, tile_size=12, accuracy=1e-5)
+        calls = []
+        original = pmvn_mod._gemm_limits_update
+
+        def spy(a_block, b_block, y_block, factor, j, r, workspace, skip_a, skip_b, clock):
+            calls.append((skip_b, bool(np.all(np.isposinf(b_block)))))
+            original(a_block, b_block, y_block, factor, j, r, workspace, skip_a, skip_b, clock)
+
+        monkeypatch.setattr(pmvn_mod, "_gemm_limits_update", spy)
         # a Generator is consumed box by box, so the loop gets a fresh twin
         batch_rng, loop_rng = (
             (7, 7) if seed == "int" else (np.random.default_rng(7), np.random.default_rng(7))
@@ -248,6 +277,9 @@ class TestFusionParity:
                                               want.details["prefix_errors"])
             assert got.details["fusion"] == ("fused" if fuses else "interleaved")
             assert want.details["fusion"] == "interleaved"
+        assert all(skip == all_inf for skip, all_inf in calls)
+        if kinds == "upper-inf":
+            assert {skip for skip, _ in calls} == {True, False}
 
     def test_auto_fuses_only_lane_aligned(self, spd36, rng):
         boxes = _boxes(spd36.shape[0], rng)[:2]

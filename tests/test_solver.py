@@ -225,6 +225,108 @@ class TestCacheBehavior:
                 solver.model(solver_sigma).factorize()
 
 
+class TestSweepPool:
+    """Sweep buffers are pooled per solver, not per model."""
+
+    @staticmethod
+    def _boxes(n):
+        upper = np.linspace(0.4, 1.2, n)
+        return [(np.full(n, -np.inf), upper), (np.full(n, -2.0), upper + 0.5),
+                (np.full(n, -np.inf), np.full(n, np.inf))]
+
+    def test_new_models_and_update_children_reuse_the_pool(self, solver_sigma):
+        n = solver_sigma.shape[0]
+        boxes = self._boxes(n)
+        config = SolverConfig(method="dense", n_samples=96, tile_size=8)
+        with MVNSolver(config) as solver:
+            model = solver.model(solver_sigma)
+            first = model.probability_batch(boxes, rng=0)
+            pool = solver._sweep_workspace
+            buffers = dict(pool._buffers)
+            assert buffers
+            again = solver.model(solver_sigma.copy()).probability_batch(boxes, rng=0)
+            child = model.update(0.1 * np.ones((n, 1)))
+            child.probability_batch(boxes, rng=0)
+            solver.model(2.0 * solver_sigma).confidence_region(0.3, rng=0)
+            # every later sweep ran on the same wave buffers: none allocated
+            assert solver._sweep_workspace is pool
+            assert pool._buffers.keys() == buffers.keys()
+            assert all(pool._buffers[key] is buf for key, buf in buffers.items())
+        assert [r.probability for r in again] == [r.probability for r in first]
+
+    @pytest.mark.timeout(60)
+    def test_concurrent_sweeps_fall_back_and_match_serial(self, solver_sigma, monkeypatch):
+        """Two models of one solver sweep at the same time from two threads:
+        the first holds the pooled wave buffers, the second runs on a
+        transient workspace, and both answer bit for bit as serially."""
+        import threading
+
+        import repro.core.pmvn as pmvn_mod
+
+        n = solver_sigma.shape[0]
+        boxes = self._boxes(n)
+        config = SolverConfig(method="tlr", n_samples=96, tile_size=8, accuracy=1e-6)
+        with MVNSolver(config) as solver:
+            model_a = solver.model(solver_sigma)
+            model_b = solver.model(solver_sigma + 0.5 * np.eye(n))
+            serial_a = model_a.probability_batch(boxes, rng=3)
+            serial_b = model_b.probability_batch(boxes, rng=3)
+
+            # thread a pauses inside its sweep, holding the pool, until
+            # thread b's whole sweep has run
+            a_holds_pool, b_done = threading.Event(), threading.Event()
+            used = {}
+            original = pmvn_mod._sweep_wave
+
+            def sweep_wave(wave, variates, limits, factor, options, rt, n_samples, chain_block,
+                           fused, results, workspace, backend, clock):
+                name = threading.current_thread().name
+                used.setdefault(name, workspace)
+                if name == "a" and not a_holds_pool.is_set():
+                    a_holds_pool.set()
+                    assert b_done.wait(timeout=30)
+                original(wave, variates, limits, factor, options, rt, n_samples, chain_block,
+                         fused, results, workspace, backend, clock)
+
+            monkeypatch.setattr(pmvn_mod, "_sweep_wave", sweep_wave)
+            out = {}
+
+            def run_a():
+                out["a"] = model_a.probability_batch(boxes, rng=3)
+
+            def run_b():
+                assert a_holds_pool.wait(timeout=30)
+                try:
+                    out["b"] = model_b.probability_batch(boxes, rng=3)
+                finally:
+                    b_done.set()
+
+            threads = [threading.Thread(target=run_a, name="a"),
+                       threading.Thread(target=run_b, name="b")]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert used["a"] is solver._sweep_workspace
+            assert used["b"] is not solver._sweep_workspace  # the transient fallback
+        for got, want in ((out["a"], serial_a), (out["b"], serial_b)):
+            assert [(r.probability, r.error) for r in got] == [(r.probability, r.error) for r in want]
+
+    def test_close_releases_the_pool(self, solver_sigma):
+        import gc
+        import weakref
+
+        n = solver_sigma.shape[0]
+        solver = MVNSolver(SolverConfig(method="dense", n_samples=96))
+        model = solver.model(solver_sigma)
+        model.probability_batch(self._boxes(n), rng=0)
+        pool = weakref.ref(solver._sweep_workspace)
+        solver.close()
+        gc.collect()
+        assert pool() is None
+
+
 class TestLifecycle:
     def test_closed_solver_rejects_everything(self, solver_sigma):
         n = solver_sigma.shape[0]
