@@ -24,7 +24,6 @@ from repro.core.factor import CholeskyFactor
 from repro.core.methods import check_factor_args
 from repro.mvn.result import MVNResult
 from repro.runtime import Runtime
-from repro.utils.timers import TimingRegistry
 
 __all__ = ["mvn_probability_batch", "boxes_from_arrays", "load_boxes"]
 
@@ -103,7 +102,6 @@ def mvn_probability_batch(
     cache: FactorCache | None = None,
     backend: str | None = None,
     kernel_threads: int | None = None,
-    timings: TimingRegistry | None = None,
     target_error: float | None = None,
     max_samples: int | None = None,
 ) -> list[MVNResult]:
@@ -165,6 +163,6 @@ def mvn_probability_batch(
     check_factor_args(config.method, factor, cache)
     with MVNSolver(config, n_workers=n_workers, runtime=runtime, cache=cache) as solver:
         return solver.model(sigma, factor=factor).probability_batch(
-            boxes, means=means, rng=rng, timings=timings,
+            boxes, means=means, rng=rng,
             target_error=target_error, max_samples=max_samples,
         )

@@ -201,15 +201,13 @@ class FactorCache:
         accuracy: float = 1e-3,
         max_rank: int | None = None,
         runtime=None,
-        timings=None,
         precision: str = "double",
         compression: str = "svd",
     ) -> CholeskyFactor:
         """Return a cached factor, building (and caching) it on first use.
 
         All keyword arguments mirror :func:`repro.core.factor.factorize`;
-        ``runtime`` and ``timings`` only affect how a miss is computed, not
-        the key.
+        ``runtime`` only affects how a miss is computed, not the key.
         """
         key = (self._fingerprint(sigma),) + self._settings_key(
             method, tile_size, accuracy, max_rank, precision, compression
@@ -227,7 +225,6 @@ class FactorCache:
             accuracy=accuracy,
             max_rank=max_rank,
             runtime=runtime,
-            timings=timings,
             precision=precision,
             compression=compression,
         )

@@ -60,6 +60,7 @@ import numpy as np
 from repro.core.methods import ACCEPTED_METHODS
 from repro.runtime.scheduler import ACCEPTED_POLICIES
 from repro.serve.config import SIGMA_TRANSPORTS, WORKER_MODES
+from repro.utils.timers import collect_timings
 
 __all__ = ["main", "build_parser"]
 
@@ -305,28 +306,25 @@ def _print_plan_outcome(plan: dict | None, args) -> None:
               f"{plan['rounds']} round(s), {plan['samples_used']} samples used")
 
 
-def _print_verbose(result_details: dict, timings) -> None:
+def _print_verbose(result_details: dict, phases) -> None:
     """Shared ``--verbose`` epilogue: backend attribution + phase breakdown."""
     backend = result_details.get("backend")
     if backend is not None:
         print(f"kernel backend   : {backend}")
         print(f"kernel sweep     : {result_details.get('kernel_seconds', 0.0):.4f} s")
         print(f"gemm propagation : {result_details.get('gemm_seconds', 0.0):.4f} s")
-    if timings is not None and timings.names():
+    if phases.names():
         print()
-        print(timings)
+        print(phases)
 
 
 def _cmd_mvn(args) -> int:
-    from repro.utils.timers import TimingRegistry
-
     sigma = _load_covariance(args)
     n = sigma.shape[0]
     lower = -np.inf if args.lower is None else args.lower
-    timings = TimingRegistry() if args.verbose else None
-    with _solver_from_args(args) as solver:
+    with collect_timings() as phases, _solver_from_args(args) as solver:
         result = solver.model(sigma).probability(
-            np.full(n, lower), np.full(n, args.upper), rng=args.seed, timings=timings,
+            np.full(n, lower), np.full(n, args.upper), rng=args.seed,
             target_error=args.target_error, max_samples=args.max_samples,
         )
     print(f"dimension        : {result.dimension}")
@@ -336,7 +334,7 @@ def _cmd_mvn(args) -> int:
     print(f"standard error   : {result.error:.3g}")
     _print_plan_outcome(result.details.get("plan"), args)
     if args.verbose:
-        _print_verbose(result.details, timings)
+        _print_verbose(result.details, phases)
     return 0
 
 
@@ -356,13 +354,10 @@ def _cmd_batch(args) -> int:
             raise SystemExit(
                 f"box {idx} has dimension {a.shape[0]} but the covariance is {n}x{n}"
             )
-    from repro.utils.timers import TimingRegistry
-
-    timings = TimingRegistry() if args.verbose else None
     start = time.perf_counter()
-    with _solver_from_args(args) as solver:
+    with collect_timings() as phases, _solver_from_args(args) as solver:
         results = solver.model(sigma).probability_batch(
-            boxes, rng=args.seed, timings=timings,
+            boxes, rng=args.seed,
             target_error=args.target_error, max_samples=args.max_samples,
         )
     elapsed = time.perf_counter() - start
@@ -383,7 +378,7 @@ def _cmd_batch(args) -> int:
             print(f"accuracy target  : {args.target_error:g} met for {met}/{len(plans)} "
                   f"boxes (max {rounds} round(s))")
     if args.verbose:
-        _print_verbose(results[0].details if results else {}, timings)
+        _print_verbose(results[0].details if results else {}, phases)
     if args.save is not None:
         np.savez(
             args.save,
@@ -423,23 +418,20 @@ def _cmd_crd(args) -> int:
         correlation = float(correlation)
     except ValueError:
         pass
-    from repro.utils.timers import TimingRegistry
-
     dataset = make_synthetic_dataset(correlation, grid_size=args.grid, rng=args.seed)
     threshold = dataset.default_threshold(args.threshold_quantile)
-    timings = TimingRegistry() if args.verbose else None
-    with _solver_from_args(args, tile_size=max(32, dataset.n // 8)) as solver:
+    with (collect_timings() as phases,
+          _solver_from_args(args, tile_size=max(32, dataset.n // 8)) as solver):
         model = solver.model(dataset.posterior.covariance, mean=dataset.posterior.mean)
-        result = model.confidence_region(threshold, rng=args.seed, timings=timings)
+        result = model.confidence_region(threshold, rng=args.seed)
     alpha = 1.0 - args.confidence
     print(f"locations             : {dataset.n}")
     print(f"threshold u           : {threshold:.4f}")
     print(f"confidence level      : {args.confidence}")
     print(f"marginal region size  : {int(np.count_nonzero(result.marginal_probabilities >= args.confidence))}")
     print(f"confidence region size: {result.region_size(alpha)}")
-    if args.verbose and timings is not None:
-        print()
-        print(timings)
+    if args.verbose:
+        _print_verbose(result.details, phases)
     if args.map:
         print()
         print(ascii_heatmap(excursion_map(dataset.geometry, result, alpha)))
@@ -453,7 +445,6 @@ def _cmd_pipeline(args) -> int:
     """Build a threshold-sweep excursion pipeline; explain or run it."""
     from repro.datasets import make_synthetic_dataset
     from repro.query import QueryPipeline, execute_pipeline
-    from repro.utils.timers import TimingRegistry
 
     correlation = args.correlation
     try:
@@ -480,12 +471,12 @@ def _cmd_pipeline(args) -> int:
         print(QueryPlanner().plan_pipeline(pipeline, config).describe())
         return 0
 
-    timings = TimingRegistry() if args.verbose else None
     from repro.solver import MVNSolver
 
-    with MVNSolver(config, n_workers=args.workers, policy=args.policy,
-                   cache_entries=2 * len(thresholds) + 2) as solver:
-        out = execute_pipeline(pipeline, solver, timings=timings)
+    with (collect_timings() as phases,
+          MVNSolver(config, n_workers=args.workers, policy=args.policy,
+                    cache_entries=2 * len(thresholds) + 2) as solver):
+        out = execute_pipeline(pipeline, solver)
         factorizations = solver.cache.factorize_count
     print(f"locations        : {dataset.n}")
     print(f"thresholds       : {', '.join(f'{u:.3f}' for u in thresholds)}")
@@ -496,9 +487,8 @@ def _cmd_pipeline(args) -> int:
         counts = analysis.summary()
         print(f"  u={threshold:.3f}: above={counts['above']} "
               f"below={counts['below']} uncertain={counts['uncertain']}")
-    if args.verbose and timings is not None:
-        print()
-        print(timings)
+    if args.verbose:
+        _print_verbose({}, phases)
     return 0
 
 

@@ -39,7 +39,7 @@ from repro.core.pmvn import PMVNOptions, pmvn_integrate
 from repro.runtime import Runtime
 from repro.stats.normal import norm_cdf
 from repro.tile.layout import tile_ranges
-from repro.utils.timers import TimingRegistry, timed
+from repro.utils.timers import timed
 from repro.utils.validation import check_probability, ensure_1d
 
 __all__ = [
@@ -163,7 +163,6 @@ def confidence_region(
     qmc: str = "richtmyer",
     rng=None,
     nugget: float = 1e-8,
-    timings: TimingRegistry | None = None,
     levels: np.ndarray | None = None,
     cache=None,
     backend: str | None = None,
@@ -217,8 +216,7 @@ def confidence_region(
     )
     with MVNSolver(config, runtime=runtime, cache=cache) as solver:
         return solver.model(sigma, mean=mean).confidence_region(
-            threshold, algorithm=algorithm, rng=rng, nugget=nugget,
-            timings=timings, levels=levels,
+            threshold, algorithm=algorithm, rng=rng, nugget=nugget, levels=levels,
         )
 
 
@@ -236,7 +234,6 @@ def _confidence_region_impl(
     qmc: str = "richtmyer",
     rng=None,
     nugget: float = 1e-8,
-    timings: TimingRegistry | None = None,
     levels: np.ndarray | None = None,
     cache=None,
     backend: str | None = None,
@@ -269,13 +266,12 @@ def _confidence_region_impl(
     if mu.shape[0] != n:
         raise ValueError("mean must have one entry per location")
     threshold = float(threshold)
-    timings = timings if timings is not None else TimingRegistry()
 
-    with timed(timings, "marginals"):
+    with timed("marginals"):
         p_marginal = marginal_exceedance(mu, np.diag(sigma), threshold)
         order = np.argsort(-p_marginal, kind="stable")
 
-    with timed(timings, "standardize"):
+    with timed("standardize"):
         memo_key = (order.tobytes(), float(nugget)) if std_memo is not None else None
         corr_ord = std_memo.get(memo_key) if std_memo is not None else None
         if corr_ord is None:
@@ -290,7 +286,7 @@ def _confidence_region_impl(
             std = np.sqrt(np.diag(sigma))
             a_std = (threshold - mu[order]) / std[order]
 
-    with timed(timings, "factorize"):
+    with timed("factorize"):
         # the covariance is factorized exactly once per detection; with a
         # cache, repeated detections against the same field reuse the factor
         build = cache.get_or_factorize if cache is not None else factorize
@@ -301,16 +297,15 @@ def _confidence_region_impl(
             accuracy=accuracy,
             max_rank=max_rank,
             runtime=runtime,
-            timings=timings,
         )
 
     if algorithm == "prefix":
         prefix_prob, prefix_err = _prefix_joint_probabilities(
-            factor, a_std, n_samples, qmc, rng, runtime, timings, backend, workspace
+            factor, a_std, n_samples, qmc, rng, runtime, backend, workspace
         )
     elif algorithm == "sequential":
         prefix_prob, prefix_err = _sequential_joint_probabilities(
-            factor, a_std, n_samples, qmc, rng, runtime, timings, levels, backend, workspace
+            factor, a_std, n_samples, qmc, rng, runtime, levels, backend, workspace
         )
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}; use 'prefix' or 'sequential'")
@@ -332,7 +327,6 @@ def _confidence_region_impl(
             "prefix_errors": prefix_err,
             "n_samples": n_samples,
             "algorithm": algorithm,
-            "timings": timings.summary(),
             "tile_size": factor.tile_size,
             "tlr_accuracy": accuracy if method == "tlr" else None,
         },
@@ -346,7 +340,6 @@ def _prefix_joint_probabilities(
     qmc: str,
     rng,
     runtime: Runtime | None,
-    timings: TimingRegistry,
     backend: str | None = None,
     workspace=None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -355,9 +348,9 @@ def _prefix_joint_probabilities(
     b = np.full(n, np.inf)
     options = PMVNOptions(
         n_samples=n_samples, qmc=qmc, rng=rng, return_prefix=True,
-        backend=backend, workspace=workspace, timings=timings,
+        backend=backend, workspace=workspace,
     )
-    with timed(timings, "pmvn_sweep"):
+    with timed("pmvn_sweep"):
         result = pmvn_integrate(a_std, b, factor, options, runtime=runtime)
     return result.details["prefix_probabilities"], result.details["prefix_errors"]
 
@@ -369,7 +362,6 @@ def _sequential_joint_probabilities(
     qmc: str,
     rng,
     runtime: Runtime | None,
-    timings: TimingRegistry,
     levels: np.ndarray | None,
     backend: str | None = None,
     workspace=None,
@@ -401,9 +393,9 @@ def _sequential_joint_probabilities(
                       for name in pipeline.node("chain").inputs])
     options = PMVNOptions(
         n_samples=n_samples, qmc=qmc, rng=rng,
-        backend=backend, workspace=workspace, timings=timings,
+        backend=backend, workspace=workspace,
     )
-    with timed(timings, "pmvn_sequential"):
+    with timed("pmvn_sequential"):
         out = execute_factor_bound(pipeline, factor, options, runtime=runtime)
     prob_at, err_at = out["chain"]
     all_sizes = np.arange(1, n + 1)

@@ -21,10 +21,10 @@ from repro.tile.layout import TileMatrix
 from repro.tlr.compression import lowrank_matmul_dense
 from repro.tlr.cholesky import tlr_cholesky
 from repro.tlr.matrix import TLRMatrix
-from repro.utils.timers import TimingRegistry, timed
+from repro.utils.timers import timed
 from repro.utils.validation import check_covariance, check_positive_int
 
-__all__ = ["CholeskyFactor", "DenseTileFactor", "TLRFactor", "factorize"]
+__all__ = ["CholeskyFactor", "DenseTileFactor", "TLRFactor", "default_tile_size", "factorize"]
 
 
 class CholeskyFactor:
@@ -153,6 +153,18 @@ def _apply_precision(array: np.ndarray, precision: str) -> np.ndarray:
     raise ValueError(f"unknown precision {precision!r}; use 'double', 'single' or 'half'")
 
 
+def default_tile_size(n: int, tile_size: int | None = None) -> int:
+    """The tile extent :func:`factorize` uses for an ``n x n`` matrix.
+
+    ``tile_size`` when given, else roughly ``n / 8`` clamped to [64, 512]
+    (the heuristic the paper's settings, tile 320-980, correspond to at
+    scale); never more than ``n``.
+    """
+    if tile_size is None:
+        tile_size = min(512, max(64, n // 8))
+    return min(tile_size, n)
+
+
 def factorize(
     sigma: np.ndarray,
     method: str = "dense",
@@ -160,7 +172,6 @@ def factorize(
     accuracy: float = 1e-3,
     max_rank: int | None = None,
     runtime: Runtime | None = None,
-    timings: TimingRegistry | None = None,
     precision: str = "double",
     compression: str = "svd",
 ) -> CholeskyFactor:
@@ -173,8 +184,7 @@ def factorize(
     method : {"dense", "tlr"}
         Dense tiled Cholesky or TLR Cholesky at the requested ``accuracy``.
     tile_size : int, optional
-        Tile extent; defaults to roughly ``n / 8`` clamped to [64, 512], the
-        heuristic the paper's settings (tile 320-980) correspond to at scale.
+        Tile extent; defaults to :func:`default_tile_size`.
     accuracy : float
         TLR compression accuracy (ignored for the dense method).
     max_rank : int, optional
@@ -190,26 +200,23 @@ def factorize(
     """
     sigma = check_covariance(sigma, "covariance")
     sigma = _apply_precision(sigma, precision)
-    n = sigma.shape[0]
-    if tile_size is None:
-        tile_size = min(512, max(64, n // 8))
-    tile_size = check_positive_int(min(tile_size, n), "tile_size")
+    tile_size = check_positive_int(default_tile_size(sigma.shape[0], tile_size), "tile_size")
     method = method.lower()
     if method == "dense":
         tiles = TileMatrix.from_dense(sigma, tile_size, lower_only=True)
-        with timed(timings, "factorization"):
-            factor = tiled_cholesky(tiles, runtime=runtime, overwrite=True, timings=timings)
+        with timed("factorization"):
+            factor = tiled_cholesky(tiles, runtime=runtime, overwrite=True)
         if precision != "double":
             for i, j, tile in factor.tiles():
                 factor.set_tile(i, j, _apply_precision(tile, precision))
         return DenseTileFactor(factor)
     if method == "tlr":
-        with timed(timings, "compression"):
+        with timed("compression"):
             tlr = TLRMatrix.from_dense(
                 sigma, tile_size, accuracy=accuracy, max_rank=max_rank, method=compression
             )
-        with timed(timings, "factorization"):
-            factor = tlr_cholesky(tlr, runtime=runtime, overwrite=True, timings=timings)
+        with timed("factorization"):
+            factor = tlr_cholesky(tlr, runtime=runtime, overwrite=True)
         if precision != "double":
             for i in list(factor.diagonal):
                 factor.diagonal[i] = _apply_precision(factor.diagonal[i], precision)

@@ -65,7 +65,7 @@ from repro.core.qmc_kernel import qmc_kernel_tile
 from repro.mvn.result import MVNResult
 from repro.runtime import AccessMode, DataHandle, Runtime
 from repro.stats.qmc import qmc_samples
-from repro.utils.timers import TimingRegistry, timed
+from repro.utils.timers import add_timing, timed
 from repro.utils.validation import check_limits, check_positive_int
 from repro.utils.validation import ensure_1d
 
@@ -146,7 +146,6 @@ class PMVNOptions:
     max_workspace_cols: int | None = None
     backend: str | None = None
     workspace: "SweepWorkspace | None" = field(default=None, repr=False)
-    timings: TimingRegistry | None = field(default=None, repr=False)
     kernel_threads: int | None = None
 
 
@@ -328,7 +327,6 @@ def pmvn_integrate_batch(
     else:
         chain_block = max(factor.tile_size, min(BATCH_CHAIN_BLOCK, n_samples))
     chain_block = check_positive_int(min(chain_block, n_samples), "chain_block")
-    timings = options.timings
     # the layout rule (module docs): cross-box tiles need several boxes, no
     # prefix sums (they accumulate per tile) and lane-aligned cuts (bitwise
     # parity with per-box chunks)
@@ -358,7 +356,7 @@ def pmvn_integrate_batch(
 
     shared = None
     if isinstance(options.rng, (int, np.integer)):
-        with timed(timings, "qmc_generation"):
+        with timed("qmc_generation"):
             shared = draw()
         shared.flags.writeable = False
 
@@ -378,7 +376,7 @@ def pmvn_integrate_batch(
         for wave_start in range(0, n_boxes, boxes_per_wave):
             wave = list(range(wave_start, min(wave_start + boxes_per_wave, n_boxes)))
             if shared is None:
-                with timed(timings, "qmc_generation"):
+                with timed("qmc_generation"):
                     variates = {box: draw() for box in wave}
             else:
                 variates = dict.fromkeys(wave, shared)
@@ -390,9 +388,8 @@ def pmvn_integrate_batch(
             set_kernel_threads(prev_threads)
         if claimed:
             workspace.release_wave_buffers()
-    if timings is not None:
-        timings.add("kernel_sweep", clock.kernel)
-        timings.add("gemm_propagation", clock.gemm)
+    add_timing("kernel_sweep", clock.kernel)
+    add_timing("gemm_propagation", clock.gemm)
     for result in results:
         # phase seconds are whole-batch aggregates: chain blocks of different
         # boxes interleave on the workers, so per-box attribution is undefined
@@ -575,7 +572,6 @@ def _sweep_wave(
     tiles were cut.
     """
     n = factor.n
-    timings = options.timings
     row_ranges = factor.row_ranges
     n_row_blocks = len(row_ranges)
     tiles = _wave_tiles(wave, n_samples, chain_block, fused)
@@ -606,7 +602,7 @@ def _sweep_wave(
     y_blocks: list[list[np.ndarray]] = []
     r_blocks: list[list[np.ndarray]] = []
     p_segments: list[np.ndarray] = []
-    with timed(timings, "workspace_setup"):
+    with timed("workspace_setup"):
         for slot, (tile, width) in enumerate(zip(tiles, widths)):
             a_col = []
             b_col = []
@@ -674,7 +670,7 @@ def _sweep_wave(
             workspace.release_kernel_workspace(kernel_ws)
         clock.add_kernel(time.perf_counter() - start)
 
-    with timed(timings, "integration"):
+    with rt.lock, timed("integration"):
         # step (b): first row block
         for k in range(n_tiles):
             rt.insert_task(
@@ -810,7 +806,6 @@ def pmvn_dense(
     mean=0.0,
     qmc: str = "richtmyer",
     rng=None,
-    timings: TimingRegistry | None = None,
     chain_block: int | None = None,
     factor: CholeskyFactor | None = None,
     backend: str | None = None,
@@ -826,13 +821,12 @@ def pmvn_dense(
     (see :class:`PMVNOptions`).
     """
     if factor is None:
-        factor = factorize(sigma, method="dense", tile_size=tile_size, runtime=runtime, timings=timings)
+        factor = factorize(sigma, method="dense", tile_size=tile_size, runtime=runtime)
     elif not isinstance(factor, CholeskyFactor):
         raise TypeError(f"factor must be a CholeskyFactor, got {type(factor).__name__}")
     options = PMVNOptions(
         n_samples=n_samples, chain_block=chain_block, qmc=qmc, rng=rng,
-        backend=backend, workspace=workspace, timings=timings,
-        kernel_threads=kernel_threads,
+        backend=backend, workspace=workspace, kernel_threads=kernel_threads,
     )
     result = pmvn_integrate(a, b, factor, options, runtime=runtime, mean=mean)
     _stamp_estimator([result], "dense", factor)
@@ -851,7 +845,6 @@ def pmvn_tlr(
     mean=0.0,
     qmc: str = "richtmyer",
     rng=None,
-    timings: TimingRegistry | None = None,
     chain_block: int | None = None,
     compression: str = "svd",
     factor: CholeskyFactor | None = None,
@@ -874,15 +867,13 @@ def pmvn_tlr(
             accuracy=accuracy,
             max_rank=max_rank,
             runtime=runtime,
-            timings=timings,
             compression=compression,
         )
     elif not isinstance(factor, CholeskyFactor):
         raise TypeError(f"factor must be a CholeskyFactor, got {type(factor).__name__}")
     options = PMVNOptions(
         n_samples=n_samples, chain_block=chain_block, qmc=qmc, rng=rng,
-        backend=backend, workspace=workspace, timings=timings,
-        kernel_threads=kernel_threads,
+        backend=backend, workspace=workspace, kernel_threads=kernel_threads,
     )
     result = pmvn_integrate(a, b, factor, options, runtime=runtime, mean=mean)
     _stamp_estimator([result], "tlr", factor)

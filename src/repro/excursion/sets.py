@@ -38,7 +38,7 @@ __all__ = [
 #: beyond its positional ones — the boundary contract of every wrapper here
 _CRD_KWARGS = (
     "method", "algorithm", "n_samples", "tile_size", "accuracy", "max_rank",
-    "runtime", "qmc", "rng", "nugget", "timings", "levels", "cache", "backend",
+    "runtime", "qmc", "rng", "nugget", "levels", "cache", "backend",
 )
 
 
@@ -163,7 +163,7 @@ def excursion_analysis(sigma, mean, threshold: float, alpha: float = 0.05, **kwa
     pipeline.add_crd("negative", sigma="field", threshold=threshold, negate=True,
                      **node_kwargs)
     with _excursion_session(kwargs) as solver:
-        out = execute_pipeline(pipeline, solver, timings=kwargs.get("timings"))
+        out = execute_pipeline(pipeline, solver)
     return ExcursionAnalysis(positive=out["positive"], negative=out["negative"],
                              alpha=alpha, threshold=float(threshold))
 
@@ -202,5 +202,5 @@ def excursion_threshold_sweep(sigma, mean, thresholds, alpha: float = 0.05,
         session.cache.max_entries = max(session.cache.max_entries,
                                         2 * thresholds.shape[0] + 2)
     with session as solver:
-        out = execute_pipeline(pipeline, solver, timings=kwargs.get("timings"))
+        out = execute_pipeline(pipeline, solver)
     return out["sweep"]

@@ -67,7 +67,7 @@ class PipelineResult:
         return len(self.results)
 
 
-def execute_pipeline(pipeline: QueryPipeline, executor, *, timings=None) -> PipelineResult:
+def execute_pipeline(pipeline: QueryPipeline, executor) -> PipelineResult:
     """Run a pipeline on a solver session or a serving broker.
 
     The executor type selects the conversion; the compiled stages — and
@@ -78,7 +78,7 @@ def execute_pipeline(pipeline: QueryPipeline, executor, *, timings=None) -> Pipe
     from repro.solver.solver import MVNSolver
 
     if isinstance(executor, MVNSolver):
-        return _execute_on_solver(pipeline, executor, timings)
+        return _execute_on_solver(pipeline, executor)
     from repro.serve.broker import QueryBroker
 
     if isinstance(executor, QueryBroker):
@@ -99,7 +99,7 @@ def _negated_mean(mean):
     return -np.asarray(mean, dtype=np.float64)
 
 
-def _execute_on_solver(pipeline: QueryPipeline, solver, timings) -> PipelineResult:
+def _execute_on_solver(pipeline: QueryPipeline, solver) -> PipelineResult:
     plan = solver.planner.plan_pipeline(pipeline, solver.config)
     models: dict = {}
 
@@ -134,7 +134,6 @@ def _execute_on_solver(pipeline: QueryPipeline, solver, timings) -> PipelineResu
                 threshold, algorithm=node.algorithm, n_samples=node.n_samples,
                 rng=node.rng, qmc=node.qmc, nugget=node.nugget,
                 levels=None if node.levels is None else np.asarray(node.levels),
-                timings=timings,
             )
             if node.negate:
                 # report in the original field's coordinates, exactly like
@@ -144,7 +143,7 @@ def _execute_on_solver(pipeline: QueryPipeline, solver, timings) -> PipelineResu
             results[node.name] = result
         elif len(stage.nodes) == 1:
             node = pipeline.node(stage.nodes[0])
-            results[node.name] = model_for(stage.sigma).query(node.query, timings=timings)
+            results[node.name] = model_for(stage.sigma).query(node.query)
         else:
             nodes = [pipeline.node(name) for name in stage.nodes]
             shared = nodes[0].query  # equal fuse key: shared settings
@@ -152,7 +151,6 @@ def _execute_on_solver(pipeline: QueryPipeline, solver, timings) -> PipelineResu
                 [(node.query.a, node.query.b) for node in nodes],
                 n_samples=shared.n_samples, rng=shared.rng, qmc=shared.qmc,
                 target_error=shared.target_error, max_samples=shared.max_samples,
-                timings=timings,
             )
             for node, result in zip(nodes, batch):
                 results[node.name] = result

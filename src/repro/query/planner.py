@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.factor import default_tile_size
 from repro.core.kernel_backend import get_backend
 from repro.core.methods import AUTO_METHOD, PARALLEL_METHODS
 from repro.query.spec import MVNQuery
@@ -301,13 +302,6 @@ class QueryPlanner:
         return {**probe, "est_rank": min(bumped, block), "rank_ratio": new_ratio}
 
     # -- cost model ------------------------------------------------------------------
-    @staticmethod
-    def _tile_size(n: int, configured: int | None) -> int:
-        """The tile size :func:`repro.core.factor.factorize` would use."""
-        if configured is not None:
-            return min(int(configured), n)
-        return min(min(512, max(64, n // 8)), n)
-
     def cost_estimates(self, n: int, n_samples: int, tile_size: int,
                        est_rank: int, one_sided_fraction: float = 0.0) -> dict:
         """Modelled cost breakdown for the ``dense`` and ``tlr`` candidates.
@@ -400,7 +394,7 @@ class QueryPlanner:
         requested = config.method
         auto = requested == AUTO_METHOD
 
-        tile = self._tile_size(n, config.tile_size)
+        tile = default_tile_size(n, config.tile_size)
         probe_record = probe
         if (auto and bound_method is None and n > self.dense_max_n
                 and probe_record is None and sigma is not None):

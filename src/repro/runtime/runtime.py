@@ -69,6 +69,14 @@ class Runtime:
     raises :class:`RuntimeError`.  Long-lived owners such as
     :class:`repro.solver.MVNSolver` close their runtime when they are
     closed.
+
+    A runtime keeps one task graph.  Every routine of the package that
+    submits a graph and waits for it holds :attr:`lock` from its first
+    :meth:`insert_task` through :meth:`wait_all`, so threads that share a
+    runtime (two models of one solver, queried from two threads) run their
+    graphs one after the other instead of mixing them.  :meth:`wait_all`
+    itself does not take the lock: a graph may be drained from another
+    thread.
     """
 
     def __init__(
@@ -98,6 +106,9 @@ class Runtime:
         #: the argument buffers they reference) are dropped after each
         #: ``wait_all``, so long-lived owners retain nothing per sweep
         self.tasks_executed = 0
+        #: held from a caller's first ``insert_task`` through its ``wait_all``;
+        #: re-entrant, so a holder may call another routine that takes it
+        self.lock = threading.RLock()
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------------

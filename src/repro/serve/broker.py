@@ -42,7 +42,7 @@ import numpy as np
 from repro.batch.cache import FingerprintMemo
 from repro.core.update import lineage_fingerprint, normalize_update
 from repro.mvn.result import MVNResult
-from repro.query import MVNQuery, QueryPlanner
+from repro.query import MVNQuery
 from repro.serve.config import ServeConfig
 from repro.serve.pool import ModelRoster, ShardPool, lineage_payload, shard_for_fingerprint
 from repro.serve.stats import ServeStats, ShardSnapshot
@@ -148,38 +148,6 @@ class _Request:
         self.enqueued = enqueued
 
 
-class _PlanMemo:
-    """Bounded memo of planner decisions keyed by (fingerprint, n_samples).
-
-    Planning is deterministic in ``(sigma, config, n_samples)`` (see
-    :mod:`repro.query.planner`), so the broker can compute the plan once
-    per distinct covariance/sample-size pair and reuse it in every batch
-    key — the shard re-derives the identical plan when it executes.
-    """
-
-    def __init__(self, planner: QueryPlanner, solver_config: SolverConfig,
-                 size: int = 64) -> None:
-        self._planner = planner
-        self._config = solver_config
-        self._size = size
-        self._entries: dict[tuple, tuple[str, str | None]] = {}
-        self._lock = threading.Lock()
-
-    def planned(self, fingerprint: str, sigma, n_samples: int) -> tuple[str, str | None]:
-        """The ``(method, backend)`` the shard will resolve for this query."""
-        key = (fingerprint, int(n_samples))
-        with self._lock:
-            entry = self._entries.get(key)
-        if entry is None:
-            plan = self._planner.plan(sigma, self._config, n_samples=n_samples)
-            entry = (plan.method, plan.backend)
-            with self._lock:
-                if len(self._entries) >= self._size:
-                    self._entries.clear()  # tiny tuples; wholesale reset is fine
-                self._entries[key] = entry
-        return entry
-
-
 class _Bucket:
     """Requests accumulating toward one micro-batch (one batch key)."""
 
@@ -246,7 +214,6 @@ class QueryBroker:
             cache_entries=config.cache_entries,
         )
         self._fingerprints = FingerprintMemo()
-        self._plans = _PlanMemo(QueryPlanner(), solver_config)
         # zero-copy transport: distinct covariances are published once into
         # refcounted shared-memory segments and shards receive descriptors
         # (see repro.serve.net.transport); "inline" ships the ndarray itself
@@ -404,25 +371,17 @@ class QueryBroker:
             mean_vec = mean
 
         if isinstance(sigma_arr, SigmaUpdate):
-            fingerprint, _parent_fp, root_fp = self._update_fingerprints(sigma_arr)
-            planning_sigma = self._update_root(sigma_arr)
+            fingerprint = self._update_fingerprints(sigma_arr)[0]
         else:
             fingerprint = self._fingerprints.fingerprint(sigma_arr)
-            planning_sigma = sigma_arr
-        resolved_samples = (
-            self.solver_config.n_samples if query.n_samples is None else query.n_samples
-        )
-        # the planner's (method, backend) decision joins the batch key, so
-        # requests only share a sweep when they will execute the same plan
-        # (an updated covariance plans from its root ancestor: same n, and
-        # a rank-k perturbation does not move the dense/TLR verdict)
-        planned = self._plans.planned(fingerprint, planning_sigma, resolved_samples)
+        # under one SolverConfig the covariance alone fixes the planned
+        # method and backend, so the fingerprint already keeps requests
+        # that would plan apart in separate batches
         key = (
             fingerprint,
-            resolved_samples,
+            self.solver_config.n_samples if query.n_samples is None else query.n_samples,
             self.solver_config.qmc if query.qmc is None else query.qmc,
             None if rng is None else int(rng),
-            planned,
             query.target_error,
             query.max_samples,
             batch_tag,
@@ -621,8 +580,7 @@ class QueryBroker:
 
     def _flush(self, key: tuple, bucket: _Bucket) -> None:
         """Dispatch one micro-batch to the shard owning its fingerprint."""
-        (fingerprint, n_samples, qmc, seed, _planned, target_error, max_samples,
-         _batch_tag) = key
+        (fingerprint, n_samples, qmc, seed, target_error, max_samples, _batch_tag) = key
         requests = bucket.requests
         sigma_src = requests[0].sigma
         if isinstance(sigma_src, SigmaUpdate):
@@ -684,14 +642,6 @@ class QueryBroker:
         return payload
 
     # -- lineage (rank-k updated models) ----------------------------------------------
-    @staticmethod
-    def _update_root(update: "SigmaUpdate") -> np.ndarray:
-        """The root covariance an update chain hangs off (a plain ndarray)."""
-        parent = update.parent
-        while isinstance(parent, SigmaUpdate):
-            parent = parent.parent
-        return parent
-
     def _update_fingerprints(self, update: "SigmaUpdate") -> tuple[str, str, str]:
         """``(child, parent, root)`` fingerprints of an update chain.
 

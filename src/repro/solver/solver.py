@@ -57,6 +57,7 @@ from repro.query.pipeline import escalate_batch
 from repro.query.spec import one_sided_fraction
 from repro.runtime import Runtime
 from repro.solver.config import SolverConfig
+from repro.utils.timers import collect_timings
 from repro.utils.validation import check_covariance
 
 __all__ = ["MVNSolver", "Model"]
@@ -356,7 +357,7 @@ class Model:
         )
 
     # -- factorization -------------------------------------------------------------
-    def factorize(self, timings=None) -> CholeskyFactor:
+    def factorize(self) -> CholeskyFactor:
         """Factor the covariance now (instead of lazily on the first query).
 
         With ``method="auto"`` the planner resolves the method first (the
@@ -370,9 +371,9 @@ class Model:
                 f"method {cfg.method!r} does not use a Cholesky factor; "
                 "nothing to factorize"
             )
-        return self._ensure_factor(method, timings=timings)
+        return self._ensure_factor(method)
 
-    def _ensure_factor(self, method: str, timings=None) -> CholeskyFactor:
+    def _ensure_factor(self, method: str) -> CholeskyFactor:
         factor = self._factors.get(method)
         if factor is None:
             cfg = self.config
@@ -381,19 +382,19 @@ class Model:
                 factor = cache.get_or_factorize(
                     self._sigma, method=method, tile_size=cfg.tile_size,
                     accuracy=cfg.accuracy, max_rank=cfg.max_rank,
-                    runtime=self._solver.runtime, timings=timings,
+                    runtime=self._solver.runtime,
                 )
             else:
                 factor = factorize(
                     self._sigma, method=method, tile_size=cfg.tile_size,
                     accuracy=cfg.accuracy, max_rank=cfg.max_rank,
-                    runtime=self._solver.runtime, timings=timings,
+                    runtime=self._solver.runtime,
                 )
             self._factors[method] = factor
         return factor
 
     # -- online updates ------------------------------------------------------------
-    def update(self, u, downdate: bool = False, *, mean=None, timings=None) -> "Model":
+    def update(self, u, downdate: bool = False, *, mean=None) -> "Model":
         """Rank-k covariance update: a new model of ``Sigma ± U U^T``.
 
         Performs a Cholesky up-date (``downdate=False``) or down-date
@@ -439,7 +440,7 @@ class Model:
                 f"Model.update requires a factor-based method ('dense' or "
                 f"'tlr'), not {cfg.method!r}"
             )
-        parent_factor = self._ensure_factor(method, timings=timings)
+        parent_factor = self._ensure_factor(method)
         child_factor = update_factor(parent_factor, u, downdate=downdate)
 
         parent_fp = self.fingerprint
@@ -477,27 +478,26 @@ class Model:
     # -- queries -------------------------------------------------------------------
     def probability(
         self, a, b, *, n_samples: int | None = None, rng=None, qmc: str | None = None,
-        timings=None, target_error: float | None = None, max_samples: int | None = None,
+        target_error: float | None = None, max_samples: int | None = None,
     ) -> MVNResult:
         """Estimate ``P(a <= X <= b)`` for this model.
 
         Bit-identical to :func:`repro.mvn_probability` with the same
         settings and seed; the factorization — and, for the factor-based
         methods, the solver's pooled sweep workspace — is reused across calls.
-        ``timings=`` accepts a :class:`repro.utils.timers.TimingRegistry`
-        that receives the per-phase breakdown (factorization, QMC
-        generation, kernel sweep, GEMM propagation).  ``target_error=``
-        turns on adaptive accuracy targeting (escalating re-runs within the
-        ``max_samples`` budget); the decision trail lands in
-        ``result.details["plan"]``.
+        Run the call inside :func:`repro.utils.timers.collect_timings` for
+        the per-phase breakdown (factorization, QMC generation, kernel
+        sweep, GEMM propagation).  ``target_error=`` turns on adaptive
+        accuracy targeting (escalating re-runs within the ``max_samples``
+        budget); the decision trail lands in ``result.details["plan"]``.
         """
         query = MVNQuery(
             a, b, n_samples=n_samples, rng=rng, qmc=qmc,
             target_error=target_error, max_samples=max_samples,
         )
-        return self.query(query, timings=timings)
+        return self.query(query)
 
-    def query(self, query: MVNQuery, *, timings=None) -> MVNResult:
+    def query(self, query: MVNQuery) -> MVNResult:
         """Execute one declarative :class:`repro.query.MVNQuery`.
 
         The spec -> plan -> execute path every entry point funnels through.
@@ -514,13 +514,12 @@ class Model:
             raise TypeError(f"query must be an MVNQuery, got {type(query).__name__}")
         mean = self._mean if query.mean is None else query.mean
         return self._run(
-            [(query.a, query.b)], _shared_mean(mean, 1, self.n), query.qmc, query.rng,
-            timings, query,
+            [(query.a, query.b)], _shared_mean(mean, 1, self.n), query.qmc, query.rng, query,
         )[0]
 
     def probability_batch(
         self, boxes, *, means=None, n_samples: int | None = None, rng=None,
-        qmc: str | None = None, timings=None, target_error: float | None = None,
+        qmc: str | None = None, target_error: float | None = None,
         max_samples: int | None = None,
     ) -> list[MVNResult]:
         """Estimate ``P(a_i <= X <= b_i)`` for many boxes against this model.
@@ -548,7 +547,7 @@ class Model:
                 f"n_samples ({n_samples})"
             )
         results = self._run(
-            boxes, means, qmc, rng, timings, n_samples=n_samples,
+            boxes, means, qmc, rng, n_samples=n_samples,
             target_error=None if target_error is None else float(target_error),
             max_samples=max_samples,
         )
@@ -557,7 +556,7 @@ class Model:
             result.details["batch_size"] = len(results)
         return results
 
-    def _run(self, boxes, means, qmc, rng, timings, query=None, **overrides) -> list[MVNResult]:
+    def _run(self, boxes, means, qmc, rng, query=None, **overrides) -> list[MVNResult]:
         """Validate, plan, sweep, escalate and stamp: the path of every query.
 
         ``query`` (a single query's spec) and ``overrides`` seed the plan.
@@ -571,7 +570,7 @@ class Model:
         plan = self.plan(query, one_sided_fraction=one_sided_fraction(checked), **overrides)
         qmc = self.config.qmc if qmc is None else qmc
 
-        results = self._evaluate_batch(plan, checked, means, plan.n_samples, qmc, rng, timings)
+        results = self._evaluate_batch(plan, checked, means, plan.n_samples, qmc, rng)
         rounds = [1] * len(checked)
         samples_used = [plan.n_samples] * len(checked)
         if plan.target_error is not None:
@@ -580,7 +579,7 @@ class Model:
                 lambda indices, n_next: self._evaluate_batch(
                     plan, [checked[i] for i in indices],
                     np.stack([resolved[i] for i in indices]),
-                    n_next, qmc, rng, timings,
+                    n_next, qmc, rng,
                 ),
                 plan, results, rounds, samples_used,
             )
@@ -595,7 +594,7 @@ class Model:
                 result.details["lineage"] = self._lineage.as_details()
         return results
 
-    def _evaluate_batch(self, plan: QueryPlan, boxes, means, n_samples, qmc, rng, timings) -> list[MVNResult]:
+    def _evaluate_batch(self, plan: QueryPlan, boxes, means, n_samples, qmc, rng) -> list[MVNResult]:
         """One evaluation of the boxes with the planned method and backend."""
         estimator = BASELINE_ESTIMATORS.get(plan.method)
         if estimator is not None:
@@ -605,10 +604,10 @@ class Model:
                 estimator(a, b, self._sigma, n_samples=n_samples, mean=mu, qmc=qmc, rng=rng)
                 for (a, b), mu in zip(boxes, mus)
             ]
-        factor = self._ensure_factor(plan.method, timings=timings)
+        factor = self._ensure_factor(plan.method)
         options = PMVNOptions(
             n_samples=n_samples, qmc=qmc, rng=rng, backend=plan.backend,
-            workspace=self._solver._sweep_workspace, timings=timings,
+            workspace=self._solver._sweep_workspace,
             kernel_threads=self.config.kernel_threads,
         )
         results = pmvn_integrate_batch(boxes, factor, options, runtime=self._solver.runtime, means=means)
@@ -618,14 +617,16 @@ class Model:
     def confidence_region(
         self, threshold: float, *, algorithm: str = "prefix",
         n_samples: int | None = None, rng=None, qmc: str | None = None,
-        nugget: float = 1e-8, levels=None, timings=None,
+        nugget: float = 1e-8, levels=None,
     ) -> ConfidenceRegionResult:
         """Run confidence-region detection (Algorithm 1) on this model.
 
         Uses the model's bound mean and the solver's factor cache, so
         repeated detections against the same field factorize once.  With
         ``method="auto"`` the planner resolves the factor-based estimator
-        (auto always plans ``"dense"`` or ``"tlr"``).
+        (auto always plans ``"dense"`` or ``"tlr"``).  The detection's own
+        phase timings land in ``result.details["timings"]`` (and in any
+        enclosing :func:`repro.utils.timers.collect_timings` block).
         """
         solver = self._solver
         solver._check_open()
@@ -645,12 +646,15 @@ class Model:
         if not self._sigma_validated:
             self._sigma_arr = check_covariance(self._sigma, "covariance")
             self._sigma_validated = True
-        return _confidence_region_impl(
-            self._sigma, self._mean, threshold, method=method,
-            algorithm=algorithm, n_samples=n_samples, tile_size=cfg.tile_size,
-            accuracy=cfg.accuracy, max_rank=cfg.max_rank,
-            runtime=solver.runtime, qmc=qmc, rng=rng, nugget=nugget,
-            timings=timings, levels=levels, cache=solver.cache,
-            backend=backend, workspace=solver._sweep_workspace,
-            std_memo=self._std_memo,
-        )
+        with collect_timings() as timings:
+            result = _confidence_region_impl(
+                self._sigma, self._mean, threshold, method=method,
+                algorithm=algorithm, n_samples=n_samples, tile_size=cfg.tile_size,
+                accuracy=cfg.accuracy, max_rank=cfg.max_rank,
+                runtime=solver.runtime, qmc=qmc, rng=rng, nugget=nugget,
+                levels=levels, cache=solver.cache,
+                backend=backend, workspace=solver._sweep_workspace,
+                std_memo=self._std_memo,
+            )
+        result.details["timings"] = timings.summary()
+        return result

@@ -21,7 +21,9 @@ avoided because the SOV recursion feeds them into ``Phi^{-1}``).
 
 Generation is one in-place pass over the point set: fractional parts are
 taken as ``x -= floor(x)`` (exact for ``x >= 0``, so bitwise equal to
-``x % 1.0``) and the clip into ``(0, 1)`` is an ``out=`` maximum/minimum.
+``x % 1.0``), a block of rows at a time through one small scratch array
+(:func:`_frac_inplace`), and the clip into ``(0, 1)`` is an ``out=``
+maximum/minimum.
 :class:`RichtmyerLattice` and :class:`HaltonSequence` build their points
 dimension-major, so their ``points()`` returns the ``(n_points, dim)``
 transpose view of a C-contiguous ``(dim, n_points)`` array and
@@ -62,6 +64,27 @@ def first_primes(count: int) -> np.ndarray:
         limit *= 2
 
 
+#: doubles per block of :func:`_frac_inplace` (a 256 KB scratch)
+_FRAC_BLOCK = 1 << 15
+
+
+def _frac_inplace(pts: np.ndarray) -> None:
+    """``pts -= floor(pts)`` without a second ``pts``-sized array.
+
+    Floors one block of rows of the C-contiguous layout at a time into a
+    small scratch; the operation is elementwise, so the result is bitwise
+    that of the whole-array form.
+    """
+    rows = pts if pts.flags.c_contiguous else pts.T
+    step = max(1, _FRAC_BLOCK // max(1, rows.shape[1]))
+    scratch = np.empty((min(step, rows.shape[0]), rows.shape[1]))
+    for r0 in range(0, rows.shape[0], step):
+        block = rows[r0:r0 + step]
+        floor = scratch[:block.shape[0]]
+        np.floor(block, out=floor)
+        block -= floor
+
+
 class QMCSequence:
     """Base class: a generator of ``(n_points, dim)`` uniform point sets."""
 
@@ -78,7 +101,7 @@ class QMCSequence:
         if shift:
             # pts + offset lies in [0, 2), where x - floor(x) == x % 1.0 exactly
             pts += self.rng.random(self.dim)
-            pts -= np.floor(pts)
+            _frac_inplace(pts)
         # keep strictly inside (0, 1) for the downstream Phi^{-1}
         np.maximum(pts, np.finfo(np.float64).tiny, out=pts)
         return np.minimum(pts, 1.0 - 1e-16, out=pts)
@@ -109,7 +132,7 @@ class RichtmyerLattice(QMCSequence):
         n_points = check_positive_int(n_points, "n_points")
         k = np.arange(1, n_points + 1, dtype=np.float64)
         pts = np.multiply.outer(self._alphas, k)
-        pts -= np.floor(pts)
+        _frac_inplace(pts)
         return self._randomize(pts.T, shift=self.shift)
 
 

@@ -30,7 +30,7 @@ from scipy.linalg import solve_triangular
 from repro.runtime import AccessMode, DataHandle, Runtime
 from repro.tile.dense_kernels import gemm_flops, potrf_flops, syrk_flops, trsm_flops
 from repro.tile.layout import TileMatrix
-from repro.utils.timers import TimingRegistry, timed
+from repro.utils.timers import timed
 
 __all__ = ["tiled_cholesky", "cholesky_flops"]
 
@@ -64,7 +64,6 @@ def tiled_cholesky(
     matrix: TileMatrix,
     runtime: Runtime | None = None,
     overwrite: bool = False,
-    timings: TimingRegistry | None = None,
 ) -> TileMatrix:
     """Cholesky factorization of a symmetric positive definite tile matrix.
 
@@ -80,8 +79,6 @@ def tiled_cholesky(
     overwrite : bool
         Factor in place (the input tiles are replaced by the factor).  With
         the default the input matrix is copied first.
-    timings : TimingRegistry, optional
-        Receives a ``"cholesky"`` region covering the whole factorization.
 
     Returns
     -------
@@ -110,7 +107,7 @@ def tiled_cholesky(
         for j in range(i + 1)
     }
 
-    with timed(timings, "cholesky"):
+    with rt.lock, timed("cholesky"):
         for k in range(nt):
             rt.insert_task(
                 _potrf_inplace,

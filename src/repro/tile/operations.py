@@ -94,23 +94,24 @@ def tiled_gemm(
         finally:
             _release_scratch(base)
 
-    for i in range(c.mt):
-        for j in range(c.nt):
-            for k in range(a.nt):
-                a_tile = _lower_tile(a, i, k)
-                b_tile = b.tile(k, j)
-                a_handle = DataHandle(a_tile, name=f"A[{i},{k}]")
-                b_handle = DataHandle(b_tile, name=f"B[{k},{j}]")
-                rt.insert_task(
-                    accumulate,
-                    (c_handles[(i, j)], AccessMode.READWRITE),
-                    (a_handle, AccessMode.READ),
-                    (b_handle, AccessMode.READ),
-                    name=f"gemm({i},{j},{k})",
-                    cost=gemm_flops(*a_tile.shape, b_tile.shape[1]),
-                    tag="gemm",
-                )
-    rt.wait_all()
+    with rt.lock:
+        for i in range(c.mt):
+            for j in range(c.nt):
+                for k in range(a.nt):
+                    a_tile = _lower_tile(a, i, k)
+                    b_tile = b.tile(k, j)
+                    a_handle = DataHandle(a_tile, name=f"A[{i},{k}]")
+                    b_handle = DataHandle(b_tile, name=f"B[{k},{j}]")
+                    rt.insert_task(
+                        accumulate,
+                        (c_handles[(i, j)], AccessMode.READWRITE),
+                        (a_handle, AccessMode.READ),
+                        (b_handle, AccessMode.READ),
+                        name=f"gemm({i},{j},{k})",
+                        cost=gemm_flops(*a_tile.shape, b_tile.shape[1]),
+                        tag="gemm",
+                    )
+        rt.wait_all()
     return c
 
 

@@ -25,7 +25,7 @@ from scipy.linalg import solve_triangular
 from repro.runtime import AccessMode, DataHandle, Runtime
 from repro.tlr.compression import LowRankTile, lowrank_add
 from repro.tlr.matrix import TLRMatrix
-from repro.utils.timers import TimingRegistry, timed
+from repro.utils.timers import timed
 
 __all__ = ["tlr_cholesky", "tlr_cholesky_flops"]
 
@@ -69,7 +69,6 @@ def tlr_cholesky(
     matrix: TLRMatrix,
     runtime: Runtime | None = None,
     overwrite: bool = False,
-    timings: TimingRegistry | None = None,
 ) -> TLRMatrix:
     """Cholesky factorization of a TLR matrix, returning a TLR factor.
 
@@ -81,8 +80,6 @@ def tlr_cholesky(
         Task runtime; defaults to serial execution.
     overwrite : bool
         Factor in place (the input container is modified and returned).
-    timings : TimingRegistry, optional
-        Receives a ``"tlr_cholesky"`` region.
 
     Returns
     -------
@@ -101,7 +98,7 @@ def tlr_cholesky(
         key: DataHandle(tile, name=f"LR[{key[0]},{key[1]}]", home=sum(key)) for key, tile in work.offdiag.items()
     }
 
-    with timed(timings, "tlr_cholesky"):
+    with rt.lock, timed("tlr_cholesky"):
         for k in range(nt):
             rt.insert_task(
                 _potrf_dense,

@@ -14,7 +14,7 @@ from repro.utils.validation import (
     ensure_1d,
     ensure_2d,
 )
-from repro.utils.timers import Timer, TimingRegistry, timed
+from repro.utils.timers import TimingRegistry, add_timing, collect_timings, timed
 from repro.utils.reporting import Table, format_seconds, format_si
 
 __all__ = [
@@ -26,8 +26,9 @@ __all__ = [
     "check_symmetric",
     "ensure_1d",
     "ensure_2d",
-    "Timer",
     "TimingRegistry",
+    "add_timing",
+    "collect_timings",
     "timed",
     "Table",
     "format_seconds",

@@ -1,10 +1,16 @@
-"""Wall-clock timing helpers.
+"""Wall-clock timing of named phases.
 
 The performance experiments (Table II, Figures 4, 6, 7) need consistent
 timing of individual phases (covariance generation, Cholesky factorization,
-QMC sweep).  ``Timer`` is a context manager measuring one region, and
-``TimingRegistry`` accumulates named regions so the benchmark harness can
-print per-phase breakdowns.
+QMC sweep).  A :class:`TimingRegistry` accumulates named regions so a caller
+can print per-phase breakdowns.
+
+No function takes a registry argument.  Library code times its phases with
+:func:`timed` (a region) and :func:`add_timing` (a measured total); both
+record into the registry of the innermost active :func:`collect_timings`
+block and do nothing when none is active.  The active collector lives in a
+:class:`contextvars.ContextVar`, so each thread collects on its own, and a
+nested collector's phases also reach every enclosing one.
 """
 
 from __future__ import annotations
@@ -12,33 +18,10 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
-__all__ = ["Timer", "TimingRegistry", "timed"]
-
-
-class Timer:
-    """Context manager measuring elapsed wall-clock time in seconds.
-
-    Examples
-    --------
-    >>> with Timer() as t:
-    ...     _ = sum(range(1000))
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.start: float | None = None
-        self.elapsed: float = 0.0
-
-    def __enter__(self) -> "Timer":
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        assert self.start is not None
-        self.elapsed = time.perf_counter() - self.start
+__all__ = ["TimingRegistry", "add_timing", "collect_timings", "timed"]
 
 
 @dataclass
@@ -63,9 +46,9 @@ class _Stat:
 class TimingRegistry:
     """Accumulates named timing regions.
 
-    Used by the PMVN driver and the benchmark harness to report the time
-    spent in Cholesky factorization vs the QMC sweep, mirroring the paper's
-    discussion of which phase dominates in dense vs TLR runs.
+    Filled by :func:`collect_timings` to report the time spent in Cholesky
+    factorization vs the QMC sweep, mirroring the paper's discussion of
+    which phase dominates in dense vs TLR runs.
     """
 
     stats: dict[str, _Stat] = field(default_factory=lambda: defaultdict(_Stat))
@@ -121,11 +104,48 @@ class TimingRegistry:
         return "\n".join(lines)
 
 
+#: the registry of the innermost active ``collect_timings`` block
+_ACTIVE: ContextVar[TimingRegistry | None] = ContextVar("repro_timings", default=None)
+
+
 @contextmanager
-def timed(registry: TimingRegistry | None, name: str):
-    """Time a region into ``registry`` if one is provided, else no-op."""
+def collect_timings():
+    """Collect the phases timed in this context into a fresh registry.
+
+    Yields the :class:`TimingRegistry`.  On exit its regions are merged
+    into the enclosing collector, if there is one.
+
+    >>> with collect_timings() as outer:
+    ...     with collect_timings() as inner:
+    ...         with timed("phase"):
+    ...             pass
+    >>> inner.count("phase"), outer.count("phase")
+    (1, 1)
+    """
+    registry = TimingRegistry()
+    token = _ACTIVE.set(registry)
+    try:
+        yield registry
+    finally:
+        _ACTIVE.reset(token)
+        enclosing = _ACTIVE.get()
+        if enclosing is not None:
+            enclosing.merge(registry)
+
+
+@contextmanager
+def timed(name: str):
+    """Time a region into the active collector; a no-op when none is active."""
+    registry = _ACTIVE.get()
     if registry is None:
         yield
     else:
         with registry.region(name):
             yield
+
+
+def add_timing(name: str, seconds: float) -> None:
+    """Record a measured duration into the active collector, if any."""
+    registry = _ACTIVE.get()
+    if registry is not None:
+        registry.add(name, seconds)

@@ -21,7 +21,7 @@ from repro.kernels import ExponentialKernel, Geometry, build_covariance
 from repro.mvn import mvn_sov_vectorized
 from repro.runtime import Runtime
 from repro.stats.qmc import qmc_samples
-from repro.utils.timers import TimingRegistry
+from repro.utils.timers import collect_timings
 
 
 @pytest.fixture
@@ -127,8 +127,8 @@ class TestFactorAdapters:
         assert 1 <= factor.tile_size <= spd20.shape[0]
 
     def test_timings_populated(self, spd20):
-        reg = TimingRegistry()
-        factorize(spd20, method="dense", tile_size=10, timings=reg)
+        with collect_timings() as reg:
+            factorize(spd20, method="dense", tile_size=10)
         assert reg.count("factorization") == 1
 
 
@@ -257,9 +257,9 @@ class TestPMVNIntegration:
             pmvn_integrate(np.full(n, 1.0), np.full(n, -1.0), factor)
 
     def test_timings_record_phases(self, spd20):
-        reg = TimingRegistry()
         n = spd20.shape[0]
-        pmvn_dense(np.full(n, -np.inf), np.full(n, 0.0), spd20, n_samples=500, tile_size=6, timings=reg, rng=0)
+        with collect_timings() as reg:
+            pmvn_dense(np.full(n, -np.inf), np.full(n, 0.0), spd20, n_samples=500, tile_size=6, rng=0)
         for region in ("factorization", "integration", "qmc_generation"):
             assert reg.count(region) >= 1
 

@@ -12,9 +12,10 @@ one solver) and bounds their ``tracemalloc`` peak above steady state by
 with the slack stated below.  ``tracemalloc`` counts allocations, not time,
 so the guard is deterministic on every machine.  A sweep pool per model
 (four fresh ``n x N`` work matrices), an ``n x n`` copy in the covariance
-checks or the fingerprint, or a second variates matrix in the sweep each
-push a detection past the budget: the pre-pool code measured 12.3-12.7
-``n^2`` doubles here against a budget of about 6.1.
+checks or the fingerprint, a second variates matrix in the sweep, or a
+whole-array floor in the QMC lattice each push a detection past the
+budget of about 4.6 ``n^2`` doubles: the pre-pool code measured 12.3-12.7
+here, and the whole-array floor 5.7.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ GRID = 16
 N_DIM = GRID * GRID
 N_SAMPLES = 2 * N_DIM
 DOUBLE = 8
-#: slack, in ``n^2`` doubles: the Richtmyer lattice's transient ``n x N`` floor
-#: array (``N = 2n``, so two), plus half a matrix for the small scratch
-#: (128 x 128 blocks, row vectors, task objects)
-SLACK_N2 = 2.0 + 0.5
+#: slack, in ``n^2`` doubles, for the small scratch (128 x 128 blocks, the
+#: lattice's blocked-floor rows, row vectors, task objects); a transient
+#: ``n x N`` array alone (``N = 2n``) would take two
+SLACK_N2 = 1.0
 
 
 def _mean(locations: np.ndarray, op: int) -> np.ndarray:

@@ -40,6 +40,7 @@ import repro.serve.net.placement
 import repro.serve.pool
 import repro.solver
 import repro.solver.solver
+import repro.utils.timers
 from repro.core.methods import (
     ACCEPTED_METHODS,
     METHOD_SPECS,
@@ -67,7 +68,7 @@ class TestDoctests:
          repro.mvn.result, repro.query, repro.query.planner, repro.query.spec,
          repro.serve, repro.serve.broker, repro.serve.net,
          repro.serve.net.placement, repro.serve.pool,
-         repro.solver, repro.solver.solver],
+         repro.solver, repro.solver.solver, repro.utils.timers],
         ids=lambda m: m.__name__,
     )
     def test_module_doctests(self, module):

@@ -27,7 +27,7 @@ from repro.core.kernel_backend import (
 from repro.solver import MVNSolver, SolverConfig
 from repro.stats.normal import norm_cdf, norm_cdf_interval, norm_ppf
 from repro.stats.qmc import qmc_samples
-from repro.utils.timers import TimingRegistry
+from repro.utils.timers import collect_timings
 
 numba_missing = "numba" not in available_backends()
 
@@ -299,9 +299,9 @@ class TestRegistry:
 class TestPhaseAttribution:
     def test_details_and_timings_expose_phases(self, spd36):
         n = spd36.shape[0]
-        reg = TimingRegistry()
-        res = pmvn_dense(np.full(n, -np.inf), np.full(n, 0.5), spd36,
-                         n_samples=400, tile_size=7, rng=0, timings=reg)
+        with collect_timings() as reg:
+            res = pmvn_dense(np.full(n, -np.inf), np.full(n, 0.5), spd36,
+                             n_samples=400, tile_size=7, rng=0)
         assert res.details["backend"] == "numpy"
         assert res.details["kernel_seconds"] > 0.0
         assert res.details["gemm_seconds"] >= 0.0
@@ -310,11 +310,9 @@ class TestPhaseAttribution:
 
     def test_solver_probability_accepts_timings(self, spd36):
         n = spd36.shape[0]
-        reg = TimingRegistry()
-        with MVNSolver(SolverConfig(method="dense", n_samples=300, tile_size=7)) as solver:
-            solver.model(spd36).probability(
-                np.full(n, -np.inf), np.full(n, 0.5), rng=0, timings=reg
-            )
+        with collect_timings() as reg, \
+                MVNSolver(SolverConfig(method="dense", n_samples=300, tile_size=7)) as solver:
+            solver.model(spd36).probability(np.full(n, -np.inf), np.full(n, 0.5), rng=0)
         assert reg.count("factorization") == 1
         assert reg.count("kernel_sweep") == 1
 

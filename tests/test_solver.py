@@ -327,6 +327,94 @@ class TestSweepPool:
         assert pool() is None
 
 
+class TestSharedRuntime:
+    """Two threads query models of one solver at the same time.
+
+    Each sweep and factorization holds the solver's runtime from its first
+    task through its ``wait_all``, so the two threads' task graphs never mix
+    and every answer equals its serial value.  Mixed graphs lost tasks or ran
+    them twice (wrong answers, a spurious ``LinAlgError`` from a half-built
+    tile) or hung the two-worker runtime, hence the watchdog join.
+    """
+
+    ROUNDS = 12
+
+    @staticmethod
+    def _sigmas(n_rounds: int) -> list[np.ndarray]:
+        geom = Geometry.regular_grid(6, 6)
+        base = build_covariance(ExponentialKernel(1.0, 0.2), geom.locations, nugget=1e-6)
+        return [base + (1.0 + 0.1 * k) * np.eye(base.shape[0]) for k in range(n_rounds)]
+
+    @staticmethod
+    def _answers(results) -> list[tuple[float, float]]:
+        return [(r.probability, r.error) for r in results]
+
+    def _run_threads(self, solver, work) -> list[list]:
+        """Run ``work(thread, solver)`` on two threads under a watchdog."""
+        import sys
+        import threading
+
+        out: list = [None, None]
+        errors: list = []
+
+        def run(thread: int) -> None:
+            try:
+                out[thread] = work(thread, solver)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(t,), daemon=True) for t in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two callers finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads), "watchdog: a thread hung"
+        assert not errors, errors
+        return out
+
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_factorized_models_match_serial(self, n_workers):
+        sigmas = self._sigmas(2)
+        boxes = TestSweepPool._boxes(sigmas[0].shape[0])
+        config = SolverConfig(method="dense", n_samples=64, tile_size=6)
+        with MVNSolver(config) as serial:
+            want = [[self._answers(serial.model(sigma).probability_batch(boxes, rng=k))
+                     for k in range(self.ROUNDS)] for sigma in sigmas]
+        with MVNSolver(config, n_workers=n_workers) as solver:
+            models = [solver.model(sigma) for sigma in sigmas]
+            for model in models:
+                model.factorize()
+            got = self._run_threads(solver, lambda t, _solver: [
+                self._answers(models[t].probability_batch(boxes, rng=k))
+                for k in range(self.ROUNDS)
+            ])
+        assert got == want
+
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("method", ["dense", "tlr"])
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_factorizations_match_serial(self, method, n_workers):
+        sigmas = self._sigmas(2 * self.ROUNDS)
+        boxes = TestSweepPool._boxes(sigmas[0].shape[0])
+        config = SolverConfig(method=method, n_samples=64, tile_size=6, accuracy=1e-6)
+
+        def rounds(thread: int, solver) -> list:
+            return [self._answers(solver.model(sigmas[2 * k + thread]).probability_batch(boxes, rng=k))
+                    for k in range(self.ROUNDS)]
+
+        with MVNSolver(config) as serial:
+            want = [rounds(t, serial) for t in (0, 1)]
+        with MVNSolver(config, n_workers=n_workers) as solver:
+            got = self._run_threads(solver, rounds)
+        assert got == want
+
+
 class TestLifecycle:
     def test_closed_solver_rejects_everything(self, solver_sigma):
         n = solver_sigma.shape[0]

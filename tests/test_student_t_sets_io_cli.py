@@ -181,3 +181,53 @@ class TestCLI:
         code = cli.main(["calibrate", "--tile-size", "48", "--rank", "4"])
         assert code == 0
         assert "CalibrationResult" in capsys.readouterr().out
+
+
+_SWEEP = ["gemm_propagation", "integration", "kernel_sweep", "qmc_generation", "workspace_setup"]
+_DENSE = ["cholesky", "factorization"]
+_TLR = ["compression", "factorization", "tlr_cholesky"]
+_DETECTION = ["factorize", "marginals", "pmvn_sweep", "standardize"]
+
+
+class TestCLIVerbose:
+    """``--verbose`` prints one phase table; its region names and call
+    counts are pinned per command."""
+
+    @staticmethod
+    def _regions(out: str) -> dict[str, int]:
+        table = out.split("region                          total(s)   calls    mean(s)\n", 1)
+        assert len(table) == 2, f"no phase table in:\n{out}"
+        regions = {}
+        for line in table[1].splitlines():
+            fields = line.split()
+            if len(fields) != 4:
+                break
+            regions[fields[0]] = int(fields[2])
+        return regions
+
+    @pytest.mark.parametrize(
+        "argv, regions, calls",
+        [
+            (["mvn", "--grid", "6", "--method", "dense"], _DENSE + _SWEEP, 1),
+            (["mvn", "--grid", "6", "--method", "tlr"], _TLR + _SWEEP, 1),
+            (["crd", "--grid", "8", "--method", "dense"], _DENSE + _SWEEP + _DETECTION, 1),
+            (["crd", "--grid", "8", "--method", "tlr"], _TLR + _SWEEP + _DETECTION, 1),
+            (["pipeline", "run", "--grid", "8", "--thresholds", "2"],
+             _DENSE + _SWEEP + _DETECTION, 4),
+        ],
+        ids=["mvn-dense", "mvn-tlr", "crd-dense", "crd-tlr", "pipeline-run"],
+    )
+    def test_phase_table(self, capsys, argv, regions, calls):
+        assert cli.main(argv + ["--samples", "200", "--verbose"]) == 0
+        assert self._regions(capsys.readouterr().out) == dict.fromkeys(regions, calls)
+
+    def test_batch_phase_table(self, tmp_path, capsys):
+        path = tmp_path / "boxes.npz"
+        upper = np.random.default_rng(0).uniform(0.5, 2.0, (3, 36))
+        np.savez(path, lower=np.full((3, 36), -np.inf), upper=upper)
+        argv = ["batch", "--boxes", str(path), "--grid", "6", "--method", "dense",
+                "--samples", "200", "--verbose"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "kernel backend   :" in out
+        assert self._regions(out) == dict.fromkeys(_DENSE + _SWEEP, 1)

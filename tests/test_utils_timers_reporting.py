@@ -1,22 +1,12 @@
 """Unit tests for repro.utils.timers and repro.utils.reporting."""
 
-import time
+import threading
 
 import numpy as np
 import pytest
 
 from repro.utils.reporting import Table, ascii_heatmap, format_seconds, format_si
-from repro.utils.timers import Timer, TimingRegistry, timed
-
-
-class TestTimer:
-    def test_measures_elapsed_time(self):
-        with Timer() as t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.009
-
-    def test_elapsed_zero_before_use(self):
-        assert Timer().elapsed == 0.0
+from repro.utils.timers import TimingRegistry, add_timing, collect_timings, timed
 
 
 class TestTimingRegistry:
@@ -56,14 +46,80 @@ class TestTimingRegistry:
         assert set(summary["x"]) == {"total", "count", "mean", "min", "max"}
 
     def test_timed_with_none_registry(self):
-        with timed(None, "anything"):
-            pass  # must not raise
+        with timed("anything"):
+            pass  # no active collector: must not raise
+        add_timing("anything", 1.0)
+        with collect_timings() as reg:
+            pass
+        assert reg.names() == []
 
     def test_timed_with_registry(self):
-        reg = TimingRegistry()
-        with timed(reg, "r"):
-            pass
+        with collect_timings() as reg:
+            with timed("r"):
+                pass
+            add_timing("s", 2.0)
         assert reg.count("r") == 1
+        assert reg.total("s") == pytest.approx(2.0)
+
+
+class TestCollectTimings:
+    def test_nested_collectors_merge_outward(self):
+        with collect_timings() as outer:
+            add_timing("before", 1.0)
+            with collect_timings() as inner:
+                add_timing("x", 2.0)
+                with collect_timings() as innermost:
+                    add_timing("x", 3.0)
+            add_timing("after", 4.0)
+        assert innermost.total("x") == pytest.approx(3.0)
+        assert inner.total("x") == pytest.approx(5.0) and inner.count("x") == 2
+        assert inner.names() == ["x"]
+        assert outer.names() == ["after", "before", "x"]
+        assert outer.total("x") == pytest.approx(5.0) and outer.count("x") == 2
+
+    def test_threads_collect_separately(self):
+        """Each thread records into its own collector, never the other's."""
+        barrier = threading.Barrier(2, timeout=10)
+        registries = {}
+
+        def work(name: str, calls: int) -> None:
+            with collect_timings() as reg:
+                barrier.wait()  # both collectors are active at once
+                for _ in range(calls):
+                    add_timing(name, 1.0)
+                barrier.wait()
+            registries[name] = reg
+
+        threads = [threading.Thread(target=work, args=(name, calls))
+                   for name, calls in (("a", 3), ("b", 5))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert registries["a"].names() == ["a"] and registries["a"].count("a") == 3
+        assert registries["b"].names() == ["b"] and registries["b"].count("b") == 5
+
+    def test_pipeline_detection_timings_count_one_detection(self, medium_spd):
+        """Each detection of a pipeline run stamps its own phases only;
+        the enclosing collector sees them all."""
+        from repro import MVNSolver, SolverConfig
+        from repro.query import QueryPipeline, execute_pipeline
+
+        n = medium_spd.shape[0]
+        pipeline = QueryPipeline(name="sweep")
+        pipeline.add_sigma("field", medium_spd, mean=np.zeros(n))
+        pipeline.add_excursion_sweep("sweep", [0.0, 0.5], sigma="field", rng=0)
+        config = SolverConfig(method="dense", n_samples=128, tile_size=8)
+        with collect_timings() as outer, MVNSolver(config) as solver:
+            out = execute_pipeline(pipeline, solver)
+        detections = [leg for analysis in out["sweep"]
+                      for leg in (analysis.positive, analysis.negative)]
+        assert len(detections) == 4
+        for result in detections:
+            assert result.details["timings"]["marginals"]["count"] == 1.0
+            assert result.details["timings"]["factorize"]["count"] == 1.0
+        assert outer.count("marginals") == 4
 
 
 class TestFormatting:
