@@ -136,7 +136,7 @@ def test_ablation_precision(benchmark, covariance):
         baseline = None
         for precision in ("double", "single", "half"):
             factor = factorize(covariance, method="tlr", tile_size=200, accuracy=1e-4,
-                               precision=precision, compression="rsvd", max_rank=64)
+                               precision=precision, max_rank=64)
             prob = pmvn_integrate(a, b, factor, PMVNOptions(n_samples=1500, rng=2)).probability
             baseline = baseline if baseline is not None else prob
             rows.append((precision, prob, abs(prob - baseline)))

@@ -41,7 +41,7 @@ def _elapsed(sigma: np.ndarray, method: str, n_samples: int) -> float:
     else:
         pmvn_tlr(
             a, b, sigma, n_samples=n_samples, tile_size=tile, accuracy=TLR_ACCURACY,
-            max_rank=64, compression="rsvd", runtime=runtime, rng=1,
+            max_rank=64, runtime=runtime, rng=1,
         )
     return time.perf_counter() - start
 

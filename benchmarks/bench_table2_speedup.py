@@ -47,7 +47,7 @@ def _run(sigma, method: str, n_samples: int) -> float:
     else:
         pmvn_tlr(
             a, b, sigma, n_samples=n_samples, tile_size=TILE_SIZE,
-            accuracy=TLR_ACCURACY, max_rank=MAX_RANK, compression="rsvd",
+            accuracy=TLR_ACCURACY, max_rank=MAX_RANK,
             runtime=runtime, rng=0,
         )
     return time.perf_counter() - start

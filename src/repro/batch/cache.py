@@ -5,7 +5,7 @@ repeated calls from a service loop) evaluate MVN probabilities against the
 same covariance over and over; the factorization is pure setup and can be
 amortized.  :class:`FactorCache` keys factors on a content fingerprint of
 the covariance plus the factorization settings ``(method, tile_size,
-accuracy, max_rank, precision, compression)``, so a cache hit is guaranteed
+accuracy, max_rank, precision)``, so a cache hit is guaranteed
 to reproduce exactly the factor a fresh :func:`repro.core.factor.factorize`
 call would build.
 
@@ -169,14 +169,13 @@ class FactorCache:
         accuracy: float,
         max_rank: int | None,
         precision: str,
-        compression: str,
     ) -> tuple:
         method = str(method).lower()
         if method == "dense":
             # dense factors ignore the TLR knobs; collapse them so a dense
             # factor is shared across accuracy settings
-            accuracy, max_rank, compression = None, None, None
-        return (method, tile_size, accuracy, max_rank, precision, compression)
+            accuracy, max_rank = None, None
+        return (method, tile_size, accuracy, max_rank, precision)
 
     @staticmethod
     def key(
@@ -186,11 +185,10 @@ class FactorCache:
         accuracy: float = 1e-3,
         max_rank: int | None = None,
         precision: str = "double",
-        compression: str = "svd",
     ) -> tuple:
         """The cache key for a covariance + factorization settings."""
         return (sigma_fingerprint(sigma),) + FactorCache._settings_key(
-            method, tile_size, accuracy, max_rank, precision, compression
+            method, tile_size, accuracy, max_rank, precision
         )
 
     def get_or_factorize(
@@ -202,7 +200,6 @@ class FactorCache:
         max_rank: int | None = None,
         runtime=None,
         precision: str = "double",
-        compression: str = "svd",
     ) -> CholeskyFactor:
         """Return a cached factor, building (and caching) it on first use.
 
@@ -210,7 +207,7 @@ class FactorCache:
         ``runtime`` only affects how a miss is computed, not the key.
         """
         key = (self._fingerprint(sigma),) + self._settings_key(
-            method, tile_size, accuracy, max_rank, precision, compression
+            method, tile_size, accuracy, max_rank, precision
         )
         factor = self._entries.get(key)
         if factor is not None:
@@ -226,7 +223,6 @@ class FactorCache:
             max_rank=max_rank,
             runtime=runtime,
             precision=precision,
-            compression=compression,
         )
         self.factorize_count += 1
         self._entries[key] = factor
@@ -242,7 +238,6 @@ class FactorCache:
         accuracy: float = 1e-3,
         max_rank: int | None = None,
         precision: str = "double",
-        compression: str = "svd",
     ) -> CholeskyFactor | None:
         """Look up a factor by a *known* fingerprint, without a sigma array.
 
@@ -252,7 +247,7 @@ class FactorCache:
         toward hit/miss statistics unless found.
         """
         key = (fingerprint,) + self._settings_key(
-            method, tile_size, accuracy, max_rank, precision, compression
+            method, tile_size, accuracy, max_rank, precision
         )
         factor = self._entries.get(key)
         if factor is not None:
@@ -269,7 +264,6 @@ class FactorCache:
         accuracy: float = 1e-3,
         max_rank: int | None = None,
         precision: str = "double",
-        compression: str = "svd",
     ) -> None:
         """Insert an externally-built factor under a known fingerprint.
 
@@ -278,7 +272,7 @@ class FactorCache:
         as if it had been factorized from the child covariance.
         """
         key = (fingerprint,) + self._settings_key(
-            method, tile_size, accuracy, max_rank, precision, compression
+            method, tile_size, accuracy, max_rank, precision
         )
         self._entries[key] = factor
         self._entries.move_to_end(key)

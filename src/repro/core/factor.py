@@ -173,7 +173,6 @@ def factorize(
     max_rank: int | None = None,
     runtime: Runtime | None = None,
     precision: str = "double",
-    compression: str = "svd",
 ) -> CholeskyFactor:
     """Factor a covariance matrix and wrap it in the PMVN adapter.
 
@@ -194,9 +193,6 @@ def factorize(
     precision : {"double", "single", "half"}
         Storage precision emulation for the factorization inputs and outputs
         (the paper's future-work direction); ``"double"`` is exact.
-    compression : {"svd", "rsvd"}
-        Per-tile compression algorithm for the TLR method (exact truncated
-        SVD, or the cheaper randomized range finder).
     """
     sigma = check_covariance(sigma, "covariance")
     sigma = _apply_precision(sigma, precision)
@@ -212,9 +208,7 @@ def factorize(
         return DenseTileFactor(factor)
     if method == "tlr":
         with timed("compression"):
-            tlr = TLRMatrix.from_dense(
-                sigma, tile_size, accuracy=accuracy, max_rank=max_rank, method=compression
-            )
+            tlr = TLRMatrix.from_dense(sigma, tile_size, accuracy=accuracy, max_rank=max_rank)
         with timed("factorization"):
             factor = tlr_cholesky(tlr, runtime=runtime, overwrite=True)
         if precision != "double":

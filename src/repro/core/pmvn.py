@@ -846,7 +846,6 @@ def pmvn_tlr(
     qmc: str = "richtmyer",
     rng=None,
     chain_block: int | None = None,
-    compression: str = "svd",
     factor: CholeskyFactor | None = None,
     backend: str | None = None,
     workspace: SweepWorkspace | None = None,
@@ -867,7 +866,6 @@ def pmvn_tlr(
             accuracy=accuracy,
             max_rank=max_rank,
             runtime=runtime,
-            compression=compression,
         )
     elif not isinstance(factor, CholeskyFactor):
         raise TypeError(f"factor must be a CholeskyFactor, got {type(factor).__name__}")

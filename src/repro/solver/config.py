@@ -24,6 +24,7 @@ from repro.core.kernel_backend import resolve_backend_name
 from repro.core.methods import AUTO_METHOD, PARALLEL_METHODS, canonical_method
 from repro.runtime.scheduler import canonical_policy
 from repro.stats.qmc import canonical_qmc
+from repro.utils.validation import check_accuracy
 
 __all__ = ["SolverConfig"]
 
@@ -42,7 +43,8 @@ class SolverConfig:
     tile_size : int, optional
         Tile extent for the factor-based methods (``None`` = heuristic).
     accuracy : float
-        TLR compression accuracy (ignored by ``"dense"`` and the baselines).
+        TLR compression accuracy, in (0, 1) (ignored by ``"dense"`` and the
+        baselines, but validated for every method).
     max_rank : int, optional
         Hard rank cap for TLR tiles.
     qmc : str
@@ -89,9 +91,7 @@ class SolverConfig:
             object.__setattr__(self, "backend", resolve_backend_name(self.backend))
         object.__setattr__(self, "n_samples", self._positive_int("n_samples", self.n_samples))
         object.__setattr__(self, "tile_size", self._positive_int("tile_size", self.tile_size, optional=True))
-        if not (float(self.accuracy) > 0.0):
-            raise ValueError("accuracy must be > 0")
-        object.__setattr__(self, "accuracy", float(self.accuracy))
+        object.__setattr__(self, "accuracy", check_accuracy(self.accuracy))
         object.__setattr__(self, "max_rank", self._positive_int("max_rank", self.max_rank, optional=True))
         object.__setattr__(self, "kernel_threads", self._positive_int("kernel_threads", self.kernel_threads, optional=True))
         if self.policy is not None:

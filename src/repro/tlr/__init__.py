@@ -5,8 +5,9 @@ each off-diagonal tile of the covariance matrix into a rank-``k`` factor
 ``U V^T`` at a user-chosen accuracy ``eps`` (1e-1 ... 1e-4 in the
 experiments), while diagonal tiles stay dense.  This subpackage implements:
 
-* :class:`~repro.tlr.compression.LowRankTile` and SVD/RSVD tile compression
-  with accuracy-driven rank truncation,
+* :class:`~repro.tlr.compression.LowRankTile` and rank-adaptive tile
+  compression (randomized QB with an exact error indicator, then a small
+  SVD) with accuracy-driven rank truncation,
 * low-rank arithmetic (addition with recompression/rounding, products),
 * :class:`~repro.tlr.matrix.TLRMatrix` — the compressed matrix container
   with rank statistics and memory accounting,
@@ -18,7 +19,6 @@ experiments), while diagonal tiles stay dense.  This subpackage implements:
 from repro.tlr.compression import (
     LowRankTile,
     compress_tile,
-    compress_tile_rsvd,
     lowrank_add,
     lowrank_matmul_dense,
     recompress,
@@ -35,7 +35,6 @@ __all__ = [
     "tlr_quadratic_form",
     "LowRankTile",
     "compress_tile",
-    "compress_tile_rsvd",
     "lowrank_add",
     "lowrank_matmul_dense",
     "recompress",

@@ -7,9 +7,11 @@ off-diagonal tiles in ``U Vᵀ`` form throughout the factorization:
 * ``TRSM``   — ``(U Vᵀ) L^{-T} = U (L^{-1} V)ᵀ``: only the ``V`` factor is
   touched, at cost ``O(nb² k)`` instead of ``O(nb³)``.
 * ``SYRK``   — ``C -= U (Vᵀ V) Uᵀ``: cost ``O(nb² k + nb k²)``.
-* ``GEMM``   — ``A_ij -= U_ik (V_ikᵀ V_jk) U_jkᵀ`` is itself low rank; it is
-  added to the low-rank ``A_ij`` and the result is rounded back to the target
-  accuracy.
+* ``GEMM``   — ``A_ij -= U_ik (V_ikᵀ V_jk) U_jkᵀ`` is itself low rank, at rank
+  ``min(k_ik, k_jk)`` (the small core is folded into the factor of the larger
+  rank); it is added to the low-rank ``A_ij`` and the result is rounded back
+  to the target accuracy (Householder QRs of the ``k_ij + min(k_ik, k_jk)``
+  stacked columns, reflectors applied to the kept columns only).
 
 This is where the up-to-20x speedup of the paper comes from: when the
 off-diagonal ranks are small (strong spatial correlation, loose accuracy),
@@ -59,9 +61,13 @@ def _syrk_lowrank(diag: np.ndarray, panel: LowRankTile) -> None:
 def _gemm_lowrank(target: LowRankTile, left: LowRankTile, right: LowRankTile, accuracy: float, max_rank: int | None) -> LowRankTile:
     if left.rank == 0 or right.rank == 0:
         return target
-    # left @ right^T = U_l (V_l^T V_r) U_r^T
+    # left @ right^T = U_l (V_l^T V_r) U_r^T, kept at rank min(k_l, k_r) by
+    # folding the core into the factor of the larger rank
     core = left.v.T @ right.v
-    update = LowRankTile(left.u @ core, right.u.copy())
+    if left.rank <= right.rank:
+        update = LowRankTile(left.u, right.u @ core.T)
+    else:
+        update = LowRankTile(left.u @ core, right.u)
     return lowrank_add(target, update, alpha=-1.0, accuracy=accuracy, max_rank=max_rank)
 
 

@@ -18,8 +18,8 @@ import numpy as np
 from repro.kernels.builder import build_covariance_tile
 from repro.kernels.covariance import CovarianceKernel
 from repro.tile.layout import TileMatrix, tile_ranges
-from repro.tlr.compression import LowRankTile, compress_tile, compress_tile_rsvd
-from repro.utils.validation import check_positive_int, ensure_2d
+from repro.tlr.compression import LowRankTile, compress_tile
+from repro.utils.validation import check_accuracy, check_positive_int, ensure_2d
 
 __all__ = ["TLRMatrix"]
 
@@ -30,9 +30,7 @@ class TLRMatrix:
     def __init__(self, n: int, tile_size: int, accuracy: float = 1e-3, max_rank: int | None = None) -> None:
         self.n = check_positive_int(n, "n")
         self.tile_size = check_positive_int(tile_size, "tile_size")
-        if accuracy <= 0.0 or accuracy >= 1.0:
-            raise ValueError("accuracy must lie in (0, 1)")
-        self.accuracy = float(accuracy)
+        self.accuracy = check_accuracy(accuracy)
         self.max_rank = int(max_rank) if max_rank is not None else None
         self.ranges = tile_ranges(self.n, self.tile_size)
         self.diagonal: dict[int, np.ndarray] = {}
@@ -46,19 +44,17 @@ class TLRMatrix:
         tile_size: int,
         accuracy: float = 1e-3,
         max_rank: int | None = None,
-        method: str = "svd",
     ) -> "TLRMatrix":
         """Compress a dense symmetric matrix into TLR format."""
         dense = ensure_2d(dense, "matrix")
         if dense.shape[0] != dense.shape[1]:
             raise ValueError("TLR compression expects a square (symmetric) matrix")
         out = cls(dense.shape[0], tile_size, accuracy, max_rank)
-        compressor = compress_tile if method == "svd" else compress_tile_rsvd
         for i, (r0, r1) in enumerate(out.ranges):
             # copy so that in-place factorizations never touch the caller's matrix
             out.diagonal[i] = dense[r0:r1, r0:r1].copy()
             for j, (c0, c1) in enumerate(out.ranges[:i]):
-                out.offdiag[(i, j)] = compressor(dense[r0:r1, c0:c1], accuracy=accuracy, max_rank=max_rank)
+                out.offdiag[(i, j)] = compress_tile(dense[r0:r1, c0:c1], accuracy=accuracy, max_rank=max_rank)
         return out
 
     @classmethod
@@ -87,7 +83,6 @@ class TLRMatrix:
         accuracy: float = 1e-3,
         max_rank: int | None = None,
         nugget: float = 0.0,
-        method: str = "svd",
     ) -> "TLRMatrix":
         """Generate-and-compress a covariance matrix tile by tile.
 
@@ -97,12 +92,11 @@ class TLRMatrix:
         """
         locations = ensure_2d(locations, "locations")
         out = cls(locations.shape[0], tile_size, accuracy, max_rank)
-        compressor = compress_tile if method == "svd" else compress_tile_rsvd
         for i, rr in enumerate(out.ranges):
             out.diagonal[i] = build_covariance_tile(kernel, locations, rr, rr, nugget=nugget)
             for j, cr in enumerate(out.ranges[:i]):
                 dense_tile = build_covariance_tile(kernel, locations, rr, cr, nugget=nugget)
-                out.offdiag[(i, j)] = compressor(dense_tile, accuracy=accuracy, max_rank=max_rank)
+                out.offdiag[(i, j)] = compress_tile(dense_tile, accuracy=accuracy, max_rank=max_rank)
         return out
 
     # -- queries ---------------------------------------------------------------

@@ -19,6 +19,7 @@ __all__ = [
     "check_limits",
     "check_positive_int",
     "check_probability",
+    "check_accuracy",
 ]
 
 
@@ -179,3 +180,11 @@ def check_probability(p, name: str = "probability") -> float:
     if not (0.0 <= p <= 1.0) or np.isnan(p):
         raise ValueError(f"{name} must lie in [0, 1], got {p}")
     return p
+
+
+def check_accuracy(accuracy) -> float:
+    """Validate a relative TLR accuracy, which must lie in the open interval (0, 1)."""
+    accuracy = float(accuracy)
+    if not 0.0 < accuracy < 1.0:
+        raise ValueError("accuracy must lie in (0, 1)")
+    return accuracy

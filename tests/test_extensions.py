@@ -219,8 +219,3 @@ class TestMixedPrecision:
     def test_unknown_precision_rejected(self, spd_cov):
         with pytest.raises(ValueError):
             factorize(spd_cov, precision="quad")
-
-    def test_rsvd_compression_option(self, spd_cov):
-        svd = factorize(spd_cov, method="tlr", tile_size=14, accuracy=1e-6, compression="svd")
-        rsvd = factorize(spd_cov, method="tlr", tile_size=14, accuracy=1e-6, compression="rsvd")
-        np.testing.assert_allclose(svd.to_dense(), rsvd.to_dense(), atol=1e-4)

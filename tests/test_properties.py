@@ -11,6 +11,7 @@ from repro.stats.normal import norm_cdf, norm_cdf_interval, norm_ppf
 from repro.stats.qmc import HaltonSequence, RichtmyerLattice, first_primes
 from repro.tile import TileMatrix, tiled_cholesky
 from repro.tlr import TLRMatrix, compress_tile, lowrank_add, tlr_cholesky
+from repro.tlr.compression import QB_BLOCK, QB_SLACK
 from repro.mvn import mvn_sov_vectorized
 
 # hypothesis settings shared by the numerically heavier properties
@@ -119,6 +120,41 @@ class TestTLRProperties:
         if spectral_norm > 0:
             err = np.linalg.norm(tile.to_dense() - dense, 2) / spectral_norm
             assert err <= max(accuracy * 3.0, 1e-12)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.integers(1, 130),
+        st.integers(1, 130),
+        st.integers(1, 130),
+        st.floats(0.5, 20.0),
+        st.floats(-8.0, -1.0),
+        st.one_of(st.none(), st.integers(1, 130)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_compression_meets_its_contract(self, m, n, rank, decades, log_eps, max_rank, seed):
+        """``||A - U V^T||_2 <= (1 + g) eps sigma_1`` and the exact SVD's rank.
+
+        The tile has exact rank ``rank`` and a spectrum falling over
+        ``decades`` decades.  A cap binds when it truncates the exact rank
+        or stops the range basis before it spans the tile.
+        """
+        rng = np.random.default_rng(seed)
+        rank = min(rank, m, n)
+        u = np.linalg.qr(rng.standard_normal((m, rank)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+        dense = (u * np.logspace(0, -decades, rank)) @ v.T
+        eps = 10.0**log_eps
+        tile = compress_tile(dense, accuracy=eps, max_rank=max_rank)
+        sv = np.linalg.svd(dense, compute_uv=False)
+        exact = max(1, int(np.sum(sv > eps * sv[0])))
+        if max_rank is not None:
+            assert tile.rank <= max_rank
+            if exact > max_rank or rank > max_rank + QB_BLOCK:
+                return
+        err = np.linalg.norm(dense - tile.to_dense(), 2)
+        assert err <= (1.0 + QB_SLACK) * eps * sv[0]
+        if not np.any(np.abs(sv - eps * sv[0]) <= QB_SLACK * eps * sv[0]):
+            assert tile.rank == exact
 
     @_SLOW
     @given(st.integers(0, 200), st.floats(-3, 3))

@@ -508,6 +508,10 @@ class TestConfig:
             SolverConfig(tile_size=0)
         with pytest.raises(ValueError, match="accuracy"):
             SolverConfig(accuracy=0.0)
+        # rejected where configured, not at the first TLR factorization
+        for accuracy in (1.0, 1.5, float("inf")):
+            with pytest.raises(ValueError, match=r"accuracy must lie in \(0, 1\)"):
+                SolverConfig(method="tlr", accuracy=accuracy)
         with pytest.raises(ValueError, match="max_rank"):
             SolverConfig(max_rank=0)
 

@@ -1,16 +1,25 @@
 """Unit tests for the Tile Low-Rank substrate."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
+from repro.core.pmvn import pmvn_dense, pmvn_tlr
 
 from repro.kernels import ExponentialKernel, Geometry, build_covariance
 from repro.runtime import Runtime
 from repro.tile import TileMatrix
+from repro.tlr import cholesky as tlr_cholesky_module
+from repro.tlr import compression as tlr_compression
 from repro.tlr import (
     LowRankTile,
     TLRMatrix,
     compress_tile,
-    compress_tile_rsvd,
     lowrank_add,
     lowrank_matmul_dense,
     rank_distribution,
@@ -27,6 +36,14 @@ def _smooth_tile(rng, m=30, n=24, rank=5):
     v = rng.standard_normal((n, rank))
     scales = np.logspace(0, -6, rank)
     return (u * scales) @ v.T
+
+
+def _decaying_tile(rng, m, n, decades):
+    """A tile whose singular values fall evenly over ``decades`` decades."""
+    p = min(m, n)
+    u = np.linalg.qr(rng.standard_normal((m, p)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, p)))[0]
+    return (u * np.logspace(0, -decades, p)) @ v.T
 
 
 class TestLowRankTile:
@@ -82,13 +99,40 @@ class TestCompression:
         with pytest.raises(ValueError):
             compress_tile(rng.standard_normal((4, 4)), accuracy=2.0)
 
-    def test_rsvd_close_to_svd(self, rng):
-        dense = _smooth_tile(rng, 80, 70, 6)
-        svd_tile = compress_tile(dense, accuracy=1e-5)
-        rsvd_tile = compress_tile_rsvd(dense, accuracy=1e-5, max_rank=20, rng=0)
-        err = np.linalg.norm(rsvd_tile.to_dense() - dense) / np.linalg.norm(dense)
-        assert err < 1e-4
-        assert abs(rsvd_tile.rank - svd_tile.rank) <= 3
+    def test_compression_is_history_independent(self, tmp_path):
+        """A tile's sketch depends on its width and block index only.
+
+        The probe needs several sketch blocks; in between, tiles of other
+        widths (some narrower than one block) and of its own width (needing
+        fewer blocks) are compressed, and a fresh process compresses it with
+        nothing before it.
+        """
+        rng = np.random.default_rng(21)
+        probe = _decaying_tile(rng, 60, 50, decades=8.0)
+        before = compress_tile(probe, accuracy=1e-4)
+        assert before.rank > tlr_compression.QB_BLOCK
+        for m, n, decades in ((60, 50, 30.0), (7, 9, 4.0), (12, 3, 2.0), (90, 130, 8.0), (40, 17, 6.0)):
+            compress_tile(_decaying_tile(rng, m, n, decades), accuracy=1e-4)
+        after = compress_tile(probe, accuracy=1e-4)
+        assert before.u.tobytes() == after.u.tobytes()
+        assert before.v.tobytes() == after.v.tobytes()
+
+        path = tmp_path / "probe.npy"
+        np.save(path, probe)
+        code = (
+            "import sys, numpy as np\n"
+            "from repro.tlr import compress_tile\n"
+            "t = compress_tile(np.load(sys.argv[1]), accuracy=1e-4)\n"
+            "sys.stdout.write(t.u.tobytes().hex() + ' ' + t.v.tobytes().hex())\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env, timeout=120, check=True
+        )
+        fresh_u, fresh_v = out.stdout.split()
+        assert fresh_u == before.u.tobytes().hex()
+        assert fresh_v == before.v.tobytes().hex()
 
     def test_recompress_reduces_inflated_rank(self, rng):
         dense = _smooth_tile(rng, rank=3)
@@ -215,10 +259,51 @@ class TestTLRCholesky:
         out = tlr_cholesky(tlr, overwrite=True)
         assert out is tlr
 
+    def test_gemm_stacks_min_rank(self, monkeypatch):
+        """Every GEMM task rounds ``k_ij + min(k_ik, k_jk)`` stacked columns."""
+        geom = Geometry.regular_grid(12, 12)
+        sigma = build_covariance(ExponentialKernel(1.0, 0.1), geom.locations, nugget=1e-6)
+        expected, stacked, unequal = [], [], []
+        real_gemm, real_recompress = tlr_cholesky_module._gemm_lowrank, tlr_compression.recompress
+
+        def gemm(target, left, right, **kwargs):
+            if left.rank and right.rank:
+                expected.append(target.rank + min(left.rank, right.rank))
+                if left.rank != right.rank:
+                    unequal.append(True)
+            return real_gemm(target, left, right, **kwargs)
+
+        def recompress(tile, *args, **kwargs):
+            stacked.append(tile.rank)
+            return real_recompress(tile, *args, **kwargs)
+
+        monkeypatch.setattr(tlr_cholesky_module, "_gemm_lowrank", gemm)
+        monkeypatch.setattr(tlr_compression, "recompress", recompress)
+        tlr_cholesky(TLRMatrix.from_dense(sigma, 16, accuracy=1e-3), Runtime(n_workers=1))
+        assert unequal  # some task multiplies tiles of different ranks
+        assert stacked == expected
+
     def test_flop_model_much_smaller_than_dense(self):
         dense_flops = 19600**3 / 3
         tlr_flops = tlr_cholesky_flops(19600, 980, 10)
         assert tlr_flops < dense_flops / 10
+
+
+class TestEndToEndAccuracy:
+    def test_tlr_probability_tracks_dense(self):
+        """Only the factor separates the two estimates: the QMC points are shared.
+
+        The bound ``0.025 * eps`` is twice the largest gap the exact
+        per-tile SVD compressor left here (0.0117 eps at eps = 1e-2).
+        """
+        geom = Geometry.regular_grid(16, 16)
+        sigma = build_covariance(ExponentialKernel(1.0, 0.234), geom.locations, nugget=1e-6)
+        n = sigma.shape[0]
+        a, b = np.full(n, -np.inf), np.full(n, 1.5)
+        dense = pmvn_dense(a, b, sigma, n_samples=2000, tile_size=32, rng=7).probability
+        for eps in (1e-2, 1e-3, 1e-4):
+            tlr = pmvn_tlr(a, b, sigma, n_samples=2000, tile_size=32, accuracy=eps, rng=7).probability
+            assert abs(tlr - dense) <= 0.025 * eps
 
 
 class TestRankAnalysis:
