@@ -4,17 +4,22 @@ The acceptance gate of the declarative-query PR: across a three-scenario
 sweep spanning the planner's decision space —
 
 * **small_dense** — a small exponential-kernel field, where dense
-  factorization is cheap and compression overhead cannot pay off,
+  factorization is cheap and compression overhead cannot pay off
+  (``auto`` picks dense),
 * **banded_tile** — a banded (AR-style) covariance at medium dimension,
-  whose off-diagonal tiles compress to tiny ranks,
+  whose off-diagonal tiles compress to rank 1 (``auto`` picks TLR; the two
+  methods are within ~5% of each other on a 2-core x86_64 box),
 * **lowrank_tlr** — a large smooth (long-range) field, the paper's TLR
-  sweet spot —
+  sweet spot (``auto`` picks TLR) —
 
 the planner-chosen method must never cost more than **1.2x** the best
 hand-picked method's wall time (cold functional calls, the auto candidate
 first in every repeat, minima across repeats), while remaining
 **bit-identical** to explicitly requesting the method the planner chose.
 The record's ``value`` is the worst scenario's ratio, so lower is better.
+The picks above are those of the planner's committed rates (fitted with one
+BLAS thread per worker); the quick sizes are single-tile problems, where
+both candidates cost the same and ``auto`` picks dense.
 """
 
 from __future__ import annotations

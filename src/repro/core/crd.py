@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.factor import CholeskyFactor, factorize
-from repro.core.pmvn import PMVNOptions, pmvn_integrate
+from repro.core.pmvn import PMVNOptions, pmvn_integrate, pmvn_integrate_batch
 from repro.runtime import Runtime
 from repro.stats.normal import norm_cdf
 from repro.tile.layout import tile_ranges
@@ -45,6 +45,7 @@ from repro.utils.validation import check_probability, ensure_1d
 __all__ = [
     "ConfidenceRegionResult",
     "marginal_exceedance",
+    "prefix_boxes",
     "confidence_region",
     "confidence_region_from_posterior",
 ]
@@ -59,6 +60,29 @@ def marginal_exceedance(mean: np.ndarray, variance: np.ndarray, threshold: float
     if np.any(variance <= 0):
         raise ValueError("variances must be strictly positive")
     return 1.0 - norm_cdf((threshold - mean) / np.sqrt(variance))
+
+
+def prefix_boxes(a, sizes=None) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The prefix boxes of Algorithm 1's sequential form: ``(sizes, boxes)``.
+
+    The box of prefix size ``k`` keeps the first ``k`` lower limits of ``a``
+    and opens the rest to ``-inf``; every upper limit is ``+inf``.
+    ``sizes`` defaults to every prefix ``1..n``; given sizes are clipped to
+    ``[1, n]``, de-duplicated and sorted.
+    """
+    a = np.asarray(a, dtype=np.float64).ravel()
+    n = a.shape[0]
+    if sizes is None:
+        sizes = np.arange(1, n + 1)
+    else:
+        sizes = np.unique(np.clip(np.asarray(sizes, dtype=int), 1, n))
+    upper = np.full(n, np.inf)
+    boxes = []
+    for size in sizes:
+        lower = np.full(n, -np.inf)
+        lower[:size] = a[:size]
+        boxes.append((lower, upper))
+    return sizes, boxes
 
 
 @dataclass
@@ -366,38 +390,27 @@ def _sequential_joint_probabilities(
     backend: str | None = None,
     workspace=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Paper-faithful prefix boxes, expressed as a prefix-chain pipeline.
+    """Paper-faithful prefix boxes, swept as one batch on the shared factor.
 
-    The prefix boxes (``-inf`` lower limits outside the prefix) are built
-    by :meth:`repro.query.QueryPipeline.add_prefix_chain` and executed
-    factor-bound: the chain compiles into one fused stage, which
-    :func:`repro.query.executors.execute_factor_bound` dispatches as a
-    single :func:`~repro.core.pmvn.pmvn_integrate_batch` call against the
-    shared factor — same boxes, same order, same options, so the per-chain
-    arithmetic — and hence every probability — is identical to the
-    historical one-``pmvn_integrate``-per-prefix loop this replaces.
+    The :func:`prefix_boxes` of ``levels`` (``-inf`` lower limits outside
+    the prefix) go through a single
+    :func:`~repro.core.pmvn.pmvn_integrate_batch` call, whose per-chain
+    arithmetic equals one ``pmvn_integrate`` call per prefix with the same
+    options, so every probability does too.
 
     Prefix sizes not in ``levels`` are filled by linear interpolation of the
     evaluated ones so the confidence function is defined everywhere.
     """
-    # imported late: the query layer builds on this module's result types
-    from repro.query.executors import execute_factor_bound
-    from repro.query.pipeline import QueryPipeline
-
     n = factor.n
-    pipeline = QueryPipeline(name="crd-sequential")
-    pipeline.add_sigma("problem", n=n)
-    pipeline.add_prefix_chain("chain", a_std, sigma="problem",
-                              sizes=None if levels is None else levels)
-    sizes = np.array([pipeline.node(name).query.tag
-                      for name in pipeline.node("chain").inputs])
+    sizes, boxes = prefix_boxes(a_std, levels)
     options = PMVNOptions(
         n_samples=n_samples, qmc=qmc, rng=rng,
         backend=backend, workspace=workspace,
     )
     with timed("pmvn_sequential"):
-        out = execute_factor_bound(pipeline, factor, options, runtime=runtime)
-    prob_at, err_at = out["chain"]
+        results = pmvn_integrate_batch(boxes, factor, options, runtime=runtime)
+    prob_at = np.array([result.probability for result in results])
+    err_at = np.array([result.error for result in results])
     all_sizes = np.arange(1, n + 1)
     prefix_prob = np.interp(all_sizes, sizes, prob_at)
     prefix_err = np.interp(all_sizes, sizes, err_at)

@@ -135,14 +135,15 @@ METHOD_SPECS: tuple[MethodSpec, ...] = (
         aliases=("planned",),
         kind="planned",
         summary=(
-            "planner-chosen estimator: a cost model over the dimension, box "
-            "one-sidedness and covariance structure picks ``\"dense\"`` or "
-            "``\"tlr\"`` per query (see ``docs/query.md``)"
+            "planner-chosen estimator: ``\"dense\"`` or ``\"tlr\"``, whichever "
+            "a cost model in seconds over the dimension, sample size and "
+            "off-diagonal rank prices cheaper (see ``docs/query.md``)"
         ),
         tradeoff=(
             "Delegates the `dense`-vs-`tlr` choice to `repro.query.QueryPlanner`: "
-            "dense below the planner's size threshold, TLR above it when a "
-            "structure probe finds compressible off-diagonal tiles.  The chosen "
+            "both factorizations and sweeps are priced from one fitted rate "
+            "table and the cheaper one runs; a structure probe measures the "
+            "off-diagonal rank only when it can change the answer.  The chosen "
             "plan is recorded under `result.details[\"plan\"]`; results are "
             "bit-identical to explicitly requesting the chosen method."
         ),

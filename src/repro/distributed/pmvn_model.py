@@ -23,6 +23,7 @@ import numpy as np
 from repro.distributed.cluster import ClusterSpec
 from repro.distributed.simulator import ClusterSimulator, SimTask, SimulationResult
 from repro.perf.calibration import CalibrationResult
+from repro.tile.dense_kernels import gemm_flops, potrf_flops, trsm_flops
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -80,13 +81,13 @@ class KernelRates:
         )
 
     def gemm_seconds(self, m: int, n: int, k: int) -> float:
-        return 2.0 * m * n * k / (self.core_gflops * 1e9)
+        return gemm_flops(m, n, k) / (self.core_gflops * 1e9)
 
     def potrf_seconds(self, nb: int) -> float:
-        return (nb**3 / 3.0) / (self.core_gflops * 1e9)
+        return potrf_flops(nb) / (self.core_gflops * 1e9)
 
     def trsm_seconds(self, m: int, nb: int) -> float:
-        return m * nb * nb / (self.core_gflops * 1e9)
+        return trsm_flops(m, nb) / (self.core_gflops * 1e9)
 
     def qmc_seconds(self, rows: int, chains: int) -> float:
         return rows * chains / self.qmc_rows_per_second

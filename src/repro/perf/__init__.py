@@ -20,13 +20,7 @@ file each under ``benchmarks/`` and append their records to
 
 from repro.perf.machines import MachineSpec, MACHINES, get_machine
 from repro.perf.calibration import CalibrationResult, calibrate
-from repro.perf.models import (
-    PMVNCostModel,
-    dense_cholesky_flops,
-    tlr_cholesky_model_flops,
-    sweep_flops,
-    predict_shared_memory_time,
-)
+from repro.perf.models import PMVNCostModel, sweep_flops
 
 __all__ = [
     "MachineSpec",
@@ -35,8 +29,5 @@ __all__ = [
     "CalibrationResult",
     "calibrate",
     "PMVNCostModel",
-    "dense_cholesky_flops",
-    "tlr_cholesky_model_flops",
     "sweep_flops",
-    "predict_shared_memory_time",
 ]

@@ -25,30 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.perf.machines import MachineSpec
+from repro.tile.dense_kernels import potrf_flops
 from repro.tlr.cholesky import tlr_cholesky_flops
 
 __all__ = [
-    "dense_cholesky_flops",
-    "tlr_cholesky_model_flops",
     "sweep_flops",
     "PMVNCostModel",
-    "predict_shared_memory_time",
 ]
 
 #: Cost, in equivalent flops, of one scalar Phi / Phi^{-1} evaluation pair in
 #: the QMC kernel (erfc + Newton-free inverse via ndtri); calibrated against
 #: the measured qmc_rows_per_second when a calibration is supplied.
 PHI_EVAL_FLOPS = 60.0
-
-
-def dense_cholesky_flops(n: int) -> float:
-    """``n^3 / 3`` flops of the dense Cholesky factorization."""
-    return n**3 / 3.0
-
-
-def tlr_cholesky_model_flops(n: int, tile_size: int, mean_rank: float) -> float:
-    """Flop model of the TLR Cholesky (delegates to :mod:`repro.tlr.cholesky`)."""
-    return tlr_cholesky_flops(n, tile_size, mean_rank)
 
 
 def sweep_flops(n: int, n_samples: int, tile_size: int, mean_rank: float | None = None) -> float:
@@ -100,7 +88,7 @@ class PMVNCostModel:
         return float(n) * float(n) * self.kernel_eval_ns * 1e-9 / self.machine.cores
 
     def cholesky_time(self, n: int, method: str = "dense", tile_size: int = 512, mean_rank: float = 12.0) -> float:
-        flops = dense_cholesky_flops(n) if method == "dense" else tlr_cholesky_model_flops(n, tile_size, mean_rank)
+        flops = potrf_flops(n) if method == "dense" else tlr_cholesky_flops(n, tile_size, mean_rank)
         rate = self.machine.sustained_gflops(self.blas_efficiency) * 1e9
         return flops / rate
 
@@ -135,18 +123,3 @@ class PMVNCostModel:
         dense = self.total_time(n, n_samples, "dense", tile_size, mean_rank)
         tlr = self.total_time(n, n_samples, "tlr", tile_size, mean_rank)
         return dense / tlr
-
-
-def predict_shared_memory_time(
-    machine: MachineSpec,
-    n: int,
-    n_samples: int,
-    method: str = "dense",
-    tile_size: int = 512,
-    mean_rank: float = 12.0,
-    blas_efficiency: float = 0.55,
-    sweep_efficiency: float = 0.12,
-) -> float:
-    """One-call wrapper around :class:`PMVNCostModel.total_time`."""
-    model = PMVNCostModel(machine, blas_efficiency, sweep_efficiency)
-    return model.total_time(n, n_samples, method, tile_size, mean_rank)

@@ -8,7 +8,8 @@ The query layer decouples *what* a caller asks from *how* it runs:
   normalizes its arguments into one of these, so validation happens once,
   uniformly, at the query boundary.
 * :class:`QueryPlanner` / :class:`QueryPlan` — the deterministic cost model
-  that resolves ``method="auto"`` to a concrete estimator, picks the kernel
+  (seconds priced from :data:`PLANNER_RATES`) that resolves
+  ``method="auto"`` to the cheaper concrete estimator, picks the kernel
   backend, and sets the adaptive-accuracy schedule a ``target_error``
   triggers.  :func:`plan_query` is the one-shot convenience (the CLI's
   ``repro plan``).
@@ -34,6 +35,8 @@ See ``docs/query.md`` for the spec -> plan -> execute lifecycle and
 from repro.query.spec import MVNQuery
 from repro.query.planner import (
     DEFAULT_BUDGET_MULTIPLIER,
+    PLANNER_RATES,
+    PlannerRates,
     QueryPlan,
     QueryPlanner,
     next_sample_count,
@@ -50,7 +53,6 @@ from repro.query.pipeline import (
 )
 from repro.query.executors import (
     PipelineResult,
-    execute_factor_bound,
     execute_pipeline,
     simulate_pipeline,
 )
@@ -59,6 +61,8 @@ __all__ = [
     "MVNQuery",
     "QueryPlan",
     "QueryPlanner",
+    "PlannerRates",
+    "PLANNER_RATES",
     "plan_query",
     "next_sample_count",
     "DEFAULT_BUDGET_MULTIPLIER",
@@ -70,7 +74,6 @@ __all__ = [
     "SigmaRef",
     "build_pipeline_plan",
     "execute_pipeline",
-    "execute_factor_bound",
     "simulate_pipeline",
     "escalate_batch",
 ]

@@ -14,15 +14,11 @@ demand per runner, so the *same* frozen graph executes
   :class:`repro.serve.QueryBroker`): whole stages submitted as micro-batch
   windows with a pipeline-aware batch key (``batch_tag=(pipeline, stage)``),
   so one stage's queries coalesce on their owning shard;
-* against an already-factorized problem (:func:`execute_factor_bound`):
-  the CRD sequential path, where the standardized correlation matrix is
-  factorized by the caller and every fused stage is exactly one
-  :func:`repro.core.pmvn.pmvn_integrate_batch` call — bit-identical to the
-  historical loop;
 * on the distributed simulator (:func:`simulate_pipeline`): the compiled
   stages become :class:`repro.distributed.SimTask` graphs (factorizations
-  placed by fingerprint routing, sweeps depending on them) run through the
-  *unchanged* :class:`repro.distributed.ClusterSimulator`.
+  placed by fingerprint routing, sweeps depending on them, both costed in
+  the planner's modelled seconds) run through the *unchanged*
+  :class:`repro.distributed.ClusterSimulator`.
 
 Results come back as a :class:`PipelineResult` mapping node names to their
 values (query nodes -> :class:`repro.mvn.result.MVNResult`, crd nodes ->
@@ -32,19 +28,16 @@ their callable returned).
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.pmvn import PMVNOptions, pmvn_integrate_batch
 from repro.query.pipeline import PipelinePlan, QueryPipeline
 from repro.query.planner import QueryPlanner
 
 __all__ = [
     "PipelineResult",
     "execute_pipeline",
-    "execute_factor_bound",
     "simulate_pipeline",
 ]
 
@@ -107,12 +100,6 @@ def _execute_on_solver(pipeline: QueryPipeline, solver) -> PipelineResult:
         key = (ref_name, negate)
         if key not in models:
             ref = pipeline.sigma_ref(ref_name)
-            if ref.sigma is None:
-                raise ValueError(
-                    f"sigma ref {ref_name!r} is factor-bound (no covariance "
-                    "array); a solver executor needs the matrix — use "
-                    "execute_factor_bound with the pre-built factor instead"
-                )
             mean = _negated_mean(ref.mean) if negate else ref.mean
             model = solver.model(ref.sigma, mean=mean)
             # the graph-level structure probe: every model of this ref plans
@@ -172,11 +159,6 @@ def _execute_on_broker(pipeline: QueryPipeline, broker) -> PipelineResult:
                 "MVNSolver instead"
             )
         ref = pipeline.sigma_ref(stage.sigma)
-        if ref.sigma is None:
-            raise ValueError(
-                f"sigma ref {stage.sigma!r} is factor-bound; a broker "
-                "executor needs the covariance array"
-            )
         futures = []
         for name in stage.nodes:
             query = pipeline.node(name).query
@@ -191,54 +173,21 @@ def _execute_on_broker(pipeline: QueryPipeline, broker) -> PipelineResult:
     return PipelineResult(results=results, plan=None, details={"executor": "broker"})
 
 
-def execute_factor_bound(pipeline: QueryPipeline, factor, options: PMVNOptions,
-                         *, runtime=None) -> PipelineResult:
-    """Run a query-only pipeline against one pre-built Cholesky factor.
-
-    Every fused stage is exactly one
-    :func:`repro.core.pmvn.pmvn_integrate_batch` call with the given
-    ``options`` (per-query sampling overrides are ignored — the factor and
-    options *are* the execution context), so the CRD sequential path built
-    on this is bit-identical to its historical hand-written loop.
-    """
-    stages = pipeline.compile()
-    results: dict = {}
-    for stage in stages:
-        if stage.kind == "python":
-            _run_python_stage(pipeline, stage.nodes[0], results)
-            continue
-        if stage.kind != "sweep":
-            raise ValueError(
-                "factor-bound execution supports query and reduction nodes "
-                f"only, not {stage.kind!r}"
-            )
-        nodes = [pipeline.node(name) for name in stage.nodes]
-        boxes = [(node.query.a, node.query.b) for node in nodes]
-        batch = pmvn_integrate_batch(boxes, factor, options, runtime=runtime)
-        for node, result in zip(nodes, batch):
-            results[node.name] = result
-    return PipelineResult(results=results, plan=None, details={"executor": "factor"})
-
-
 def simulate_pipeline(pipeline: QueryPipeline, config, cluster, *,
                       planner: QueryPlanner | None = None,
-                      cores_per_node: int | None = None,
-                      seconds_per_unit: float = 1e-9):
+                      cores_per_node: int | None = None):
     """Replay a pipeline's stage graph on the distributed simulator.
 
     Converts the compiled stages into :class:`repro.distributed.SimTask`
     objects — one factorization task per covariance reference, placed on
-    the shard its fingerprint routes to; one task per stage, costed from
-    the pipeline plan's modelled breakdown and depending on its
-    factorization and upstream stages — and runs them through the
-    *unchanged* :class:`repro.distributed.ClusterSimulator`.  Returns
-    ``(SimulationResult, tasks)``.
-
-    ``seconds_per_unit`` converts the planner's relative flop-equivalent
-    units into simulated seconds; the default roughly matches one flop per
-    nanosecond, which is only meant to produce plausible magnitudes — the
-    *shape* of the schedule (placement, dependencies, overlap) is the
-    object of study, exactly as in ``docs/performance.md``.
+    the shard its fingerprint routes to; one task per stage, costed in the
+    pipeline plan's modelled seconds and depending on its factorization and
+    upstream stages — and runs them through the *unchanged*
+    :class:`repro.distributed.ClusterSimulator`.  Returns
+    ``(SimulationResult, tasks)``.  The seconds are the planner's rates of
+    the box they were fitted on; the *shape* of the schedule (placement,
+    dependencies, overlap) is the object of study, exactly as in
+    ``docs/performance.md``.
     """
     from repro.batch.cache import sigma_fingerprint
     from repro.distributed.simulator import ClusterSimulator, SimTask
@@ -252,23 +201,15 @@ def simulate_pipeline(pipeline: QueryPipeline, config, cluster, *,
     home: dict[str, int] = {}
     for ref_name, sigma_plan in plan.sigma_plans.items():
         ref = pipeline.sigma_ref(ref_name)
-        if sigma_plan is None:
-            raise ValueError(
-                f"cannot simulate sigma ref {ref_name!r}: neither a "
-                "covariance array nor a dimension was registered"
-            )
-        if ref.sigma is not None:
-            node_id = shard_for_fingerprint(sigma_fingerprint(ref.sigma), cluster.n_nodes)
-        else:
-            node_id = zlib.crc32(ref_name.encode()) % cluster.n_nodes
+        node_id = shard_for_fingerprint(sigma_fingerprint(ref.sigma), cluster.n_nodes)
         home[ref_name] = node_id
         parts = sigma_plan.costs.get(sigma_plan.method)
         if parts:
             cost = (parts.get("factorization", 0.0) + parts.get("compression", 0.0))
             factor_task[ref_name] = len(tasks)
             tasks.append(SimTask(
-                name=f"factorize:{ref_name}", cost=cost * seconds_per_unit,
-                node=node_id, deps=[], output_bytes=float(ref.n or 0) ** 2 * 8.0,
+                name=f"factorize:{ref_name}", cost=cost,
+                node=node_id, deps=[], output_bytes=float(ref.n) ** 2 * 8.0,
                 tag="factorize",
             ))
 
@@ -281,26 +222,27 @@ def simulate_pipeline(pipeline: QueryPipeline, config, cluster, *,
         if stage.kind in ("sweep", "crd"):
             sigma_plan = plan.sigma_plans[stage.sigma]
             parts = sigma_plan.costs.get(sigma_plan.method, {})
-            sweep_unit = (parts.get("kernel", 0.0) + parts.get("propagation", 0.0)
-                          + parts.get("tasks", 0.0))
-            if sweep_unit <= 0.0:
+            sweep = (parts.get("kernel", 0.0) + parts.get("propagation", 0.0)
+                     + parts.get("tasks", 0.0))
+            if sweep <= 0.0:
+                # the baselines have no modelled breakdown: price their QMC rows
                 ref = pipeline.sigma_ref(stage.sigma)
-                sweep_unit = float(ref.n or 1) * sigma_plan.n_samples
+                sweep = planner.rates.kernels.qmc_seconds(ref.n, sigma_plan.n_samples)
             if stage.sigma in factor_task:
                 deps.add(factor_task[stage.sigma])
             tasks.append(SimTask(
                 name=f"stage[{stage_idx}]:{stage.kind}x{len(stage.nodes)}",
-                cost=sweep_unit * len(stage.nodes) * seconds_per_unit,
+                cost=sweep * len(stage.nodes),
                 node=home[stage.sigma], deps=sorted(deps),
                 output_bytes=16.0 * len(stage.nodes),
                 tag=stage.kind,
             ))
         else:
-            # reductions are pure-Python gathers: negligible compute, they
+            # reductions are pure-Python gathers: one task's overhead, they
             # exist in the schedule for their dependency (and traffic) edges
             tasks.append(SimTask(
                 name=f"stage[{stage_idx}]:{stage.nodes[0]}",
-                cost=1e3 * seconds_per_unit, node=0, deps=sorted(deps),
+                cost=planner.rates.task_seconds, node=0, deps=sorted(deps),
                 output_bytes=8.0, tag="reduce",
             ))
         for name in stage.nodes:

@@ -43,6 +43,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.core.crd import prefix_boxes
 from repro.query.planner import QueryPlan, QueryPlanner, next_sample_count
 from repro.query.spec import MVNQuery
 
@@ -66,29 +67,24 @@ CRD_ALGORITHMS = ("prefix", "sequential")
 
 @dataclass(frozen=True)
 class SigmaRef:
-    """A named covariance the pipeline's compute nodes run against.
-
-    ``sigma`` may be ``None`` for *factor-bound* execution (the executor is
-    handed an already-factorized problem, as the CRD sequential path does),
-    in which case ``n`` pins the dimension when known.
-    """
+    """A named covariance the pipeline's compute nodes run against."""
 
     name: str
-    sigma: np.ndarray | None = None
+    sigma: np.ndarray
     mean: Any = 0.0
-    n: int | None = None
 
     def __post_init__(self) -> None:
-        if self.sigma is not None:
-            arr = np.asarray(self.sigma, dtype=np.float64)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError(
-                    f"sigma ref {self.name!r} must be a square matrix, got shape {arr.shape}"
-                )
-            object.__setattr__(self, "sigma", arr)
-            object.__setattr__(self, "n", int(arr.shape[0]))
-        elif self.n is not None:
-            object.__setattr__(self, "n", int(self.n))
+        arr = np.asarray(self.sigma, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(
+                f"sigma ref {self.name!r} must be a square matrix, got shape {arr.shape}"
+            )
+        object.__setattr__(self, "sigma", arr)
+
+    @property
+    def n(self) -> int:
+        """Dimension of the covariance."""
+        return int(self.sigma.shape[0])
 
 
 @dataclass(frozen=True)
@@ -238,19 +234,14 @@ class QueryPipeline:
             raise ValueError(f"duplicate upstream node in {what}: {names}")
         return names
 
-    def add_sigma(self, name: str, sigma=None, mean=0.0, *, n: int | None = None) -> None:
-        """Register a named covariance (with its field mean) for query/crd nodes.
-
-        ``sigma=None`` declares a *factor-bound* reference: the pipeline can
-        only run through an executor that supplies the factor (the CRD
-        sequential path); pass ``n=`` to pin the dimension for planning.
-        """
+    def add_sigma(self, name: str, sigma, mean=0.0) -> None:
+        """Register a named covariance (with its field mean) for query/crd nodes."""
         self._check_mutable()
         if not isinstance(name, str) or not name:
             raise ValueError(f"sigma ref name must be a non-empty string, got {name!r}")
         if name in self._sigmas:
             raise ValueError(f"duplicate sigma ref {name!r}")
-        self._sigmas[name] = SigmaRef(name=name, sigma=sigma, mean=mean, n=n)
+        self._sigmas[name] = SigmaRef(name=name, sigma=sigma, mean=mean)
 
     def add_query(self, name: str, query: MVNQuery, *, sigma: str,
                   after: tuple[str, ...] | list[str] = ()) -> str:
@@ -265,7 +256,7 @@ class QueryPipeline:
         if not isinstance(query, MVNQuery):
             raise ValueError(f"query node {name!r} needs an MVNQuery, got {type(query).__name__}")
         ref = self._check_sigma(sigma)
-        if ref.n is not None and query.n != ref.n:
+        if query.n != ref.n:
             raise ValueError(
                 f"query node {name!r} has dimension {query.n} but sigma ref "
                 f"{sigma!r} has dimension {ref.n}"
@@ -350,11 +341,6 @@ class QueryPipeline:
         (returned) that gathers ``{"thresholds", "probabilities", "errors"}``.
         """
         ref = self._check_sigma(sigma)
-        if ref.n is None:
-            raise ValueError(
-                f"add_threshold_sweep needs the dimension of sigma ref {sigma!r}; "
-                "register it with a covariance array or n="
-            )
         thresholds = np.asarray(thresholds, dtype=np.float64).ravel()
         if thresholds.size == 0:
             raise ValueError("add_threshold_sweep needs at least one threshold")
@@ -433,31 +419,24 @@ class QueryPipeline:
                          qmc: str | None = None) -> str:
         """CRD prefix chain: one box query per prefix size of the limits ``a``.
 
-        The box of prefix size ``k`` keeps the first ``k`` lower limits and
-        opens the rest to ``-inf`` (upper limits are all ``+inf``) — the
-        paper-faithful sequential form of Algorithm 1 step 4.  All boxes
-        share one sigma ref and identical settings, so they compile into a
-        single fused sweep; the returned combine node gathers the
-        ``(probabilities, errors)`` arrays ordered like ``sizes``.
+        The boxes are :func:`repro.core.crd.prefix_boxes` — the
+        paper-faithful sequential form of Algorithm 1 step 4, the same boxes
+        the CRD sequential path sweeps.  All boxes share one sigma ref and
+        identical settings, so they compile into a single fused sweep; the
+        returned combine node gathers the ``(probabilities, errors)`` arrays
+        ordered like ``sizes``.
         """
         ref = self._check_sigma(sigma)
         a = np.asarray(a, dtype=np.float64).ravel()
-        n = a.shape[0]
-        if ref.n is not None and ref.n != n:
+        if ref.n != a.shape[0]:
             raise ValueError(
-                f"prefix-chain limits have length {n} but sigma ref "
+                f"prefix-chain limits have length {a.shape[0]} but sigma ref "
                 f"{sigma!r} has dimension {ref.n}"
             )
-        if sizes is None:
-            sizes = np.arange(1, n + 1)
-        else:
-            sizes = np.unique(np.clip(np.asarray(sizes, dtype=int), 1, n))
-        upper = np.full(n, np.inf)
+        sizes, boxes = prefix_boxes(a, sizes)
         members = []
-        for size in sizes:
-            a_vec = np.full(n, -np.inf)
-            a_vec[:size] = a[:size]
-            query = MVNQuery(a_vec, upper, n_samples=n_samples, rng=rng, qmc=qmc,
+        for size, (lower, upper) in zip(sizes, boxes):
+            query = MVNQuery(lower, upper, n_samples=n_samples, rng=rng, qmc=qmc,
                              tag=int(size))
             members.append(self.add_query(f"{name}[{int(size)}]", query, sigma=sigma))
 
@@ -565,8 +544,7 @@ class QueryPipeline:
                  f"{len(self._sigmas)} covariance(s), {len(stages)} stage(s)"]
         for ref in self._sigmas.values():
             shared = edges["shared_factorization"].get(ref.name, ())
-            dims = f"n={ref.n}" if ref.n is not None else "factor-bound"
-            lines.append(f"  sigma {ref.name!r} ({dims}): {len(shared)} node(s) "
+            lines.append(f"  sigma {ref.name!r} (n={ref.n}): {len(shared)} node(s) "
                          "share one factorization")
         for idx, stage in enumerate(stages):
             label = {"sweep": "sweep", "crd": "detect", "python": "reduce"}[stage.kind]
@@ -584,13 +562,13 @@ class PipelinePlan:
     One :class:`~repro.query.planner.QueryPlan` per covariance (the method
     resolution is hoisted to the graph level: every stage against a ref
     executes that ref's plan), one structure probe per covariance at most,
-    the compiled stage list, and the aggregate modelled cost — sweeps pay
-    per stage member, factorizations once per ref.
+    the compiled stage list, and the aggregate modelled cost in seconds —
+    sweeps pay per stage member, factorizations once per ref.
     """
 
     pipeline: str
     stages: tuple[PipelineStage, ...]
-    sigma_plans: dict[str, QueryPlan | None]
+    sigma_plans: dict[str, QueryPlan]
     probes: dict[str, dict | None]
     edges: dict
     costs: dict
@@ -610,15 +588,12 @@ class PipelinePlan:
                  f"stages           : {self.n_stages}",
                  f"fused queries    : {self.fused_queries}"]
         for ref, plan in self.sigma_plans.items():
-            if plan is None:
-                lines.append(f"sigma {ref!r}: factor-bound (no planning needed)")
-                continue
             probe = " (structure probe ran once)" if self.probes.get(ref) else ""
             lines.append(f"sigma {ref!r}: method={plan.method} "
                          f"backend={plan.backend or '-'}{probe}")
             lines.append(f"  reason: {plan.reason}")
         if self.costs:
-            lines.append("modelled cost (relative units):")
+            lines.append("modelled cost (seconds):")
             for key in sorted(self.costs):
                 lines.append(f"  {key:<14} {self.costs[key]:.3g}")
         return "\n".join(lines)
@@ -628,15 +603,15 @@ def build_pipeline_plan(pipeline: QueryPipeline, config, planner: QueryPlanner |
     """Cost a pipeline whole: one probe and one method resolution per Sigma.
 
     This is what :meth:`repro.query.QueryPlanner.plan_pipeline` delegates
-    to.  Per covariance reference the planner runs at most one structure
-    probe, aggregates the one-sidedness of that ref's query boxes, and
-    resolves the method/backend once; the per-stage plans the executors
-    stamp on results re-derive from the same memoized probe, so nothing is
-    probed twice.
+    to.  Per covariance reference the planner aggregates the one-sidedness
+    of that ref's query boxes and resolves the method/backend once, running
+    at most one structure probe (only when the rank can change the answer);
+    the per-stage plans the executors stamp on results re-derive from the
+    same memoized probe, so nothing is probed twice.
     """
     planner = QueryPlanner() if planner is None else planner
     stages = pipeline.compile()
-    sigma_plans: dict[str, QueryPlan | None] = {}
+    sigma_plans: dict[str, QueryPlan] = {}
     probes: dict[str, dict | None] = {}
     nodes_by_ref: dict[str, list[PipelineNode]] = {}
     for name in pipeline.node_names:
@@ -646,10 +621,6 @@ def build_pipeline_plan(pipeline: QueryPipeline, config, planner: QueryPlanner |
 
     for ref_name, nodes in nodes_by_ref.items():
         ref = pipeline.sigma_ref(ref_name)
-        if ref.sigma is None and ref.n is None:
-            sigma_plans[ref_name] = None
-            probes[ref_name] = None
-            continue
         query_nodes = [node for node in nodes if node.kind == "query"]
         if query_nodes:
             one_sided = float(np.mean([node.query.one_sided_fraction for node in query_nodes]))
@@ -662,21 +633,17 @@ def build_pipeline_plan(pipeline: QueryPipeline, config, planner: QueryPlanner |
             n_samples = next((node.n_samples for node in nodes
                               if node.n_samples is not None), None)
             target = None
-        probe = None
-        if (config.method == "auto" and ref.sigma is not None
-                and ref.n is not None and ref.n > planner.dense_max_n):
-            probe = planner.probe_structure(ref.sigma, config.accuracy)
-        sigma_plans[ref_name] = planner.plan(
+        plan = planner.plan(
             ref.sigma, config, n_samples=n_samples,
             one_sided_fraction=one_sided, target_error=target,
-            probe=probe, n=ref.n,
         )
-        probes[ref_name] = probe
+        sigma_plans[ref_name] = plan
+        probes[ref_name] = plan.probe
 
     costs: dict[str, float] = {}
     total = 0.0
     for ref_name, plan in sigma_plans.items():
-        if plan is None or not plan.costs:
+        if not plan.costs:
             continue
         parts = plan.costs[plan.method]
         factor_cost = parts.get("factorization", 0.0) + parts.get("compression", 0.0)

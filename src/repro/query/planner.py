@@ -4,17 +4,15 @@ The planner separates *what* a query asks (:class:`~repro.query.spec.MVNQuery`)
 from *how* it runs, the same spec-then-plan split scheduler-style systems use.
 Its output is an explicit, inspectable :class:`QueryPlan`:
 
-* the **estimator** — for ``method="auto"`` a small cost model over the
-  dimension ``n``, the box one-sidedness and the covariance structure picks
-  ``"dense"`` or ``"tlr"``: dense at or below :attr:`QueryPlanner.dense_max_n`
-  (factorization is cheap, compression overhead is not worth paying), dense
-  up to :attr:`QueryPlanner.tlr_min_n` (mid-size problems: per-tile
-  SVD/recompression overhead still beats the compression payoff), and TLR
-  above that when a one-off **structure probe** (truncated SVD of an
-  adjacent off-diagonal block, mirroring the TLR tile-truncation rule)
-  finds the off-diagonal tiles compressible
-  (:attr:`QueryPlanner.max_rank_ratio`); the relative flop estimates of
-  both candidates ride along in :attr:`QueryPlan.costs` for inspection;
+* the **estimator** — for ``method="auto"`` the cheaper of ``"dense"`` and
+  ``"tlr"`` in modelled seconds (:meth:`QueryPlanner.cost_estimates`): both
+  candidates are priced from one rate table (:data:`PLANNER_RATES`) over
+  the dimension ``n``, the session's sample size ``N``, the tile size and
+  the off-diagonal rank, and ``auto`` takes the argmin.  The rank comes from a
+  one-off **structure probe** (truncated SVD of an adjacent off-diagonal
+  block, mirroring the TLR truncation rule), which runs only when it can
+  change the answer: when dense already wins against TLR priced at rank 1,
+  no probe runs;
 * the **kernel backend**, resolved to the concrete backend the sweep will
   dispatch to (``None`` / ``$REPRO_KERNEL_BACKEND`` / ``"auto"`` collapse to
   a real name);
@@ -22,14 +20,18 @@ Its output is an explicit, inspectable :class:`QueryPlan`:
   target and the sample budget of the escalation loop
   (:func:`next_sample_count` computes each refinement step).
 
-Planning is deterministic in ``(sigma, config, n_samples)``: the same query
-plans identically whether it arrives through the functional API, a
-:class:`repro.solver.Model`, the batched API or a serving shard — which is
-what lets the broker use the plan in its batch key.  One-sidedness enters
-the modelled *costs* (the fused kernel skips infinite sides) but adds the
-same term to every candidate, so the method choice is sidedness-invariant —
-a query cannot change estimator (and thus answer) depending on which batch
-or shard it lands in.
+Candidates are priced at the session's sample size (``config.n_samples``)
+whatever a query overrides, so the covariance and the configuration alone
+fix the method: a model holds one factor for all its queries, and every
+stage of a pipeline runs its covariance's one plan.  Planning is
+deterministic: the rates are constants, nothing is timed on the plan path,
+so the same query plans identically whether it arrives through the
+functional API, a :class:`repro.solver.Model`, the batched API or a
+serving shard — which is what lets the broker use the plan in its batch
+key.  One-sidedness enters the modelled *costs* (the fused kernel skips
+infinite sides) but adds the same term to every candidate, so the method
+choice is sidedness-invariant — a query cannot change estimator (and thus
+answer) depending on which batch or shard it lands in.
 
 >>> import numpy as np
 >>> from repro.query import QueryPlanner
@@ -45,18 +47,23 @@ True
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.core.factor import default_tile_size
 from repro.core.kernel_backend import get_backend
 from repro.core.methods import AUTO_METHOD, PARALLEL_METHODS
+from repro.core.pmvn import BATCH_CHAIN_BLOCK
+from repro.distributed.pmvn_model import KernelRates
 from repro.query.spec import MVNQuery
+from repro.runtime.estimates import ModelEstimator
 
 __all__ = [
     "QueryPlan",
     "QueryPlanner",
+    "PlannerRates",
+    "PLANNER_RATES",
     "plan_query",
     "next_sample_count",
     "DEFAULT_BUDGET_MULTIPLIER",
@@ -74,16 +81,66 @@ ESCALATION_GROWTH = 2.0
 #: undershoot on the runs where it does not)
 ESCALATION_SAFETY = 1.2
 
-# relative per-flop weights of the modelled phases.  These are deliberately
-# coarse (pure-Python task overhead dwarfs micro-architecture effects); what
-# matters is the dense-vs-TLR *ordering* they induce, which the planner
-# benchmark (benchmarks/bench_planner.py) gates against measured wall time.
-_CHOL_WEIGHT = 1.0          # dense tiled Cholesky flops
-_COMPRESS_WEIGHT = 8.0      # SVD flops per compressed tile (QR+SVD constants)
-_TLR_CHOL_WEIGHT = 3.0      # TLR Cholesky flops (rank-structured updates)
-_GEMM_WEIGHT = 1.0          # limit-propagation GEMM flops
-_KERNEL_WEIGHT = 12.0       # Phi / Phi^{-1} evaluations per sweep element
-_TASK_OVERHEAD = 40_000.0   # flop-equivalent cost of one runtime task
+#: side of the off-diagonal block the structure probe decomposes (capped at
+#: ``n // 2``)
+PROBE_SIZE = 96
+
+
+@dataclass(frozen=True)
+class PlannerRates:
+    """The rate table ``method="auto"`` prices its candidates with.
+
+    Attributes
+    ----------
+    kernels : repro.distributed.pmvn_model.KernelRates
+        BLAS-3 rate of the dense tile kernels (potrf/trsm/syrk/gemm) and of
+        the sweep's limit-propagation GEMMs, dense and low-rank alike (their
+        long chain dimension keeps them BLAS-3 shaped), and the QMC row
+        rate.
+    lowrank_gflops : float
+        GFLOP/s of the rank-``k`` kernels of TLR compression and TLR
+        Cholesky: small GEMMs wrapped in QR/SVD calls, an order of magnitude
+        below the BLAS-3 rate.
+    task_seconds : float
+        Overhead of one runtime task (and of one compressed tile).
+    """
+
+    kernels: KernelRates
+    lowrank_gflops: float
+    task_seconds: float
+
+
+#: The planner's rates, fitted once on a 2-core x86_64 box (one BLAS thread,
+#: one runtime worker, numpy kernel backend): least squares in log seconds
+#: over the dense Cholesky, TLR compression, TLR Cholesky and both sweeps,
+#: timed at the points below (cold ``mvn_probability``, boxes ``a = -inf``,
+#: ``b ~ U(0.5, 2.5)``, accuracy 1e-3, min of 3).  ``k`` is the probe rank;
+#: totals in ms.  Fields: ``crd`` is the exponential field of range 0.234
+#: on a square grid, ``gateway`` range 0.05, ``dist`` the distributed
+#: serving gate's fields, the other three the planner gate's scenarios.
+#:
+#: ============  ====  ====  ==  ===========  =========  ===========  =========
+#: point         n     N     k   dense meas.  tlr meas.  dense model  tlr model
+#: ============  ====  ====  ==  ===========  =========  ===========  =========
+#: gateway        256   256  23          6.8       10.5          6.4        7.7
+#: small_dense    196  1000  20         15.1       16.5         16.3       17.2
+#: dist small     100   200  14          2.2        2.7          1.8        1.9
+#: banded_tile    784  2000   1        142.0      134.8        141.4      124.5
+#: crd           1024  1000  24         98.9      107.3        102.3      111.4
+#: crd           1024  4000  24        360.7      338.7        368.0      346.9
+#: dist large    1024   200  16         40.3       49.4         32.7       41.7
+#: lowrank_tlr   1600  4000  22        692.3      590.5        635.7      539.1
+#: crd           2025  1000  27        306.9      245.7        309.5      296.8
+#: ============  ====  ====  ==  ===========  =========  ===========  =========
+#:
+#: The argmin picks the faster method at every point.  With several BLAS
+#: threads per worker the TLR kernels slow down (about 2x on that box), so
+#: the rates assume one BLAS thread per runtime worker.
+PLANNER_RATES = PlannerRates(
+    kernels=KernelRates(core_gflops=57.0, qmc_rows_per_second=11.2e6),
+    lowrank_gflops=5.9,
+    task_seconds=54e-6,
+)
 
 
 def next_sample_count(
@@ -146,12 +203,13 @@ class QueryPlan:
     requested_method : str
         The method string the caller configured (``"auto"`` or explicit).
     reason : str
-        One line explaining the decision (probe verdict, threshold hit,
-        bound factor, ...).
+        One line explaining the decision (both modelled totals, the rank
+        TLR was priced at, a bound factor, ...).
     costs : dict
         Modelled cost breakdown per candidate method
         (``{"dense": {"factorization": ..., "total": ...}, "tlr": ...}``),
-        in relative flop-equivalent units.
+        in seconds at the session's sample size; TLR is priced at the
+        probe's rank, or at rank 1 when no probe ran.
     probe : dict or None
         Structure-probe record (``block``, ``est_rank``, ``rank_ratio``)
         when the probe ran, else ``None``.
@@ -209,7 +267,8 @@ class QueryPlan:
                 f"(ratio {self.probe['rank_ratio']:.2f})"
             )
         if self.costs:
-            lines.append("cost estimates (relative units):")
+            rank = "the probe rank" if self.probe is not None else "rank 1 (no probe)"
+            lines.append(f"cost estimates in seconds (tlr at {rank}):")
             for name in sorted(self.costs):
                 parts = self.costs[name]
                 detail = ", ".join(
@@ -228,26 +287,12 @@ class QueryPlanner:
 
     Parameters
     ----------
-    dense_max_n : int
-        Dimension at or below which ``method="auto"`` always picks
-        ``"dense"`` (compression overhead cannot pay off); no probe runs.
-    tlr_min_n : int
-        Dimension below which mid-size problems still plan ``"dense"``
-        even when compressible: the per-tile SVD and recompression
-        overhead of the TLR path only amortizes above this size (measured
-        by ``benchmarks/bench_planner.py``).
-    max_rank_ratio : float
-        Probe verdict threshold: TLR is only planned when the estimated
-        off-diagonal rank is at most this fraction of the probe block.
-    probe_size : int
-        Side length of the off-diagonal block the structure probe
-        decomposes (capped at ``n // 2``).
+    rates : PlannerRates
+        The rate table ``method="auto"`` prices its candidates with
+        (default :data:`PLANNER_RATES`, fitted on a 2-core box).
     """
 
-    dense_max_n: int = 512
-    tlr_min_n: int = 1024
-    max_rank_ratio: float = 0.45
-    probe_size: int = 96
+    rates: PlannerRates = PLANNER_RATES
 
     # -- structure probe -------------------------------------------------------------
     def probe_structure(self, sigma: np.ndarray, accuracy: float) -> dict:
@@ -261,7 +306,7 @@ class QueryPlanner:
         """
         sigma = np.asarray(sigma, dtype=np.float64)
         n = sigma.shape[0]
-        m = max(2, min(int(self.probe_size), n // 2))
+        m = max(2, min(PROBE_SIZE, n // 2))
         block = sigma[m : 2 * m, 0:m]
         s = np.linalg.svd(block, compute_uv=False)
         if s.size == 0 or s[0] <= 0.0:
@@ -275,58 +320,55 @@ class QueryPlanner:
             "accuracy": float(accuracy),
         }
 
-    def inherit_probe(self, probe: dict | None, rank: int, downdate: bool) -> dict | None:
-        """Decide whether a structure-probe record survives a rank-k update.
-
-        ``Sigma + U U^T`` can raise every off-diagonal block's rank by at
-        most ``rank``, so an update *inherits* the parent's probe with the
-        estimate bumped by ``rank`` — unless the bump crosses the
-        :attr:`max_rank_ratio` verdict boundary, in which case the record
-        is *invalidated* (``None``: a fresh probe would be needed to plan
-        against the child covariance from scratch).  A downdate can only
-        lower ranks, so it inherits the record unchanged (still a valid
-        upper bound).
-        """
-        if probe is None:
-            return None
-        if downdate:
-            return probe
-        bumped = int(probe["est_rank"]) + int(rank)
-        block = int(probe["block"])
-        new_ratio = bumped / float(block)
-        same_verdict = (new_ratio <= self.max_rank_ratio) == (
-            probe["rank_ratio"] <= self.max_rank_ratio
-        )
-        if not same_verdict:
-            return None
-        return {**probe, "est_rank": min(bumped, block), "rank_ratio": new_ratio}
-
     # -- cost model ------------------------------------------------------------------
     def cost_estimates(self, n: int, n_samples: int, tile_size: int,
-                       est_rank: int, one_sided_fraction: float = 0.0) -> dict:
-        """Modelled cost breakdown for the ``dense`` and ``tlr`` candidates.
+                       rank: int, one_sided_fraction: float = 0.0) -> dict:
+        """Modelled seconds of the ``dense`` and ``tlr`` candidates.
 
-        Relative flop-equivalent units; the kernel term is shared by both
-        candidates (same sweep, same backend) so one-sidedness shifts the
-        totals but never the ordering.
+        Closed-form task counts over the task graphs the two methods run,
+        each times its per-tag price from
+        :class:`repro.runtime.ModelEstimator`: the tiled Cholesky (``nt``
+        potrf, ``nt(nt-1)/2`` trsm and syrk, ``nt(nt-1)(nt-2)/6`` gemm) and
+        its sweep (one limit-propagation GEMM per off-diagonal tile) against
+        TLR compression (one sketch per off-diagonal tile, proportional to
+        the ``rank`` plus one QB block), the TLR Cholesky's rank-``k``
+        updates and the low-rank sweep.  Dense tiles and sweep GEMMs are
+        priced at the BLAS-3 rate, the rank-``k`` kernels at
+        :attr:`PlannerRates.lowrank_gflops`, and every task pays
+        :attr:`PlannerRates.task_seconds`.  The QMC-kernel term and the
+        sweep's task overhead are shared by both candidates, so
+        one-sidedness shifts the totals but never the ordering.
         """
-        nb = max(1, math.ceil(n / tile_size))
-        offdiag_tiles = nb * (nb - 1) / 2.0
-        rank = max(1, min(est_rank, tile_size))
+        blas_rates = self.rates.kernels
+        nb = tile_size
+        k = max(1, min(int(rank), nb))
+        blas = ModelEstimator(blas_rates, nb, n_samples, k).price
+        lowrank = ModelEstimator(
+            replace(blas_rates, core_gflops=self.rates.lowrank_gflops), nb, n_samples, k,
+        ).price
+        task = self.rates.task_seconds
+        nt = max(1, math.ceil(n / nb))
+        pairs = nt * (nt - 1) / 2.0
+        triples = nt * (nt - 1) * (nt - 2) / 6.0
+        chain_blocks = math.ceil(n_samples / max(nb, min(BATCH_CHAIN_BLOCK, n_samples)))
+        cholesky_tasks = (nt + 2.0 * pairs + triples) * task
+        potrf = nt * blas("potrf")
         # Phi/Phi^{-1} work per sweep element; infinite sides are skipped by
         # the fused kernel (roughly half the row work per one-sided entry)
-        kernel = _KERNEL_WEIGHT * n * n_samples * (1.0 - 0.5 * one_sided_fraction)
-        tasks = _TASK_OVERHEAD * (nb + offdiag_tiles) * max(1, math.ceil(n_samples / 512))
+        kernel = blas_rates.qmc_seconds(n, n_samples) * (1.0 - 0.5 * one_sided_fraction)
+        tasks = (nt + pairs) * chain_blocks * task
         dense = {
-            "factorization": _CHOL_WEIGHT * n**3 / 3.0,
-            "propagation": _GEMM_WEIGHT * offdiag_tiles * 2.0 * tile_size**2 * n_samples,
+            "factorization": potrf + pairs * (blas("trsm") + blas("syrk"))
+            + triples * blas("gemm") + cholesky_tasks,
+            "propagation": pairs * blas("sweep_gemm"),
             "kernel": kernel,
             "tasks": tasks,
         }
         tlr = {
-            "compression": _COMPRESS_WEIGHT * offdiag_tiles * tile_size**3,
-            "factorization": _TLR_CHOL_WEIGHT * (n * tile_size**2 + offdiag_tiles * tile_size * rank**2),
-            "propagation": _GEMM_WEIGHT * offdiag_tiles * 4.0 * tile_size * rank * n_samples,
+            "compression": pairs * (lowrank("compress") + task),
+            "factorization": potrf + pairs * (lowrank("lr_trsm") + lowrank("lr_syrk"))
+            + triples * lowrank("lr_gemm") + cholesky_tasks,
+            "propagation": pairs * blas("lr_sweep_gemm"),
             "kernel": kernel,
             "tasks": tasks,
         }
@@ -355,10 +397,10 @@ class QueryPlanner:
         ----------
         sigma : array_like (n, n) or None
             The covariance the query runs against.  May be ``None`` when
-            ``n`` is given and the plan will never need to probe — the
-            lazy-sigma path of updated models
-            (:meth:`repro.solver.Model.update`), whose covariance is only
-            assembled on demand.
+            ``n`` is given and the plan never probes (an explicit method or
+            a pre-bound factor: the lazy-sigma path of updated models,
+            :meth:`repro.solver.Model.update`, whose covariance is only
+            assembled on demand).
         config : repro.solver.SolverConfig
             The session configuration (method, sampling defaults, backend).
         query : MVNQuery, optional
@@ -371,7 +413,7 @@ class QueryPlanner:
             instead of probing (the factorization is already paid).
         probe : dict, optional
             A previously computed :meth:`probe_structure` record (models
-            memoize it so repeated queries plan without re-probing).
+            memoize the plan's probe so repeated queries never re-probe).
         n : int, optional
             The problem dimension, required iff ``sigma`` is ``None``.
         """
@@ -395,49 +437,33 @@ class QueryPlanner:
         auto = requested == AUTO_METHOD
 
         tile = default_tile_size(n, config.tile_size)
-        probe_record = probe
-        if (auto and bound_method is None and n > self.dense_max_n
-                and probe_record is None and sigma is not None):
-            probe_record = self.probe_structure(sigma, config.accuracy)
-        est_rank = probe_record["est_rank"] if probe_record else tile
-        costs = self.cost_estimates(n, n_samples, tile, est_rank, one_sided)
 
+        def price(record):
+            # at the session's sample size, not the query's: the covariance
+            # and the configuration alone fix the method, so every query of
+            # a model and every stage of a pipeline ref share one factor
+            rank = record["est_rank"] if record else 1
+            return self.cost_estimates(n, config.n_samples, tile, rank, one_sided)
+
+        costs = price(probe)
         if not auto:
             method = requested
             reason = "explicitly requested"
         elif bound_method is not None:
             method = bound_method
             reason = f"pre-bound {bound_method!r} factor (factorization already paid)"
-        elif n <= self.dense_max_n:
-            method = "dense"
-            reason = (
-                f"n={n} <= dense_max_n={self.dense_max_n}: dense factorization "
-                "is cheap and compression overhead cannot pay off"
-            )
         else:
-            ratio = probe_record["rank_ratio"] if probe_record else 1.0
-            if ratio > self.max_rank_ratio:
-                method = "dense"
-                reason = (
-                    f"probe rank ratio {ratio:.2f} > {self.max_rank_ratio}: "
-                    "off-diagonal tiles are barely compressible, TLR cannot win"
-                )
-            elif n < self.tlr_min_n:
-                method = "dense"
-                reason = (
-                    f"dense_max_n={self.dense_max_n} < n={n} < tlr_min_n="
-                    f"{self.tlr_min_n}: compressible (rank ratio {ratio:.2f}) "
-                    "but per-tile SVD/recompression overhead still beats the "
-                    "payoff at this size"
-                )
-            else:
-                method = "tlr"
-                reason = (
-                    f"n={n} >= tlr_min_n={self.tlr_min_n} and probe rank ratio "
-                    f"{ratio:.2f} <= {self.max_rank_ratio}: compression pays "
-                    f"(modelled {costs['tlr']['total']:.3g} vs dense "
-                    f"{costs['dense']['total']:.3g})"
-                )
+            if probe is None and costs["tlr"]["total"] < costs["dense"]["total"]:
+                # TLR at rank 1 beats dense: only the real rank can settle it
+                probe = self.probe_structure(sigma, config.accuracy)
+                costs = price(probe)
+            method = min(("dense", "tlr"), key=lambda name: costs[name]["total"])
+            other = "tlr" if method == "dense" else "dense"
+            rank = f"probe rank {probe['est_rank']}" if probe else "rank 1, no probe needed"
+            reason = (
+                f"modelled {method} {costs[method]['total']:.3g} s <= {other} "
+                f"{costs[other]['total']:.3g} s (tlr at {rank})"
+            )
 
         backend = get_backend(config.backend).name if method in PARALLEL_METHODS else None
         if target_error is not None and max_samples is None:
@@ -454,9 +480,8 @@ class QueryPlanner:
             requested_method=requested,
             reason=reason,
             costs=costs if method in PARALLEL_METHODS else {},
-            probe=probe_record,
+            probe=probe,
         )
-
 
     def plan_pipeline(self, pipeline, config):
         """Cost a whole :class:`repro.query.QueryPipeline` in one decision.
@@ -477,6 +502,6 @@ def plan_query(sigma, config, query: MVNQuery | None = None, **kwargs) -> QueryP
     """Convenience wrapper: plan with a default :class:`QueryPlanner`.
 
     This is what ``repro plan`` (the CLI) calls; it never factorizes or
-    sweeps — planning costs one ``O(probe_size^3)`` SVD at most.
+    sweeps — planning costs one ``O(PROBE_SIZE^3)`` SVD at most.
     """
     return QueryPlanner().plan(sigma, config, query, **kwargs)

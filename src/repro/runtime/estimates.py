@@ -16,8 +16,9 @@ Three modes are provided:
 
 ``"estimated"`` — :class:`ModelEstimator`
     Predict per-task durations from the task *tag* (``potrf``, ``trsm``,
-    ``syrk``, ``gemm``, ``qmc``, ``sweep_gemm``) with the closed-form kernel
-    models of :mod:`repro.perf.models`, anchored either to analytic default
+    ``syrk``, ``gemm``, ``qmc``, ``sweep_gemm`` and their rank-``k``
+    counterparts) with the closed-form kernel models of
+    :mod:`repro.perf.models`, anchored either to analytic default
     rates or to a measured :class:`repro.perf.calibration.CalibrationResult`.
     This is what a production scheduler actually has before running a task.
 
@@ -118,15 +119,23 @@ class ModelEstimator(TaskEstimator):
         self.tile_size = int(tile_size)
         self.chain_block = int(chain_block)
         self.mean_rank = float(mean_rank)
+        from repro.tlr.compression import QB_BLOCK
+
         nb, cb, k = self.tile_size, self.chain_block, max(int(self.mean_rank), 1)
         self._by_tag = {
             "potrf": rates.potrf_seconds(nb),
             "trsm": rates.trsm_seconds(nb, nb),
             "syrk": rates.gemm_seconds(nb, nb, nb),
             "gemm": rates.gemm_seconds(nb, nb, nb),
-            "lr_gemm": 3.0 * rates.gemm_seconds(nb, k, k),
             "qmc": rates.qmc_seconds(nb, cb),
             "sweep_gemm": rates.gemm_seconds(nb, cb, nb),
+            # the rank-k counterparts of a TLR factorization and sweep, and
+            # the sketch that compresses one tile (rank plus one QB block)
+            "compress": 2.0 * rates.gemm_seconds(nb, nb, k + QB_BLOCK),
+            "lr_trsm": rates.gemm_seconds(nb, k, nb),
+            "lr_syrk": rates.gemm_seconds(nb, nb, k) + rates.gemm_seconds(nb, k, k),
+            "lr_gemm": 3.0 * rates.gemm_seconds(nb, k, k),
+            "lr_sweep_gemm": 2.0 * rates.gemm_seconds(nb, cb, k),
         }
 
     @classmethod
@@ -136,8 +145,12 @@ class ModelEstimator(TaskEstimator):
 
         return cls(rates=KernelRates.from_calibration(calibration, cores_used), **kwargs)
 
+    def price(self, tag: str) -> float:
+        """Predicted seconds of one task tagged ``tag``."""
+        return self._by_tag.get(tag, _FALLBACK_SECONDS)
+
     def duration(self, task: Task) -> float:
-        return self._by_tag.get(task.tag, _FALLBACK_SECONDS)
+        return self.price(task.tag)
 
 
 def make_estimator(mode: str = "exact", calibration=None, **kwargs) -> TaskEstimator:

@@ -238,8 +238,8 @@ class Model:
         # once instead of per detection (see _confidence_region_impl)
         self._std_memo: dict = {}
         self._mean = mean
-        # one factor per resolved method: ``method="auto"`` may legitimately
-        # answer different queries with different estimators against one model
+        # one factor per method: ``method="auto"`` resolves one method per
+        # model, but an explicit method may differ from a bound factor's
         self._factors: dict[str, CholeskyFactor] = {}
         self._bound_method: str | None = None
         if factor is not None:
@@ -248,7 +248,8 @@ class Model:
             self._bound_method = "tlr" if isinstance(factor, TLRFactor) else "dense"
             self._factors[self._bound_method] = factor
         # planner state: the structure probe depends only on (sigma, accuracy)
-        # and is memoized so repeated auto queries plan without re-probing
+        # and is memoized once a plan ran it, so later auto queries never
+        # re-probe
         self._planner = solver.planner
         self._probe: dict | None = None
         # sweeps run on the solver's pooled buffers, so a model costs no
@@ -322,9 +323,10 @@ class Model:
     def factor(self) -> CholeskyFactor | None:
         """The bound factor, or ``None`` if not yet factorized.
 
-        With ``method="auto"`` a model may hold one factor per resolved
-        method; this returns the factor of the configured method, falling
-        back to the single held factor (if exactly one exists).
+        A model may hold one factor per method (a bound factor of another
+        method than the configured one); this returns the factor of the
+        configured method, falling back to the single held factor (if
+        exactly one exists).
         """
         factor = self._factors.get(self.config.method)
         if factor is None and len(self._factors) == 1:
@@ -345,16 +347,16 @@ class Model:
         """
         self._solver._check_open()
         cfg = self.config
-        if cfg.is_auto and self._probe is None and self._bound_method is None \
-                and self.n > self._planner.dense_max_n:
-            self._probe = self._planner.probe_structure(self._sigma, cfg.accuracy)
         # an updated model plans from its dimension alone — never assemble
-        # the child covariance just to read its shape
-        return self._planner.plan(
+        # the child covariance just to read its shape (it is always built
+        # with its factor, so an auto plan never needs to probe it)
+        plan = self._planner.plan(
             self._sigma_arr, cfg, query, n=self._n,
             bound_method=self._bound_method if cfg.is_auto else None,
             probe=self._probe, **overrides,
         )
+        self._probe = plan.probe
+        return plan
 
     # -- factorization -------------------------------------------------------------
     def factorize(self) -> CholeskyFactor:
@@ -409,8 +411,8 @@ class Model:
         * is registered in the solver's :class:`~repro.batch.FactorCache`
           under the derived fingerprint, with the lineage recorded so the
           serve broker can route it to the shard holding the parent;
-        * inherits (or invalidates) the parent's structure-probe record
-          per :meth:`repro.query.QueryPlanner.inherit_probe`;
+        * plans its factor's method under ``method="auto"`` (the
+          factorization is already paid), so it never probes;
         * stamps ``details["lineage"]`` on every result.
 
         Raises :class:`repro.core.update.DowndateError` when a downdate
@@ -462,7 +464,6 @@ class Model:
                       factor=child_factor)
         child._fingerprint = child_fp
         child._lineage = lineage
-        child._probe = self._planner.inherit_probe(self._probe, u.shape[1], downdate)
         # capture what assembles the parent's covariance, never the parent
         # model itself: its factors must be free to die with it, however
         # long the chain of descendants grows

@@ -22,7 +22,7 @@ from repro.tile.dense_kernels import (
     gemm_kernel,
     gemm_update_kernel,
 )
-from repro.tile.cholesky import tiled_cholesky, cholesky_flops
+from repro.tile.cholesky import tiled_cholesky
 from repro.tile.operations import tiled_gemm, tiled_lower_solve, tiled_matvec
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "gemm_kernel",
     "gemm_update_kernel",
     "tiled_cholesky",
-    "cholesky_flops",
     "tiled_gemm",
     "tiled_lower_solve",
     "tiled_matvec",

@@ -32,12 +32,7 @@ from repro.tile.dense_kernels import gemm_flops, potrf_flops, syrk_flops, trsm_f
 from repro.tile.layout import TileMatrix
 from repro.utils.timers import timed
 
-__all__ = ["tiled_cholesky", "cholesky_flops"]
-
-
-def cholesky_flops(n: int) -> float:
-    """Leading-order flop count of an ``n x n`` Cholesky factorization."""
-    return n ** 3 / 3.0
+__all__ = ["tiled_cholesky"]
 
 
 def _potrf_inplace(tile: np.ndarray) -> None:

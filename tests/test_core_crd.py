@@ -107,6 +107,27 @@ class TestConfidenceRegion:
         )
         assert res.confidence_function.shape == (geom.n,)
 
+    def test_sequential_sweeps_hand_built_prefix_boxes(self, small_field):
+        """The sequential helper is one batched sweep of the prefix boxes, bit for bit."""
+        from repro.core.crd import _sequential_joint_probabilities
+        from repro.core.factor import factorize
+        from repro.core.pmvn import PMVNOptions, pmvn_integrate_batch
+
+        _geom, sigma, _mean = small_field
+        n = sigma.shape[0]
+        factor = factorize(sigma, method="dense", tile_size=6)
+        a = np.linspace(-1.0, 0.5, n)
+        levels = np.array([3, 7, 12, 20])
+        prob, err = _sequential_joint_probabilities(factor, a, 300, "richtmyer", 5, None, levels)
+        boxes = []
+        for size in levels:
+            lower = np.full(n, -np.inf)
+            lower[:size] = a[:size]
+            boxes.append((lower, np.full(n, np.inf)))
+        direct = pmvn_integrate_batch(boxes, factor, PMVNOptions(n_samples=300, qmc="richtmyer", rng=5))
+        assert np.array_equal(prob[levels - 1], [r.probability for r in direct])
+        assert np.array_equal(err[levels - 1], [r.error for r in direct])
+
     def test_tlr_method_close_to_dense(self, small_field):
         geom, sigma, mean = small_field
         dense = confidence_region(sigma, mean, 0.4, method="dense", n_samples=4000, tile_size=10, rng=4)

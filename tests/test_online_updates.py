@@ -322,36 +322,28 @@ class TestModelUpdateLineage:
             assert np.isfinite(result.probability)
 
     def test_probe_inheritance_rules(self):
-        from repro.query import QueryPlanner
+        """An updated model plans its factor's method: no probe, no assembly."""
+        from repro.distributed.pmvn_model import KernelRates
+        from repro.query import PlannerRates, QueryPlanner
 
-        planner = QueryPlanner()  # max_rank_ratio = 0.45, so 42/96 is "tlr"
-        probe = {"block": 96, "est_rank": 10, "rank_ratio": 10 / 96.0,
-                 "accuracy": 1e-3}
-        # a downdate can only lower ranks: the record survives unchanged
-        assert planner.inherit_probe(probe, 4, True) == probe
-        # an update bumps the estimate by its rank (still the same verdict)
-        bumped = planner.inherit_probe(probe, 4, False)
-        assert bumped["est_rank"] == 14
-        assert bumped["rank_ratio"] == pytest.approx(14 / 96.0)
-        # a bump that crosses the method-verdict boundary invalidates it
-        near = {"block": 96, "est_rank": 42, "rank_ratio": 42 / 96.0,
-                "accuracy": 1e-3}
-        assert planner.inherit_probe(near, 8, False) is None
-        assert planner.inherit_probe(None, 4, False) is None
-
-    def test_update_inherits_probe_through_model(self):
         n = 24
         sigma = _spd(14, n)
         u = _update_matrix(14, n, 2)
-        with self._solver(method="auto") as solver:
+        # dense flops dear, rank-k kernels cheap: the parent's auto plan
+        # probes and may pick either method; its children must follow it
+        planner = QueryPlanner(PlannerRates(KernelRates(core_gflops=1e-3),
+                                            lowrank_gflops=1e3, task_seconds=0.0))
+        with MVNSolver(SolverConfig(method="auto", n_samples=400, tile_size=8),
+                       planner=planner) as solver:
             parent = solver.model(sigma)
-            # small models never probe; inject one to exercise the wiring
-            parent._probe = {"block": 96, "est_rank": 10,
-                            "rank_ratio": 10 / 96.0, "accuracy": 1e-3}
-            downdated = parent.update(0.01 * u, downdate=True)
-            assert downdated._probe == parent._probe
-            updated = parent.update(u)
-            assert updated._probe["est_rank"] == 12
+            parent_plan = parent.plan()
+            assert parent_plan.probe is not None
+            for child in (parent.update(u), parent.update(0.01 * u, downdate=True)):
+                plan = child.plan()
+                assert plan.method == parent_plan.method
+                assert "pre-bound" in plan.reason
+                assert plan.probe is None
+                assert child._sigma_arr is None  # planning never assembled it
 
 
 class TestCrossEntryParity:

@@ -17,12 +17,11 @@ from repro.perf import (
     MACHINES,
     PMVNCostModel,
     calibrate,
-    dense_cholesky_flops,
     get_machine,
-    predict_shared_memory_time,
     sweep_flops,
-    tlr_cholesky_model_flops,
 )
+from repro.tile.dense_kernels import potrf_flops
+from repro.tlr import tlr_cholesky_flops
 
 
 class TestMachines:
@@ -62,8 +61,8 @@ class TestCalibration:
 
 class TestCostModels:
     def test_flop_formulas(self):
-        assert dense_cholesky_flops(1000) == pytest.approx(1000**3 / 3)
-        assert tlr_cholesky_model_flops(10_000, 500, 10) < dense_cholesky_flops(10_000)
+        assert potrf_flops(1000) == pytest.approx(1000**3 / 3)
+        assert tlr_cholesky_flops(10_000, 500, 10) < potrf_flops(10_000)
         assert sweep_flops(1000, 100, 100) > 0
         assert sweep_flops(1000, 100, 100, mean_rank=5) < sweep_flops(1000, 100, 100)
 
@@ -77,14 +76,14 @@ class TestCostModels:
 
     def test_predict_time_increases_with_dimension(self):
         m = get_machine("amd-milan-64")
-        t1 = predict_shared_memory_time(m, 4_900, 10_000)
-        t2 = predict_shared_memory_time(m, 78_400, 10_000)
+        t1 = PMVNCostModel(m).total_time(4_900, 10_000)
+        t2 = PMVNCostModel(m).total_time(78_400, 10_000)
         assert t2 > t1
 
     def test_dense_slower_than_tlr(self):
         m = get_machine("intel-cascadelake-40")
-        dense = predict_shared_memory_time(m, 40_000, 10_000, "dense")
-        tlr = predict_shared_memory_time(m, 40_000, 10_000, "tlr")
+        dense = PMVNCostModel(m).total_time(40_000, 10_000, "dense")
+        tlr = PMVNCostModel(m).total_time(40_000, 10_000, "tlr")
         assert dense > tlr
 
 

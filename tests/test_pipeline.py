@@ -11,9 +11,8 @@ Five concerns:
 * **planning** — ``plan_pipeline`` resolves one method per covariance,
   counts fused queries, and models costs once per ref,
 * **execution** — the solver executor is bit-identical to the loop of
-  single calls it replaces, agrees with the broker executor, honors
-  ``negate=True`` exactly like ``negative_confidence_region``, and the
-  factor-bound executor matches a direct ``pmvn_integrate_batch`` call,
+  single calls it replaces, agrees with the broker executor, and honors
+  ``negate=True`` exactly like ``negative_confidence_region``,
 * **adaptive schedule** — ``escalate_batch`` implements the escalation
   loop shared by every entry point; a single query is a batch of one
   (end-to-end through ``Model.query`` in ``tests/test_query.py``).
@@ -21,6 +20,7 @@ Five concerns:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,18 +28,19 @@ import pytest
 
 from repro import MVNQuery, MVNSolver, QueryBroker, ServeConfig, SolverConfig
 from repro.batch import FactorCache
-from repro.core.pmvn import PMVNOptions, pmvn_integrate_batch
+from repro.core.crd import prefix_boxes
 from repro.distributed import ClusterSpec
+from repro.distributed.pmvn_model import KernelRates
 from repro.excursion import excursion_analysis, excursion_threshold_sweep, negative_confidence_region
+from repro.kernels import ExponentialKernel, Geometry, build_covariance
 from repro.query import (
+    PlannerRates,
     QueryPipeline,
     QueryPlanner,
     escalate_batch,
-    execute_factor_bound,
     execute_pipeline,
     simulate_pipeline,
 )
-from repro.core.factor import factorize
 
 
 def _field(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,15 +126,24 @@ class TestConstruction:
     def test_sweep_generator_validation(self, sigma8):
         pipe = QueryPipeline()
         pipe.add_sigma("s", sigma8)
-        pipe.add_sigma("bound")  # factor-bound, no dimension
         with pytest.raises(ValueError, match="at least one threshold"):
             pipe.add_threshold_sweep("t", [], sigma="s")
         with pytest.raises(ValueError, match="finite"):
             pipe.add_threshold_sweep("t", [0.0, np.inf], sigma="s")
-        with pytest.raises(ValueError, match="dimension"):
-            pipe.add_threshold_sweep("t", [0.0], sigma="bound")
         with pytest.raises(ValueError, match="at least one threshold"):
             pipe.add_excursion_sweep("e", [], sigma="s")
+
+    def test_prefix_chain_queries_are_the_crd_prefix_boxes(self, sigma8):
+        a = np.linspace(-0.5, 0.5, 8)
+        pipe = QueryPipeline()
+        pipe.add_sigma("s", sigma8)
+        pipe.add_prefix_chain("chain", a, sigma="s", sizes=[5, 2, 8, 2])
+        sizes, boxes = prefix_boxes(a, [5, 2, 8, 2])
+        assert list(sizes) == [2, 5, 8]
+        members = [pipe.node(name).query for name in pipe.node("chain").inputs]
+        assert [query.tag for query in members] == [2, 5, 8]
+        for query, (lower, upper) in zip(members, boxes):
+            assert np.array_equal(query.a, lower) and np.array_equal(query.b, upper)
 
     def test_empty_pipeline_cannot_freeze(self):
         with pytest.raises(ValueError, match="has no nodes"):
@@ -224,14 +234,31 @@ class TestPlanning:
         text = plan.describe()
         assert "fused queries    : 3" in text and "method=dense" in text
 
-    def test_factor_bound_ref_without_dimension_has_no_plan(self):
+    def test_stages_at_other_sample_sizes_run_the_ref_plan(self):
+        """``auto`` is priced at the session's sample size: a stage that
+        overrides it runs the ref's plan on the ref's one factor."""
+        sigma = build_covariance(ExponentialKernel(1.0, 0.5),
+                                 Geometry.regular_grid(6, 6).locations, nugget=1e-4)
+        planner = QueryPlanner(PlannerRates(
+            KernelRates(core_gflops=1.0, qmc_rows_per_second=1e6),
+            lowrank_gflops=1.0, task_seconds=0.0,
+        ))
+        config = SolverConfig(method="auto", n_samples=200, tile_size=18)
+        # at these rates N = 1000 alone would plan TLR, N = 200 dense
+        assert planner.plan(sigma, config).method == "dense"
+        assert planner.plan(sigma, replace(config, n_samples=1000)).method == "tlr"
         pipe = QueryPipeline()
-        pipe.add_sigma("bound")
-        pipe.add_query("q", _query(4), sigma="bound")
-        plan = QueryPlanner().plan_pipeline(pipe, SolverConfig(method="dense"))
-        assert plan.sigma_plans["bound"] is None
-        assert plan.probes["bound"] is None
-        assert "factor-bound" in plan.describe()
+        pipe.add_sigma("s", sigma)
+        pipe.add_threshold_sweep("small", [0.0, 0.5], sigma="s", n_samples=200, rng=0)
+        pipe.add_threshold_sweep("large", [0.0, 0.5], sigma="s", n_samples=1000, rng=0)
+        plan = planner.plan_pipeline(pipe, config)
+        assert plan.sigma_plans["s"].method == "dense"
+        with MVNSolver(config, planner=planner) as solver:
+            out = execute_pipeline(pipe, solver)
+            assert solver.cache.factorize_count == 1
+        for name in ("small[0]", "small[1]", "large[0]", "large[1]"):
+            assert out[name].details["plan"]["method"] == "dense"
+        assert out["large[0]"].n_samples == 1000
 
 
 class TestSolverExecution:
@@ -303,49 +330,6 @@ class TestSolverExecution:
         with pytest.raises(TypeError, match="MVNSolver or QueryBroker"):
             execute_pipeline(pipe, object())
 
-    def test_factor_bound_ref_rejected_on_solver(self):
-        pipe = QueryPipeline()
-        pipe.add_sigma("bound", n=4)
-        pipe.add_query("q", _query(4), sigma="bound")
-        with MVNSolver(SolverConfig(method="dense")) as solver:
-            with pytest.raises(ValueError, match="factor-bound"):
-                execute_pipeline(pipe, solver)
-
-
-class TestFactorBoundExecution:
-    def test_prefix_chain_matches_direct_batch(self, sigma8):
-        corr = sigma8 / np.sqrt(np.outer(np.diag(sigma8), np.diag(sigma8)))
-        factor = factorize(corr, method="dense", tile_size=4)
-        a = np.linspace(-0.5, 0.5, 8)
-        pipe = QueryPipeline(name="chain")
-        pipe.add_sigma("problem", n=8)
-        pipe.add_prefix_chain("chain", a, sigma="problem", sizes=[2, 5, 8])
-        options = PMVNOptions(n_samples=200, chain_block=factor.tile_size,
-                              qmc="richtmyer", rng=3)
-        out = execute_factor_bound(pipe, factor, options)
-        probs, errs = out["chain"]
-
-        boxes = []
-        for size in (2, 5, 8):
-            lo = np.full(8, -np.inf)
-            lo[:size] = a[:size]
-            boxes.append((lo, np.full(8, np.inf)))
-        direct = pmvn_integrate_batch(
-            boxes, factor,
-            PMVNOptions(n_samples=200, chain_block=factor.tile_size,
-                        qmc="richtmyer", rng=3))
-        assert np.array_equal(probs, [r.probability for r in direct])
-        assert np.array_equal(errs, [r.error for r in direct])
-        assert out.details["executor"] == "factor"
-
-    def test_crd_node_rejected_factor_bound(self, sigma8):
-        factor = factorize(np.eye(4), method="dense", tile_size=2)
-        pipe = QueryPipeline()
-        pipe.add_sigma("s", sigma8)
-        pipe.add_crd("c", sigma="s", threshold=0.0)
-        with pytest.raises(ValueError, match="query and reduction nodes"):
-            execute_factor_bound(pipe, factor, PMVNOptions(n_samples=50))
-
 
 class TestExcursionSweep:
     def test_sweep_shares_factorizations_and_matches_singles(self):
@@ -378,14 +362,9 @@ class TestSimulation:
         assert tags.count("factorize") == 1
         assert "sweep" in tags and "reduce" in tags
         assert [t.name for t in tasks_a] == [t.name for t in tasks_b]
-
-    def test_simulate_needs_dimension(self):
-        pipe = QueryPipeline()
-        pipe.add_sigma("bound")
-        pipe.add_query("q", _query(4), sigma="bound")
-        with pytest.raises(ValueError, match="cannot simulate"):
-            simulate_pipeline(pipe, SolverConfig(method="dense"),
-                              ClusterSpec(n_nodes=2))
+        # task costs are the plan's modelled seconds, unconverted
+        dense = QueryPlanner().plan_pipeline(pipe, config).sigma_plans["s"].costs["dense"]
+        assert tasks_a[0].cost == dense["factorization"]
 
 
 class TestAdaptiveSchedule:

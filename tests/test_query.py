@@ -5,9 +5,11 @@ Five concerns:
 * **validation** — NaN limits, inverted boxes and shape mismatches are
   rejected with one uniform ``ValueError`` at the query boundary, through
   every entry point (functional, solver, batched, serving),
-* **planning** — the ``method="auto"`` decision rule (size thresholds +
-  structure probe) is deterministic, sidedness-invariant, and bit-identical
-  to explicitly requesting the chosen method on dense and TLR fixtures,
+* **planning** — the ``method="auto"`` decision rule (the argmin of modelled
+  seconds, probing the rank only when it can change the answer) is
+  deterministic, sidedness-invariant, picks what measurement says at the
+  points its rates were fitted on, and is bit-identical to explicitly
+  requesting the chosen method on dense and TLR fixtures,
 * **adaptive accuracy** — ``target_error`` escalates the sample count until
   the standard error meets the target (or flags budget exhaustion cleanly),
   identically through all entry points for integer seeds,
@@ -37,8 +39,9 @@ from repro import (
     mvn_probability_batch,
     plan_query,
 )
+from repro.distributed.pmvn_model import KernelRates
 from repro.kernels import ExponentialKernel, Geometry, build_covariance
-from repro.query import DEFAULT_BUDGET_MULTIPLIER, next_sample_count
+from repro.query import DEFAULT_BUDGET_MULTIPLIER, PlannerRates, next_sample_count
 
 
 @pytest.fixture
@@ -58,11 +61,20 @@ def _box(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.full(n, -np.inf), np.linspace(0.4, 1.6, n)
 
 
-#: a planner with tiny thresholds so small test fixtures exercise the
-#: mid-size and TLR branches of the decision rule (the relaxed rank ratio
-#: compensates for the coarse 8x8 probe of these miniature covariances)
-TINY_PLANNER = QueryPlanner(dense_max_n=8, tlr_min_n=16, probe_size=8,
-                            max_rank_ratio=0.9)
+#: a planner whose rate table prices dense tile flops dear and rank-k
+#: kernels cheap, so toy fixtures tiled at TINY_TILE exercise the TLR side
+#: of the argmin (the decision rule is the production one, only the prices
+#: differ)
+TINY_PLANNER = QueryPlanner(PlannerRates(
+    KernelRates(core_gflops=1e-3, qmc_rows_per_second=1e6),
+    lowrank_gflops=1e3, task_seconds=0.0,
+))
+TINY_TILE = 18
+
+
+def _field(side: int, range_: float, nugget: float = 1e-6, n: int | None = None) -> np.ndarray:
+    locations = Geometry.regular_grid(side, side).locations[:n]
+    return build_covariance(ExponentialKernel(1.0, range_), locations, nugget=nugget)
 
 
 class TestMVNQueryValidation:
@@ -181,29 +193,50 @@ class TestPlanner:
         assert plan.method == "dense"
         assert plan.auto
         assert plan.backend is not None
-        assert "dense_max_n" in plan.reason
+        # one tile: TLR at rank 1 costs what dense does, so no probe runs
+        assert plan.probe is None
+        assert "rank 1, no probe needed" in plan.reason
 
-    def test_midsize_compressible_plans_dense(self, sigma25):
-        planner = QueryPlanner(dense_max_n=8, tlr_min_n=64, probe_size=8,
-                               max_rank_ratio=0.9)
-        plan = planner.plan(sigma25, SolverConfig(method="auto", n_samples=200))
-        assert plan.method == "dense"
-        assert "tlr_min_n" in plan.reason
+    @pytest.mark.parametrize("planner", [QueryPlanner(), TINY_PLANNER], ids=["fitted", "tiny"])
+    @pytest.mark.parametrize("tile_size", [None, 12, TINY_TILE])
+    def test_method_is_the_argmin_of_modelled_seconds(self, planner, tile_size, sigma25, smooth36):
+        for sigma in (sigma25, smooth36):
+            config = SolverConfig(method="auto", n_samples=200, tile_size=tile_size)
+            plan = planner.plan(sigma, config)
+            totals = {name: parts["total"] for name, parts in plan.costs.items()}
+            assert plan.method == min(("dense", "tlr"), key=totals.get)
+            for total in totals.values():
+                assert f"{total:.3g} s" in plan.reason
+
+    @pytest.mark.parametrize("side, range_, nugget, n_samples, method, probed", [
+        (16, 0.1, 1e-6, 256, "dense", False),     # serve_gateway's covariances
+        (32, 0.234, 1e-6, 1000, "dense", True),   # the crd_tlr field
+        (32, 0.5, 1e-4, 200, "dense", True),      # distributed gate, large field
+        (45, 0.234, 1e-6, 1000, "tlr", True),     # the crd_tlr field, 45 x 45
+        (40, 0.3, 1e-6, 4000, "tlr", True),       # planner gate, lowrank_tlr
+    ])
+    def test_committed_rates_pick_the_measured_winner(self, side, range_, nugget, n_samples,
+                                                      method, probed):
+        sigma = _field(side, range_, nugget)
+        plan = plan_query(sigma, SolverConfig(method="auto", n_samples=n_samples))
+        assert plan.method == method
+        assert (plan.probe is not None) == probed
 
     def test_large_lowrank_plans_tlr(self, smooth36):
-        plan = TINY_PLANNER.plan(smooth36, SolverConfig(method="auto", n_samples=200))
+        config = SolverConfig(method="auto", n_samples=200, tile_size=TINY_TILE)
+        plan = TINY_PLANNER.plan(smooth36, config)
         assert plan.method == "tlr"
         assert plan.probe is not None
-        assert plan.probe["rank_ratio"] <= TINY_PLANNER.max_rank_ratio
+        assert f"probe rank {plan.probe['est_rank']}" in plan.reason
         assert plan.costs  # both candidates modelled
 
     def test_incompressible_plans_dense(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((30, 30))
         noisy = a @ a.T + 30.0 * np.eye(30)  # no off-diagonal decay
-        plan = TINY_PLANNER.plan(noisy, SolverConfig(method="auto"))
+        plan = TINY_PLANNER.plan(noisy, SolverConfig(method="auto", tile_size=TINY_TILE))
         assert plan.method == "dense"
-        assert "barely compressible" in plan.reason
+        assert plan.probe["rank_ratio"] == 1.0  # full rank: TLR cannot win
 
     def test_explicit_method_passes_through(self, sigma25):
         plan = plan_query(sigma25, SolverConfig(method="sov", n_samples=100))
@@ -221,7 +254,8 @@ class TestPlanner:
 
     def test_plan_describe_renders(self, smooth36):
         plan = TINY_PLANNER.plan(
-            smooth36, SolverConfig(method="auto", n_samples=300), target_error=1e-3
+            smooth36, SolverConfig(method="auto", n_samples=300, tile_size=TINY_TILE),
+            target_error=1e-3,
         )
         text = plan.describe()
         assert "method           : tlr" in text
@@ -248,7 +282,7 @@ class TestPlanner:
         assert next_sample_count(100, 1e-3, 2e-3, 10_000) is None
 
     def test_model_plan_is_memoized_and_deterministic(self, smooth36):
-        config = SolverConfig(method="auto", n_samples=200)
+        config = SolverConfig(method="auto", n_samples=200, tile_size=TINY_TILE)
         with MVNSolver(config, planner=TINY_PLANNER) as solver:
             model = solver.model(smooth36)
             first = model.plan()
@@ -273,8 +307,9 @@ class TestAutoParity:
     def test_auto_matches_tlr_on_lowrank_fixture(self, smooth36):
         n = smooth36.shape[0]
         a, b = _box(n)
-        explicit = mvn_probability(a, b, smooth36, method="tlr", n_samples=300, rng=11)
-        with MVNSolver(SolverConfig(method="auto", n_samples=300),
+        explicit = mvn_probability(a, b, smooth36, method="tlr", n_samples=300, rng=11,
+                                   tile_size=TINY_TILE)
+        with MVNSolver(SolverConfig(method="auto", n_samples=300, tile_size=TINY_TILE),
                        planner=TINY_PLANNER) as solver:
             auto = solver.model(smooth36).probability(a, b, rng=11)
         assert auto.details["plan"]["method"] == "tlr"
@@ -316,8 +351,8 @@ class TestAutoParity:
         assert solver.cache.factorize_count == 0
 
     def test_auto_model_can_hold_both_factors(self, smooth36):
-        """A query-driven method flip factorizes per method, not per query."""
-        with MVNSolver(SolverConfig(method="auto", n_samples=100),
+        """An auto model factorizes the one method it plans."""
+        with MVNSolver(SolverConfig(method="auto", n_samples=100, tile_size=TINY_TILE),
                        planner=TINY_PLANNER) as solver:
             model = solver.model(smooth36)
             model.probability(*_box(smooth36.shape[0]), rng=0)  # plans tlr
