@@ -106,9 +106,9 @@ def _parity_suite(quick: bool) -> dict[str, dict]:
     b = rng.uniform(0.5, 2.5, n)
 
     out: dict[str, dict] = {}
+    config = SolverConfig(method="dense", n_samples=200 if quick else 500)
     for policy in SCHEDULER_POLICIES:
-        config = SolverConfig(method="dense", n_samples=200 if quick else 500, policy=policy)
-        with MVNSolver(config, n_workers=4) as solver:
+        with MVNSolver(config, n_workers=4, policy=policy) as solver:
             result = solver.model(sigma).probability(a, b, rng=SEED)
         out[policy] = {"probability": result.probability, "error": result.error}
     return out

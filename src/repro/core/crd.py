@@ -30,7 +30,7 @@ Two strategies for step 4 are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -248,28 +248,25 @@ def _confidence_region_impl(
     sigma,
     mean,
     threshold: float,
+    options: PMVNOptions,
     method: str = "dense",
     algorithm: str = "prefix",
-    n_samples: int = 10_000,
     tile_size: int | None = None,
     accuracy: float = 1e-3,
     max_rank: int | None = None,
     runtime: Runtime | None = None,
-    qmc: str = "richtmyer",
-    rng=None,
     nugget: float = 1e-8,
     levels: np.ndarray | None = None,
     cache=None,
-    backend: str | None = None,
-    workspace=None,
     std_memo: dict | None = None,
 ) -> ConfidenceRegionResult:
     """Algorithm 1 proper, run by :meth:`repro.solver.Model.confidence_region`.
 
-    ``backend`` / ``workspace`` select the QMC kernel implementation and the
-    pooled sweep buffers for the PMVN sweeps (see
-    :class:`repro.core.pmvn.PMVNOptions`).  ``sigma`` must already have
-    passed :func:`~repro.utils.validation.check_covariance`: a
+    ``options`` are the model's sweep options (sample size, QMC sequence
+    and seed, kernel backend and threads, pooled sweep buffers), built
+    where a query's are; the prefix sweep adds ``return_prefix`` to them.
+    ``sigma`` must already have passed
+    :func:`~repro.utils.validation.check_covariance`: a
     :class:`~repro.solver.solver.Model` checks its covariance once, not once
     per detection.  The reordered correlation matrix is still checked on
     every detection, by :func:`~repro.core.factor.factorize` (or skipped
@@ -324,12 +321,10 @@ def _confidence_region_impl(
         )
 
     if algorithm == "prefix":
-        prefix_prob, prefix_err = _prefix_joint_probabilities(
-            factor, a_std, n_samples, qmc, rng, runtime, backend, workspace
-        )
+        prefix_prob, prefix_err = _prefix_joint_probabilities(factor, a_std, options, runtime)
     elif algorithm == "sequential":
         prefix_prob, prefix_err = _sequential_joint_probabilities(
-            factor, a_std, n_samples, qmc, rng, runtime, levels, backend, workspace
+            factor, a_std, options, runtime, levels
         )
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}; use 'prefix' or 'sequential'")
@@ -349,7 +344,7 @@ def _confidence_region_impl(
         details={
             "prefix_probabilities": prefix_prob,
             "prefix_errors": prefix_err,
-            "n_samples": n_samples,
+            "n_samples": options.n_samples,
             "algorithm": algorithm,
             "tile_size": factor.tile_size,
             "tlr_accuracy": accuracy if method == "tlr" else None,
@@ -360,35 +355,22 @@ def _confidence_region_impl(
 def _prefix_joint_probabilities(
     factor: CholeskyFactor,
     a_std: np.ndarray,
-    n_samples: int,
-    qmc: str,
-    rng,
+    options: PMVNOptions,
     runtime: Runtime | None,
-    backend: str | None = None,
-    workspace=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All prefix joint probabilities from a single PMVN sweep."""
-    n = factor.n
-    b = np.full(n, np.inf)
-    options = PMVNOptions(
-        n_samples=n_samples, qmc=qmc, rng=rng, return_prefix=True,
-        backend=backend, workspace=workspace,
-    )
+    b = np.full(factor.n, np.inf)
     with timed("pmvn_sweep"):
-        result = pmvn_integrate(a_std, b, factor, options, runtime=runtime)
+        result = pmvn_integrate(a_std, b, factor, replace(options, return_prefix=True), runtime=runtime)
     return result.details["prefix_probabilities"], result.details["prefix_errors"]
 
 
 def _sequential_joint_probabilities(
     factor: CholeskyFactor,
     a_std: np.ndarray,
-    n_samples: int,
-    qmc: str,
-    rng,
+    options: PMVNOptions,
     runtime: Runtime | None,
     levels: np.ndarray | None,
-    backend: str | None = None,
-    workspace=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Paper-faithful prefix boxes, swept as one batch on the shared factor.
 
@@ -403,10 +385,6 @@ def _sequential_joint_probabilities(
     """
     n = factor.n
     sizes, boxes = prefix_boxes(a_std, levels)
-    options = PMVNOptions(
-        n_samples=n_samples, qmc=qmc, rng=rng,
-        backend=backend, workspace=workspace,
-    )
     with timed("pmvn_sequential"):
         results = pmvn_integrate_batch(boxes, factor, options, runtime=runtime)
     prob_at = np.array([result.probability for result in results])

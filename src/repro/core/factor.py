@@ -30,6 +30,9 @@ __all__ = ["CholeskyFactor", "DenseTileFactor", "TLRFactor", "default_tile_size"
 class CholeskyFactor:
     """Common interface over dense-tile and TLR Cholesky factors."""
 
+    #: the factor-based method that builds this kind of factor
+    #: (``"dense"`` or ``"tlr"``)
+    kind: str
     #: half-open row ranges of the tile blocks
     row_ranges: list[tuple[int, int]]
 
@@ -72,6 +75,8 @@ class CholeskyFactor:
 class DenseTileFactor(CholeskyFactor):
     """Adapter over a dense :class:`~repro.tile.layout.TileMatrix` factor."""
 
+    kind = "dense"
+
     def __init__(self, tiles: TileMatrix) -> None:
         if tiles.m != tiles.n:
             raise ValueError("Cholesky factor must be square")
@@ -105,6 +110,8 @@ class DenseTileFactor(CholeskyFactor):
 
 class TLRFactor(CholeskyFactor):
     """Adapter over a :class:`~repro.tlr.matrix.TLRMatrix` factor."""
+
+    kind = "tlr"
 
     def __init__(self, tlr: TLRMatrix) -> None:
         self.tlr = tlr

@@ -150,8 +150,8 @@ METHOD_SPECS: tuple[MethodSpec, ...] = (
     ),
 )
 
-#: the planner pseudo-method: resolved to a concrete estimator per query by
-#: :class:`repro.query.QueryPlanner` (never executed by name)
+#: the planner pseudo-method: resolved to a concrete estimator once per model
+#: by :class:`repro.query.QueryPlanner` (never executed by name)
 AUTO_METHOD = "auto"
 
 #: canonical method names, in documentation order
@@ -181,17 +181,26 @@ def unknown_method_message(method: str) -> str:
 
 
 def check_factor_args(method: str, factor=None, cache=None) -> None:
-    """Reject ``factor=`` / ``cache=`` for methods that never factorize.
+    """Reject ``factor=`` / ``cache=`` that ``method`` cannot use.
 
-    Shared by the single-call and batched APIs so they accept the same
-    inputs and raise the same message.  ``method`` must already be
-    canonical.  ``"auto"`` always resolves to a factor-based method, so it
-    accepts both arguments.
+    Shared by the single-call, batched and session APIs so they accept the
+    same inputs and raise the same message.  ``method`` must already be
+    canonical.  A method that never factorizes takes neither argument; an
+    explicit factor-based method takes only a factor of its own kind.
+    ``"auto"`` always resolves to a factor-based method and follows a
+    given factor, so it accepts both arguments.
     """
     if method == AUTO_METHOD:
         return
     if method not in PARALLEL_METHODS and (factor is not None or cache is not None):
         raise ValueError(f"method {method!r} does not use a Cholesky factor; drop factor=/cache=")
+    # an object that is not a factor falls through to the caller's type check
+    kind = getattr(factor, "kind", method)
+    if kind != method:
+        raise ValueError(
+            f"method {method!r} cannot run on a pre-computed {kind!r} factor; "
+            f"request method={kind!r} or 'auto', or drop factor="
+        )
 
 
 def canonical_method(method: str) -> str:

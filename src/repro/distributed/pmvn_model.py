@@ -23,6 +23,7 @@ import numpy as np
 from repro.distributed.cluster import ClusterSpec
 from repro.distributed.simulator import ClusterSimulator, SimTask, SimulationResult
 from repro.perf.calibration import CalibrationResult
+from repro.runtime.estimates import ModelEstimator
 from repro.tile.dense_kernels import gemm_flops, potrf_flops, trsm_flops
 from repro.utils.validation import check_positive_int
 
@@ -107,17 +108,19 @@ def build_cholesky_task_graph(
 ) -> list[SimTask]:
     """Symbolic task graph of the tiled (dense or TLR) Cholesky factorization.
 
-    Tile ownership follows the cluster's 2D block-cyclic map; task costs are
-    the per-core kernel times, reduced for TLR according to ``mean_rank``.
+    Tile ownership follows the cluster's 2D block-cyclic map; each task costs
+    its tag's :meth:`~repro.runtime.ModelEstimator.price`, the rank-``k``
+    (``lr_*``) price for the TLR trsm/syrk/gemm at ``mean_rank``.
     """
     n = check_positive_int(n, "n")
     tile_size = check_positive_int(tile_size, "tile_size")
     nt = _n_tiles(n, tile_size)
     nb = tile_size
-    k = float(mean_rank)
     tlr = method.lower() == "tlr"
+    price = ModelEstimator(rates, tile_size, tile_size, mean_rank).price
+    lr = "lr_" if tlr else ""
     tile_bytes = nb * nb * 8.0
-    lr_bytes = 2.0 * nb * k * 8.0
+    lr_bytes = 2.0 * nb * float(mean_rank) * 8.0
 
     tasks: list[SimTask] = []
     # indices of the task that last wrote each tile
@@ -130,20 +133,15 @@ def build_cholesky_task_graph(
     for kk in range(nt):
         deps = [last_writer[(kk, kk)]] if (kk, kk) in last_writer else []
         potrf = add(
-            f"potrf({kk})", rates.potrf_seconds(nb), cluster.owner(kk, kk), deps, tile_bytes, "potrf", priority=nt - kk
+            f"potrf({kk})", price("potrf"), cluster.owner(kk, kk), deps, tile_bytes, "potrf", priority=nt - kk
         )
         last_writer[(kk, kk)] = potrf
         for i in range(kk + 1, nt):
             deps = [potrf]
             if (i, kk) in last_writer:
                 deps.append(last_writer[(i, kk)])
-            cost = (
-                rates.gemm_seconds(nb, int(max(k, 1)), nb)  # TRSM touches only the V factor
-                if tlr
-                else rates.trsm_seconds(nb, nb)
-            )
             trsm = add(
-                f"trsm({i},{kk})", cost, cluster.owner(i, kk), deps,
+                f"trsm({i},{kk})", price(lr + "trsm"), cluster.owner(i, kk), deps,
                 lr_bytes if tlr else tile_bytes, "trsm", priority=nt - kk,
             )
             last_writer[(i, kk)] = trsm
@@ -151,24 +149,17 @@ def build_cholesky_task_graph(
             deps = [last_writer[(i, kk)]]
             if (i, i) in last_writer:
                 deps.append(last_writer[(i, i)])
-            cost = (
-                rates.gemm_seconds(nb, nb, int(max(k, 1))) + rates.gemm_seconds(nb, int(max(k, 1)), int(max(k, 1)))
-                if tlr
-                else rates.gemm_seconds(nb, nb, nb)
+            syrk = add(
+                f"syrk({i},{kk})", price(lr + "syrk"), cluster.owner(i, i), deps, tile_bytes, "syrk",
+                priority=nt - kk - 1,
             )
-            syrk = add(f"syrk({i},{kk})", cost, cluster.owner(i, i), deps, tile_bytes, "syrk", priority=nt - kk - 1)
             last_writer[(i, i)] = syrk
             for j in range(kk + 1, i):
                 deps = [last_writer[(i, kk)], last_writer[(j, kk)]]
                 if (i, j) in last_writer:
                     deps.append(last_writer[(i, j)])
-                cost = (
-                    3.0 * rates.gemm_seconds(nb, int(max(k, 1)), int(max(k, 1)))
-                    if tlr
-                    else rates.gemm_seconds(nb, nb, nb)
-                )
                 gemm = add(
-                    f"gemm({i},{j},{kk})", cost, cluster.owner(i, j), deps,
+                    f"gemm({i},{j},{kk})", price(lr + "gemm"), cluster.owner(i, j), deps,
                     lr_bytes if tlr else tile_bytes, "gemm", priority=nt - kk - 1,
                 )
                 last_writer[(i, j)] = gemm
@@ -186,14 +177,19 @@ def build_pmvn_task_graph(
     chain_block: int | None = None,
     include_cholesky: bool = True,
 ) -> list[SimTask]:
-    """Symbolic task graph of the full PMVN (Cholesky + integration sweep)."""
+    """Symbolic task graph of the full PMVN (Cholesky + integration sweep).
+
+    Each task costs its tag's :meth:`~repro.runtime.ModelEstimator.price`
+    (``lr_sweep_gemm`` for the TLR limit propagation at ``mean_rank``).
+    """
     n_samples = check_positive_int(n_samples, "n_samples")
     chain_block = chain_block or tile_size
     nt = _n_tiles(n, tile_size)
     nc = _n_tiles(n_samples, chain_block)
     nb = tile_size
-    k = float(mean_rank)
-    tlr = method.lower() == "tlr"
+    price = ModelEstimator(rates, tile_size, chain_block, mean_rank).price
+    qmc = price("qmc")
+    sweep_gemm = price("lr_sweep_gemm" if method.lower() == "tlr" else "sweep_gemm")
 
     tasks = build_cholesky_task_graph(n, tile_size, cluster, rates, method, mean_rank) if include_cholesky else []
     # index of the Cholesky task producing L[i, j]
@@ -221,7 +217,7 @@ def build_pmvn_task_graph(
     for c in range(nc):
         deps = chol_dep(0, 0)
         idx = add(
-            f"qmc(0,{c})", rates.qmc_seconds(nb, chain_block), cluster.owner(0, c), deps, y_bytes, "qmc",
+            f"qmc(0,{c})", qmc, cluster.owner(0, c), deps, y_bytes, "qmc",
             priority=2 * nt,
         )
         qmc_writer[(0, c)] = idx
@@ -232,20 +228,15 @@ def build_pmvn_task_graph(
                 deps = [qmc_writer[(r - 1, c)]] + chol_dep(j, r - 1)
                 if (j, c) in limits_writer:
                     deps.append(limits_writer[(j, c)])
-                cost = (
-                    rates.gemm_seconds(nb, chain_block, int(max(k, 1))) * 2.0
-                    if tlr
-                    else rates.gemm_seconds(nb, chain_block, nb)
-                )
                 idx = add(
-                    f"sweep_gemm({j},{c},{r - 1})", cost, cluster.owner(j, c), deps, 0.0, "sweep_gemm",
+                    f"sweep_gemm({j},{c},{r - 1})", sweep_gemm, cluster.owner(j, c), deps, 0.0, "sweep_gemm",
                     priority=2 * (nt - r) + 1,
                 )
                 limits_writer[(j, c)] = idx
         for c in range(nc):
             deps = [limits_writer[(r, c)]] + chol_dep(r, r)
             idx = add(
-                f"qmc({r},{c})", rates.qmc_seconds(nb, chain_block), cluster.owner(r, c), deps, y_bytes, "qmc",
+                f"qmc({r},{c})", qmc, cluster.owner(r, c), deps, y_bytes, "qmc",
                 priority=2 * (nt - r),
             )
             qmc_writer[(r, c)] = idx

@@ -4,9 +4,9 @@ The pipeline is the runtime-agnostic topology; this module converts it on
 demand per runner, so the *same* frozen graph executes
 
 * on a solver session (:func:`execute_pipeline` with an
-  :class:`repro.solver.MVNSolver`): models per covariance reference, the
-  planner's hoisted structure probes seeded into each model, fused stages
-  dispatched as one :meth:`~repro.solver.Model.probability_batch` sweep
+  :class:`repro.solver.MVNSolver`): one model per covariance reference and
+  excursion sign, each planning once, fused stages dispatched as one
+  :meth:`~repro.solver.Model.probability_batch` sweep
   (the PR 8 fused schedule), crd nodes as
   :meth:`~repro.solver.Model.confidence_region` detections sharing the
   session's factor cache;
@@ -101,12 +101,7 @@ def _execute_on_solver(pipeline: QueryPipeline, solver) -> PipelineResult:
         if key not in models:
             ref = pipeline.sigma_ref(ref_name)
             mean = _negated_mean(ref.mean) if negate else ref.mean
-            model = solver.model(ref.sigma, mean=mean)
-            # the graph-level structure probe: every model of this ref plans
-            # from the one probe the pipeline plan already paid for
-            if plan.probes.get(ref_name) is not None:
-                model._probe = plan.probes[ref_name]
-            models[key] = model
+            models[key] = solver.model(ref.sigma, mean=mean)
         return models[key]
 
     results: dict = {}

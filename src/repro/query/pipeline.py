@@ -569,7 +569,6 @@ class PipelinePlan:
     pipeline: str
     stages: tuple[PipelineStage, ...]
     sigma_plans: dict[str, QueryPlan]
-    probes: dict[str, dict | None]
     edges: dict
     costs: dict
 
@@ -588,7 +587,7 @@ class PipelinePlan:
                  f"stages           : {self.n_stages}",
                  f"fused queries    : {self.fused_queries}"]
         for ref, plan in self.sigma_plans.items():
-            probe = " (structure probe ran once)" if self.probes.get(ref) else ""
+            probe = " (structure probe ran once)" if plan.probe else ""
             lines.append(f"sigma {ref!r}: method={plan.method} "
                          f"backend={plan.backend or '-'}{probe}")
             lines.append(f"  reason: {plan.reason}")
@@ -605,14 +604,13 @@ def build_pipeline_plan(pipeline: QueryPipeline, config, planner: QueryPlanner |
     This is what :meth:`repro.query.QueryPlanner.plan_pipeline` delegates
     to.  Per covariance reference the planner aggregates the one-sidedness
     of that ref's query boxes and resolves the method/backend once, running
-    at most one structure probe (only when the rank can change the answer);
-    the per-stage plans the executors stamp on results re-derive from the
-    same memoized probe, so nothing is probed twice.
+    at most one structure probe (only when the rank can change the answer).
+    Executing the pipeline binds one :class:`repro.solver.Model` per (ref,
+    excursion sign), and each model plans once, so it probes at most once.
     """
     planner = QueryPlanner() if planner is None else planner
     stages = pipeline.compile()
     sigma_plans: dict[str, QueryPlan] = {}
-    probes: dict[str, dict | None] = {}
     nodes_by_ref: dict[str, list[PipelineNode]] = {}
     for name in pipeline.node_names:
         node = pipeline.node(name)
@@ -633,12 +631,10 @@ def build_pipeline_plan(pipeline: QueryPipeline, config, planner: QueryPlanner |
             n_samples = next((node.n_samples for node in nodes
                               if node.n_samples is not None), None)
             target = None
-        plan = planner.plan(
+        sigma_plans[ref_name] = planner.plan(
             ref.sigma, config, n_samples=n_samples,
             one_sided_fraction=one_sided, target_error=target,
         )
-        sigma_plans[ref_name] = plan
-        probes[ref_name] = plan.probe
 
     costs: dict[str, float] = {}
     total = 0.0
@@ -658,7 +654,7 @@ def build_pipeline_plan(pipeline: QueryPipeline, config, planner: QueryPlanner |
 
     return PipelinePlan(
         pipeline=pipeline.name, stages=stages, sigma_plans=sigma_plans,
-        probes=probes, edges=pipeline.edges(), costs=costs,
+        edges=pipeline.edges(), costs=costs,
     )
 
 

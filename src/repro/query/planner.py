@@ -18,20 +18,20 @@ Its output is an explicit, inspectable :class:`QueryPlan`:
   a real name);
 * the **adaptive-accuracy schedule** — the initial sample count, the error
   target and the sample budget of the escalation loop
-  (:func:`next_sample_count` computes each refinement step).
+  (:meth:`QueryPlan.with_schedule` sets it, :func:`next_sample_count`
+  computes each refinement step).
 
 Candidates are priced at the session's sample size (``config.n_samples``)
 whatever a query overrides, so the covariance and the configuration alone
-fix the method: a model holds one factor for all its queries, and every
-stage of a pipeline runs its covariance's one plan.  Planning is
-deterministic: the rates are constants, nothing is timed on the plan path,
-so the same query plans identically whether it arrives through the
-functional API, a :class:`repro.solver.Model`, the batched API or a
-serving shard — which is what lets the broker use the plan in its batch
-key.  One-sidedness enters the modelled *costs* (the fused kernel skips
+fix the method.  A :class:`repro.solver.Model` therefore plans once, on
+first use, and each of its queries only applies its schedule to that one
+decision; every stage of a pipeline runs its covariance's one plan.
+Planning is deterministic: the rates are constants, nothing is timed on
+the plan path, so the same covariance plans identically whether a query
+arrives through the functional API, a model, the batched API or a serving
+shard.  One-sidedness enters the modelled *costs* (the fused kernel skips
 infinite sides) but adds the same term to every candidate, so the method
-choice is sidedness-invariant — a query cannot change estimator (and thus
-answer) depending on which batch or shard it lands in.
+choice is sidedness-invariant.
 
 >>> import numpy as np
 >>> from repro.query import QueryPlanner
@@ -51,9 +51,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.factor import default_tile_size
+from repro.core.factor import CholeskyFactor, default_tile_size
 from repro.core.kernel_backend import get_backend
-from repro.core.methods import AUTO_METHOD, PARALLEL_METHODS
+from repro.core.methods import AUTO_METHOD, PARALLEL_METHODS, check_factor_args
 from repro.core.pmvn import BATCH_CHAIN_BLOCK
 from repro.distributed.pmvn_model import KernelRates
 from repro.query.spec import MVNQuery
@@ -226,6 +226,29 @@ class QueryPlan:
     costs: dict = field(default_factory=dict)
     probe: dict | None = None
 
+    def with_schedule(self, query: MVNQuery | None = None, *, n_samples: int | None = None,
+                      target_error: float | None = None,
+                      max_samples: int | None = None) -> QueryPlan:
+        """This decision under a query's sample schedule.
+
+        ``n_samples``, ``target_error`` and ``max_samples`` override the
+        query's; an unset sample size keeps this plan's.  With a target and
+        no budget, ``max_samples`` defaults to
+        :data:`DEFAULT_BUDGET_MULTIPLIER` times the initial sample size;
+        without a target it equals the sample size (one round).
+        """
+        if query is not None:
+            n_samples = query.n_samples if n_samples is None else n_samples
+            target_error = query.target_error if target_error is None else target_error
+            max_samples = query.max_samples if max_samples is None else max_samples
+        n_samples = int(self.n_samples if n_samples is None else n_samples)
+        if target_error is None:
+            max_samples = n_samples
+        elif max_samples is None:
+            max_samples = DEFAULT_BUDGET_MULTIPLIER * n_samples
+        return replace(self, n_samples=n_samples, target_error=target_error,
+                       max_samples=int(max_samples))
+
     def as_details(self, *, rounds: int = 1, samples_used: int | None = None,
                    target_met: bool | None = None) -> dict:
         """The JSON-safe ``details["plan"]`` record stamped on results."""
@@ -387,51 +410,33 @@ class QueryPlanner:
         one_sided_fraction: float | None = None,
         target_error: float | None = None,
         max_samples: int | None = None,
-        bound_method: str | None = None,
-        probe: dict | None = None,
-        n: int | None = None,
     ) -> QueryPlan:
         """Plan one query (or one homogeneous batch) against ``sigma``.
 
         Parameters
         ----------
-        sigma : array_like (n, n) or None
-            The covariance the query runs against.  May be ``None`` when
-            ``n`` is given and the plan never probes (an explicit method or
-            a pre-bound factor: the lazy-sigma path of updated models,
-            :meth:`repro.solver.Model.update`, whose covariance is only
-            assembled on demand).
+        sigma : array_like (n, n) or repro.core.factor.CholeskyFactor
+            The covariance the query runs against, or a pre-computed factor
+            of it.  A factor is planned from itself: it carries its
+            dimension and its kind, so an ``auto`` plan keeps the factor's
+            method (the factorization is already paid) and never probes,
+            and an explicit method of another kind raises ``ValueError``.
         config : repro.solver.SolverConfig
             The session configuration (method, sampling defaults, backend).
         query : MVNQuery, optional
             The query; its overrides (``n_samples``, ``target_error``,
             ``max_samples``, one-sidedness) seed the keyword arguments
-            below, which may also be given directly (the batched path
-            aggregates them over many boxes).
-        bound_method : str, optional
-            Method of a pre-bound factor: an ``auto`` plan honours it
-            instead of probing (the factorization is already paid).
-        probe : dict, optional
-            A previously computed :meth:`probe_structure` record (models
-            memoize the plan's probe so repeated queries never re-probe).
-        n : int, optional
-            The problem dimension, required iff ``sigma`` is ``None``.
+            below, which may also be given directly (a pipeline aggregates
+            them over its stages).
         """
-        if sigma is None:
-            if n is None:
-                raise ValueError("plan() needs either sigma or n")
-            n = int(n)
+        if isinstance(sigma, CholeskyFactor):
+            check_factor_args(config.method, sigma)
+            bound, n = sigma.kind, sigma.n
         else:
             sigma = np.asarray(sigma)
-            n = int(sigma.shape[0])
-        if query is not None:
-            n_samples = query.n_samples if n_samples is None else n_samples
-            one_sided_fraction = (
-                query.one_sided_fraction if one_sided_fraction is None else one_sided_fraction
-            )
-            target_error = query.target_error if target_error is None else target_error
-            max_samples = query.max_samples if max_samples is None else max_samples
-        n_samples = int(config.n_samples if n_samples is None else n_samples)
+            bound, n = None, int(sigma.shape[0])
+        if one_sided_fraction is None and query is not None:
+            one_sided_fraction = query.one_sided_fraction
         one_sided = float(one_sided_fraction or 0.0)
         requested = config.method
         auto = requested == AUTO_METHOD
@@ -445,15 +450,16 @@ class QueryPlanner:
             rank = record["est_rank"] if record else 1
             return self.cost_estimates(n, config.n_samples, tile, rank, one_sided)
 
-        costs = price(probe)
+        costs = price(None)
+        probe = None
         if not auto:
             method = requested
             reason = "explicitly requested"
-        elif bound_method is not None:
-            method = bound_method
-            reason = f"pre-bound {bound_method!r} factor (factorization already paid)"
+        elif bound is not None:
+            method = bound
+            reason = f"pre-bound {bound!r} factor (factorization already paid)"
         else:
-            if probe is None and costs["tlr"]["total"] < costs["dense"]["total"]:
+            if costs["tlr"]["total"] < costs["dense"]["total"]:
                 # TLR at rank 1 beats dense: only the real rank can settle it
                 probe = self.probe_structure(sigma, config.accuracy)
                 costs = price(probe)
@@ -465,22 +471,21 @@ class QueryPlanner:
                 f"{costs[other]['total']:.3g} s (tlr at {rank})"
             )
 
-        backend = get_backend(config.backend).name if method in PARALLEL_METHODS else None
-        if target_error is not None and max_samples is None:
-            max_samples = DEFAULT_BUDGET_MULTIPLIER * n_samples
-        if target_error is None:
-            max_samples = n_samples
-        return QueryPlan(
+        parallel = method in PARALLEL_METHODS
+        decision = QueryPlan(
             method=method,
-            backend=backend,
-            n_samples=n_samples,
-            target_error=target_error,
-            max_samples=int(max_samples),
+            backend=get_backend(config.backend).name if parallel else None,
+            n_samples=config.n_samples,
+            target_error=None,
+            max_samples=config.n_samples,
             auto=auto,
             requested_method=requested,
             reason=reason,
-            costs=costs if method in PARALLEL_METHODS else {},
+            costs=costs if parallel else {},
             probe=probe,
+        )
+        return decision.with_schedule(
+            query, n_samples=n_samples, target_error=target_error, max_samples=max_samples,
         )
 
     def plan_pipeline(self, pipeline, config):

@@ -48,18 +48,6 @@ _WIRE_FIELDS = ("a", "b", "mean", "n_samples", "rng", "qmc",
                 "target_error", "max_samples", "tag")
 
 
-def one_sided_fraction(boxes) -> float:
-    """Fraction of the limit entries of validated ``(a, b)`` boxes that are infinite.
-
-    One-sided (CDF-style) boxes let the fused QMC kernel skip the
-    corresponding ``Phi`` evaluations, which the planner's cost model
-    credits to the kernel phase.  A batch aggregates over all its boxes.
-    """
-    infinite = sum(int(np.isneginf(a).sum()) + int(np.isposinf(b).sum()) for a, b in boxes)
-    total = sum(a.size + b.size for a, b in boxes)
-    return infinite / total if total else 0.0
-
-
 @dataclass(frozen=True, eq=False)
 class MVNQuery:
     """One validated MVN box query ``P(a <= X <= b)``.
@@ -235,9 +223,12 @@ class MVNQuery:
     def one_sided_fraction(self) -> float:
         """Fraction of the ``2n`` limit entries that are infinite.
 
-        The query's own box through :func:`one_sided_fraction`.
+        One-sided (CDF-style) boxes let the fused QMC kernel skip the
+        corresponding ``Phi`` evaluations, which the planner's cost model
+        credits to the kernel phase.
         """
-        return one_sided_fraction([(self.a, self.b)])
+        infinite = int(np.isneginf(self.a).sum()) + int(np.isposinf(self.b).sum())
+        return infinite / (2 * self.n) if self.n else 0.0
 
     @property
     def wants_adaptive(self) -> bool:

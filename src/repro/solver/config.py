@@ -21,8 +21,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.core.kernel_backend import resolve_backend_name
-from repro.core.methods import AUTO_METHOD, PARALLEL_METHODS, canonical_method
-from repro.runtime.scheduler import canonical_policy
+from repro.core.methods import PARALLEL_METHODS, canonical_method
 from repro.stats.qmc import canonical_qmc
 from repro.utils.validation import check_accuracy
 
@@ -63,13 +62,9 @@ class SolverConfig:
         (``numba-parallel``); ``None`` defers to ``$REPRO_KERNEL_THREADS``
         and then to the backend default (all cores).  Single-threaded
         backends ignore it.
-    policy : str, optional
-        Runtime scheduling policy for solvers built from this config
-        (canonicalized through
-        :func:`repro.runtime.scheduler.canonical_policy`; aliases accepted —
-        see ``docs/runtime.md``).  ``None`` keeps the runtime default
-        (``"prio"``).  Scheduling never changes numerical results — the
-        policy only affects wall time.
+
+    The runtime's scheduling policy is not an evaluation setting: it is
+    passed to :class:`~repro.solver.MVNSolver` (``policy=``).
     """
 
     method: str = "dense"
@@ -80,7 +75,6 @@ class SolverConfig:
     qmc: str = "richtmyer"
     backend: str | None = None
     kernel_threads: int | None = None
-    policy: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", canonical_method(self.method))
@@ -94,8 +88,6 @@ class SolverConfig:
         object.__setattr__(self, "accuracy", check_accuracy(self.accuracy))
         object.__setattr__(self, "max_rank", self._positive_int("max_rank", self.max_rank, optional=True))
         object.__setattr__(self, "kernel_threads", self._positive_int("kernel_threads", self.kernel_threads, optional=True))
-        if self.policy is not None:
-            object.__setattr__(self, "policy", canonical_policy(self.policy))
 
     @staticmethod
     def _positive_int(name: str, value, optional: bool = False) -> int | None:
@@ -112,11 +104,6 @@ class SolverConfig:
     def is_parallel(self) -> bool:
         """Whether the configured method runs on a Cholesky factor."""
         return self.method in PARALLEL_METHODS
-
-    @property
-    def is_auto(self) -> bool:
-        """Whether the estimator is planner-chosen per query (``"auto"``)."""
-        return self.method == AUTO_METHOD
 
     def replace(self, **changes) -> "SolverConfig":
         """A copy of the config with ``changes`` applied (re-validated)."""

@@ -39,8 +39,8 @@ import numpy as np
 
 from repro.batch.cache import FactorCache, sigma_fingerprint
 from repro.core.crd import ConfidenceRegionResult, _confidence_region_impl
-from repro.core.factor import CholeskyFactor, TLRFactor, factorize
-from repro.core.methods import BASELINE_ESTIMATORS, check_factor_args
+from repro.core.factor import CholeskyFactor, factorize
+from repro.core.methods import BASELINE_ESTIMATORS, PARALLEL_METHODS, check_factor_args
 from repro.core.pmvn import (
     PMVNOptions,
     SweepWorkspace,
@@ -54,7 +54,6 @@ from repro.core.update import FactorLineage, lineage_fingerprint, normalize_upda
 from repro.mvn.result import MVNResult
 from repro.query import MVNQuery, QueryPlan, QueryPlanner
 from repro.query.pipeline import escalate_batch
-from repro.query.spec import one_sided_fraction
 from repro.runtime import Runtime
 from repro.solver.config import SolverConfig
 from repro.utils.timers import collect_timings
@@ -79,9 +78,9 @@ class MVNSolver:
         Worker threads of the owned runtime (ignored when ``runtime=`` is
         given).
     policy : str, optional
-        Scheduling policy of the owned runtime.  Precedence: this argument,
-        then ``config.policy``, then the ``"prio"`` default (see
-        ``docs/runtime.md`` for the policy table).
+        Scheduling policy of the owned runtime (default ``"prio"``; see
+        ``docs/runtime.md`` for the policy table).  Scheduling never changes
+        numerical results, only wall time.
     runtime : Runtime, optional
         Use an existing runtime instead of owning one.  A borrowed runtime
         is *not* closed when the solver closes.
@@ -122,9 +121,8 @@ class MVNSolver:
             raise TypeError(f"config must be a SolverConfig or method string, got {type(config).__name__}")
         self.config = config
         self._owns_runtime = runtime is None
-        effective_policy = policy if policy is not None else (config.policy or "prio")
         self.runtime = (
-            Runtime(n_workers=n_workers, policy=effective_policy)
+            Runtime(n_workers=n_workers, policy="prio" if policy is None else policy)
             if runtime is None
             else Runtime.ensure(runtime)
         )
@@ -196,8 +194,9 @@ class MVNSolver:
         mean : float or array_like (n,)
             Mean of the field (absorbed into the limits at query time).
         factor : CholeskyFactor, optional
-            Pre-computed factor of ``sigma``; skips factorization entirely
-            (factor-based methods only).
+            Pre-computed factor of ``sigma``; skips factorization entirely.
+            It becomes the model's one factor, so an explicit method must
+            be the factor's kind (``"auto"`` follows the factor).
         """
         self._check_open()
         check_factor_args(self.config.method, factor, None)
@@ -207,7 +206,10 @@ class MVNSolver:
 class Model:
     """A covariance bound to a solver, pre-factorized on first use.
 
-    Create via :meth:`MVNSolver.model`.  All queries share one Cholesky
+    Create via :meth:`MVNSolver.model`.  On first use the model resolves one
+    decision (method, kernel backend, reason, costs, probe) through the
+    solver's :class:`~repro.query.QueryPlanner`; every query, detection,
+    factorization and update reads it.  All queries share one Cholesky
     factor (built lazily through the solver's cache) and the solver's
     runtime; ``n_samples=`` / ``rng=`` / ``qmc=`` may be overridden per
     call, everything else follows the solver's :class:`SolverConfig`.
@@ -238,20 +240,12 @@ class Model:
         # once instead of per detection (see _confidence_region_impl)
         self._std_memo: dict = {}
         self._mean = mean
-        # one factor per method: ``method="auto"`` resolves one method per
-        # model, but an explicit method may differ from a bound factor's
-        self._factors: dict[str, CholeskyFactor] = {}
-        self._bound_method: str | None = None
-        if factor is not None:
-            if not isinstance(factor, CholeskyFactor):
-                raise TypeError(f"factor must be a CholeskyFactor, got {type(factor).__name__}")
-            self._bound_method = "tlr" if isinstance(factor, TLRFactor) else "dense"
-            self._factors[self._bound_method] = factor
-        # planner state: the structure probe depends only on (sigma, accuracy)
-        # and is memoized once a plan ran it, so later auto queries never
-        # re-probe
-        self._planner = solver.planner
-        self._probe: dict | None = None
+        if factor is not None and not isinstance(factor, CholeskyFactor):
+            raise TypeError(f"factor must be a CholeskyFactor, got {type(factor).__name__}")
+        # the model's one factor: bound here, or built on first use
+        self._factor: CholeskyFactor | None = factor
+        # the model's one decision, planned on first use (see _decide)
+        self._decision: QueryPlan | None = None
         # sweeps run on the solver's pooled buffers, so a model costs no
         # pool of its own; a sweep that finds the pool busy (another model
         # of this solver sweeping at the same time) runs on a transient one
@@ -321,79 +315,66 @@ class Model:
 
     @property
     def factor(self) -> CholeskyFactor | None:
-        """The bound factor, or ``None`` if not yet factorized.
-
-        A model may hold one factor per method (a bound factor of another
-        method than the configured one); this returns the factor of the
-        configured method, falling back to the single held factor (if
-        exactly one exists).
-        """
-        factor = self._factors.get(self.config.method)
-        if factor is None and len(self._factors) == 1:
-            factor = next(iter(self._factors.values()))
-        return factor
+        """The model's one factor, or ``None`` if not yet factorized."""
+        return self._factor
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "factorized" if self._factors else "lazy"
+        state = "factorized" if self._factor is not None else "lazy"
         return f"Model(n={self.n}, method={self.config.method!r}, {state})"
 
     # -- planning ------------------------------------------------------------------
-    def plan(self, query: MVNQuery | None = None, **overrides) -> QueryPlan:
+    def _decide(self) -> QueryPlan:
+        """The model's one decision, planned on first use.
+
+        A model with a factor is planned from the factor, so an updated
+        model never probes or assembles its covariance.
+        """
+        if self._decision is None:
+            self._decision = self._solver.planner.plan(
+                self._sigma if self._factor is None else self._factor, self.config,
+            )
+        return self._decision
+
+    def plan(self, query: MVNQuery | None = None, **schedule) -> QueryPlan:
         """The :class:`repro.query.QueryPlan` this model would execute.
 
-        Pure inspection: nothing is factorized or swept.  ``overrides``
-        are forwarded to :meth:`repro.query.QueryPlanner.plan`
-        (``n_samples=``, ``target_error=``, ...).
+        The model's one decision (method, backend, reason, and costs priced
+        for two-sided boxes at ``config.n_samples``) under the query's
+        sample schedule; ``schedule`` (``n_samples=``, ``target_error=``,
+        ``max_samples=``) overrides the query's.  Pure inspection: nothing
+        is factorized or swept.
         """
         self._solver._check_open()
-        cfg = self.config
-        # an updated model plans from its dimension alone — never assemble
-        # the child covariance just to read its shape (it is always built
-        # with its factor, so an auto plan never needs to probe it)
-        plan = self._planner.plan(
-            self._sigma_arr, cfg, query, n=self._n,
-            bound_method=self._bound_method if cfg.is_auto else None,
-            probe=self._probe, **overrides,
-        )
-        self._probe = plan.probe
-        return plan
+        return self._decide().with_schedule(query, **schedule)
+
+    def _factor_method(self) -> str:
+        """The model's method, which must be factor-based."""
+        method = self._decide().method
+        if method not in PARALLEL_METHODS:
+            raise ValueError(
+                f"method {method!r} does not use a Cholesky factor; factorize, "
+                "update and confidence_region need a factor-based method "
+                "('dense' or 'tlr')"
+            )
+        return method
 
     # -- factorization -------------------------------------------------------------
     def factorize(self) -> CholeskyFactor:
-        """Factor the covariance now (instead of lazily on the first query).
-
-        With ``method="auto"`` the planner resolves the method first (the
-        eager factor is the one the default query shape would use).
-        """
+        """Factor the covariance now (instead of lazily on the first query)."""
         self._solver._check_open()
-        cfg = self.config
-        method = self.plan().method if cfg.is_auto else cfg.method
-        if method not in ("dense", "tlr"):
-            raise ValueError(
-                f"method {cfg.method!r} does not use a Cholesky factor; "
-                "nothing to factorize"
-            )
-        return self._ensure_factor(method)
+        return self._ensure_factor()
 
-    def _ensure_factor(self, method: str) -> CholeskyFactor:
-        factor = self._factors.get(method)
-        if factor is None:
+    def _ensure_factor(self) -> CholeskyFactor:
+        if self._factor is None:
             cfg = self.config
             cache = self._solver.cache
-            if cache is not None:
-                factor = cache.get_or_factorize(
-                    self._sigma, method=method, tile_size=cfg.tile_size,
-                    accuracy=cfg.accuracy, max_rank=cfg.max_rank,
-                    runtime=self._solver.runtime,
-                )
-            else:
-                factor = factorize(
-                    self._sigma, method=method, tile_size=cfg.tile_size,
-                    accuracy=cfg.accuracy, max_rank=cfg.max_rank,
-                    runtime=self._solver.runtime,
-                )
-            self._factors[method] = factor
-        return factor
+            build = cache.get_or_factorize if cache is not None else factorize
+            self._factor = build(
+                self._sigma, method=self._factor_method(), tile_size=cfg.tile_size,
+                accuracy=cfg.accuracy, max_rank=cfg.max_rank,
+                runtime=self._solver.runtime,
+            )
+        return self._factor
 
     # -- online updates ------------------------------------------------------------
     def update(self, u, downdate: bool = False, *, mean=None) -> "Model":
@@ -411,8 +392,9 @@ class Model:
         * is registered in the solver's :class:`~repro.batch.FactorCache`
           under the derived fingerprint, with the lineage recorded so the
           serve broker can route it to the shard holding the parent;
-        * plans its factor's method under ``method="auto"`` (the
-          factorization is already paid), so it never probes;
+        * is planned from its factor (under ``method="auto"`` it keeps the
+          factor's method, the factorization being already paid), so it
+          never probes;
         * stamps ``details["lineage"]`` on every result.
 
         Raises :class:`repro.core.update.DowndateError` when a downdate
@@ -431,18 +413,7 @@ class Model:
         solver._check_open()
         u = normalize_update(u, self.n)
         cfg = solver.config
-        if self._bound_method is not None:
-            method = self._bound_method
-        elif cfg.is_auto:
-            method = self.plan().method
-        elif cfg.method in ("dense", "tlr"):
-            method = cfg.method
-        else:
-            raise ValueError(
-                f"Model.update requires a factor-based method ('dense' or "
-                f"'tlr'), not {cfg.method!r}"
-            )
-        parent_factor = self._ensure_factor(method)
+        parent_factor = self._ensure_factor()
         child_factor = update_factor(parent_factor, u, downdate=downdate)
 
         parent_fp = self.fingerprint
@@ -455,7 +426,7 @@ class Model:
         cache = solver.cache
         if cache is not None:
             cache.register_factor(
-                child_fp, child_factor, method=method, tile_size=cfg.tile_size,
+                child_fp, child_factor, method=child_factor.kind, tile_size=cfg.tile_size,
                 accuracy=cfg.accuracy, max_rank=cfg.max_rank,
             )
             cache.record_update(lineage)
@@ -502,12 +473,12 @@ class Model:
         """Execute one declarative :class:`repro.query.MVNQuery`.
 
         The spec -> plan -> execute path every entry point funnels through.
-        A single query is a batch of one: the planner resolves the estimator
-        (``method="auto"``) and kernel backend from the query, then the box
-        runs through exactly the sweep -> escalate -> stamp path of
-        :meth:`probability_batch` — once, or with escalating sample counts
-        when ``query.target_error`` is set — reusing the model's cached
-        factor and pooled workspaces.  The plan and the escalation outcome
+        A single query is a batch of one: the query's sample schedule is
+        applied to the model's one decision (estimator and kernel backend,
+        see :meth:`plan`), then the box runs through exactly the sweep ->
+        escalate -> stamp path of :meth:`probability_batch` — once, or with
+        escalating sample counts when ``query.target_error`` is set —
+        reusing the model's cached factor and pooled workspaces.  The plan and the escalation outcome
         are recorded under ``result.details["plan"]``.
         """
         self._solver._check_open()
@@ -557,18 +528,19 @@ class Model:
             result.details["batch_size"] = len(results)
         return results
 
-    def _run(self, boxes, means, qmc, rng, query=None, **overrides) -> list[MVNResult]:
-        """Validate, plan, sweep, escalate and stamp: the path of every query.
+    def _run(self, boxes, means, qmc, rng, query=None, **schedule) -> list[MVNResult]:
+        """Validate, schedule, sweep, escalate and stamp: the path of every query.
 
-        ``query`` (a single query's spec) and ``overrides`` seed the plan.
-        Under an adaptive plan, boxes that miss the target are re-swept at
-        escalating sample counts (:func:`repro.query.pipeline.escalate_batch`).
+        ``query`` (a single query's spec) and ``schedule`` set the sample
+        schedule of the model's decision.  Under an adaptive plan, boxes
+        that miss the target are re-swept at escalating sample counts
+        (:func:`repro.query.pipeline.escalate_batch`).
         """
         # the uniform query-boundary validation: a bad box raises the same
         # ValueError on every entry point, before any factorization is paid
         # (or cached)
         checked = _check_boxes(boxes, self.n)
-        plan = self.plan(query, one_sided_fraction=one_sided_fraction(checked), **overrides)
+        plan = self.plan(query, **schedule)
         qmc = self.config.qmc if qmc is None else qmc
 
         results = self._evaluate_batch(plan, checked, means, plan.n_samples, qmc, rng)
@@ -605,15 +577,21 @@ class Model:
                 estimator(a, b, self._sigma, n_samples=n_samples, mean=mu, qmc=qmc, rng=rng)
                 for (a, b), mu in zip(boxes, mus)
             ]
-        factor = self._ensure_factor(plan.method)
-        options = PMVNOptions(
-            n_samples=n_samples, qmc=qmc, rng=rng, backend=plan.backend,
+        factor = self._ensure_factor()
+        results = pmvn_integrate_batch(
+            boxes, factor, self._sweep_options(n_samples, qmc, rng),
+            runtime=self._solver.runtime, means=means,
+        )
+        _stamp_estimator(results, plan.method, factor)
+        return results
+
+    def _sweep_options(self, n_samples: int, qmc: str, rng) -> PMVNOptions:
+        """The options of every PMVN sweep of this model, query or detection."""
+        return PMVNOptions(
+            n_samples=n_samples, qmc=qmc, rng=rng, backend=self._decide().backend,
             workspace=self._solver._sweep_workspace,
             kernel_threads=self.config.kernel_threads,
         )
-        results = pmvn_integrate_batch(boxes, factor, options, runtime=self._solver.runtime, means=means)
-        _stamp_estimator(results, plan.method, factor)
-        return results
 
     def confidence_region(
         self, threshold: float, *, algorithm: str = "prefix",
@@ -623,39 +601,31 @@ class Model:
         """Run confidence-region detection (Algorithm 1) on this model.
 
         Uses the model's bound mean and the solver's factor cache, so
-        repeated detections against the same field factorize once.  With
-        ``method="auto"`` the planner resolves the factor-based estimator
-        (auto always plans ``"dense"`` or ``"tlr"``).  The detection's own
-        phase timings land in ``result.details["timings"]`` (and in any
-        enclosing :func:`repro.utils.timers.collect_timings` block).
+        repeated detections against the same field factorize once.  The
+        detection runs the model's method (``method="auto"`` always plans
+        ``"dense"`` or ``"tlr"``) and sweeps with the options a query of
+        this model would.  The detection's own phase timings land in
+        ``result.details["timings"]`` (and in any enclosing
+        :func:`repro.utils.timers.collect_timings` block).
         """
         solver = self._solver
         solver._check_open()
         cfg = solver.config
-        if cfg.is_auto:
-            plan = self.plan(n_samples=n_samples)
-            method, backend = plan.method, plan.backend
-        elif cfg.is_parallel:
-            method, backend = cfg.method, cfg.backend
-        else:
-            raise ValueError(
-                f"confidence_region requires a factor-based method "
-                f"('dense' or 'tlr'), not {cfg.method!r}"
-            )
-        n_samples = cfg.n_samples if n_samples is None else n_samples
-        qmc = cfg.qmc if qmc is None else qmc
+        method = self._factor_method()
+        options = self._sweep_options(
+            cfg.n_samples if n_samples is None else n_samples,
+            cfg.qmc if qmc is None else qmc, rng,
+        )
         if not self._sigma_validated:
             self._sigma_arr = check_covariance(self._sigma, "covariance")
             self._sigma_validated = True
         with collect_timings() as timings:
             result = _confidence_region_impl(
-                self._sigma, self._mean, threshold, method=method,
-                algorithm=algorithm, n_samples=n_samples, tile_size=cfg.tile_size,
+                self._sigma, self._mean, threshold, options, method=method,
+                algorithm=algorithm, tile_size=cfg.tile_size,
                 accuracy=cfg.accuracy, max_rank=cfg.max_rank,
-                runtime=solver.runtime, qmc=qmc, rng=rng, nugget=nugget,
-                levels=levels, cache=solver.cache,
-                backend=backend, workspace=solver._sweep_workspace,
-                std_memo=self._std_memo,
+                runtime=solver.runtime, nugget=nugget, levels=levels,
+                cache=solver.cache, std_memo=self._std_memo,
             )
         result.details["timings"] = timings.summary()
         return result

@@ -118,13 +118,14 @@ class TestConfidenceRegion:
         factor = factorize(sigma, method="dense", tile_size=6)
         a = np.linspace(-1.0, 0.5, n)
         levels = np.array([3, 7, 12, 20])
-        prob, err = _sequential_joint_probabilities(factor, a, 300, "richtmyer", 5, None, levels)
+        options = PMVNOptions(n_samples=300, qmc="richtmyer", rng=5)
+        prob, err = _sequential_joint_probabilities(factor, a, options, None, levels)
         boxes = []
         for size in levels:
             lower = np.full(n, -np.inf)
             lower[:size] = a[:size]
             boxes.append((lower, np.full(n, np.inf)))
-        direct = pmvn_integrate_batch(boxes, factor, PMVNOptions(n_samples=300, qmc="richtmyer", rng=5))
+        direct = pmvn_integrate_batch(boxes, factor, options)
         assert np.array_equal(prob[levels - 1], [r.probability for r in direct])
         assert np.array_equal(err[levels - 1], [r.error for r in direct])
 

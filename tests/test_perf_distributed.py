@@ -191,6 +191,21 @@ class TestPMVNTaskGraphs:
         tags = {t.tag for t in tasks}
         assert {"potrf", "qmc", "sweep_gemm"}.issubset(tags)
 
+    @pytest.mark.parametrize("method", ["dense", "tlr"])
+    def test_task_costs_are_the_estimator_prices(self, method):
+        """Every task costs its tag's ModelEstimator price (``lr_*`` for TLR)."""
+        from repro.runtime import ModelEstimator
+
+        rates = KernelRates(core_gflops=37.3, qmc_rows_per_second=1.3e7)
+        lowrank = {"trsm", "syrk", "gemm", "sweep_gemm"} if method == "tlr" else set()
+        for n, nb, chain_block, rank in ((400, 50, 80, 7.6), (300, 64, None, 12.0), (250, 50, 40, 0.5)):
+            tasks = build_pmvn_task_graph(n, 256, nb, ClusterSpec(4), rates, method=method,
+                                          mean_rank=rank, chain_block=chain_block)
+            price = ModelEstimator(rates, nb, chain_block or nb, rank).price
+            for task in tasks:
+                tag = f"lr_{task.tag}" if task.tag in lowrank else task.tag
+                assert task.cost == price(tag), task.name
+
     def test_simulated_scaling_improves_with_nodes(self):
         """Strong scaling holds once there are enough tiles to distribute."""
         rates = KernelRates(core_gflops=10.0, qmc_rows_per_second=5e6)

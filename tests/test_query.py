@@ -350,14 +350,56 @@ class TestAutoParity:
         assert result.method == "pmvn-tlr"
         assert solver.cache.factorize_count == 0
 
-    def test_auto_model_can_hold_both_factors(self, smooth36):
+    def test_auto_model_holds_the_one_factor_it_plans(self, smooth36):
         """An auto model factorizes the one method it plans."""
         with MVNSolver(SolverConfig(method="auto", n_samples=100, tile_size=TINY_TILE),
                        planner=TINY_PLANNER) as solver:
             model = solver.model(smooth36)
             model.probability(*_box(smooth36.shape[0]), rng=0)  # plans tlr
-            assert set(model._factors) == {"tlr"}
-            assert model.plan().method == "tlr"
+            assert model.factor.kind == model.plan().method == "tlr"
+            assert model.factorize() is model.factor
+            assert solver.cache.factorize_count == 1
+
+
+class TestOneDecisionPerModel:
+    """A model plans once; a query only sets its sample schedule."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"plan": 0, "probe": 0}
+        for name, key in (("plan", "plan"), ("probe_structure", "probe")):
+            def counting(self, *args, _real=getattr(QueryPlanner, name), _key=key, **kwargs):
+                counts[_key] += 1
+                return _real(self, *args, **kwargs)
+            monkeypatch.setattr(QueryPlanner, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("method", ["dense", "auto"])
+    def test_every_call_of_a_model_reads_one_plan(self, calls, smooth36, method):
+        n = smooth36.shape[0]
+        a, b = _box(n)
+        u = 0.05 * np.random.default_rng(3).standard_normal((n, 2))
+        config = SolverConfig(method=method, n_samples=100, tile_size=TINY_TILE)
+        with MVNSolver(config, planner=TINY_PLANNER) as solver:
+            model = solver.model(smooth36, mean=0.1)
+            for seed in range(3):
+                model.probability(a, b, rng=seed)
+            model.probability_batch([(a, b), (a, b - 0.2)], rng=0)
+            model.probability(a, b, rng=0, target_error=1e-4, max_samples=400)
+            model.confidence_region(0.2, rng=0)
+            model.factorize()
+            # the auto plan of this fixture is TLR, which only the probe's
+            # rank can settle
+            assert calls == {"plan": 1, "probe": 1 if method == "auto" else 0}
+            assert model.plan().method == ("tlr" if method == "auto" else "dense")
+            for downdate in (False, True):
+                calls.update(plan=0, probe=0)
+                model = model.update(u, downdate=downdate)
+                model.probability(a, b, rng=0)
+                model.probability_batch([(a, b), (a, b - 0.2)], rng=0)
+                model.probability(a, b, rng=0, target_error=1e-4, max_samples=400)
+                assert calls == {"plan": 1, "probe": 0}
+                assert model._sigma_arr is None  # the covariance was never assembled
 
 
 class TestAdaptiveAccuracy:

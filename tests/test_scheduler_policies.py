@@ -546,20 +546,10 @@ class TestPolicyWiring:
         with pytest.raises(ValueError):
             Runtime(information_mode="psychic")
 
-    def test_solver_config_validates_policy(self):
-        from repro.solver import SolverConfig
-
-        assert SolverConfig(policy="steal").policy == "worksteal"
-        assert SolverConfig().policy is None
-        with pytest.raises(ValueError):
-            SolverConfig(policy="newest-first")
-
     def test_solver_precedence_kwarg_over_config(self):
-        from repro.solver import MVNSolver, SolverConfig
+        from repro.solver import MVNSolver
 
-        with MVNSolver(SolverConfig(policy="blevel")) as solver:
-            assert solver.runtime.policy == "blevel"
-        with MVNSolver(SolverConfig(policy="blevel"), policy="fifo") as solver:
+        with MVNSolver(policy="fifo") as solver:
             assert solver.runtime.policy == "fifo"
         with MVNSolver() as solver:
             assert solver.runtime.policy == "prio"

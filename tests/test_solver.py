@@ -535,6 +535,51 @@ class TestConfig:
             with pytest.raises(ValueError, match="does not use a Cholesky factor"):
                 solver.model(solver_sigma, factor=factor)
 
+    def test_explicit_method_rejects_a_factor_of_the_other_kind(self):
+        """``factor=`` is the model's one factor: an explicit method must match it."""
+        sigma = build_covariance(ExponentialKernel(1.0, 0.2),
+                                 Geometry.regular_grid(12, 12).locations, nugget=1e-6)
+        a, b = _box(sigma.shape[0])
+        factors = {"dense": factorize(sigma, method="dense"), "tlr": factorize(sigma, method="tlr")}
+        for method, kind in (("dense", "tlr"), ("tlr", "dense")):
+            factor = factors[kind]
+            expected = rf"method '{method}' cannot run on a pre-computed '{kind}' factor"
+            with MVNSolver(SolverConfig(method=method, n_samples=100)) as solver:
+                with pytest.raises(ValueError, match=expected):
+                    solver.model(sigma, factor=factor)
+                assert solver.cache.factorize_count == 0
+            with pytest.raises(ValueError, match=expected):
+                mvn_probability(a, b, sigma, method=method, factor=factor, n_samples=100)
+            with pytest.raises(ValueError, match=expected):
+                mvn_probability_batch([(a, b)], sigma, method=method, factor=factor, n_samples=100)
+            # the matching method and "auto" run on the factor, factorizing nothing
+            for requested in (kind, "auto"):
+                with MVNSolver(SolverConfig(method=requested, n_samples=100)) as solver:
+                    result = solver.model(sigma, factor=factor).probability(a, b, rng=0)
+                    assert result.method == f"pmvn-{kind}"
+                    assert solver.cache.factorize_count == 0
+
+    @pytest.mark.parametrize("algorithm", ["prefix", "sequential"])
+    def test_detection_sweeps_with_the_configured_kernel_threads(
+        self, solver_sigma, monkeypatch, algorithm,
+    ):
+        """A detection's sweep gets the options a query of its model would."""
+        import repro.core.pmvn as pmvn
+
+        applied = []
+        real = pmvn.set_kernel_threads
+        monkeypatch.setattr(pmvn, "set_kernel_threads",
+                            lambda threads: applied.append(threads) or real(threads))
+        n = solver_sigma.shape[0]
+        config = SolverConfig(method="dense", n_samples=100, kernel_threads=2)
+        with MVNSolver(config) as solver:
+            model = solver.model(solver_sigma, mean=np.linspace(-0.5, 1.0, n))
+            model.probability(*_box(n), rng=0)
+            assert applied[:1] == [2]
+            applied.clear()
+            model.confidence_region(0.3, algorithm=algorithm, rng=0, levels=[1, 10, n])
+        assert applied[:1] == [2]
+
     def test_confidence_region_rejects_baselines(self, solver_sigma):
         with MVNSolver("mc") as solver:
             with pytest.raises(ValueError, match="factor-based"):
