@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import DIMENSIONS, N_WORKERS, save_table
-from repro.core import pmvn_dense, pmvn_tlr
+from repro.core import mvn_probability
 from repro.kernels import ExponentialKernel, Geometry, build_covariance
 from repro.perf import MACHINES, PMVNCostModel
 from repro.runtime import Runtime
@@ -36,13 +36,10 @@ def _elapsed(sigma: np.ndarray, method: str, n_samples: int) -> float:
     tile = max(100, n // 10)
     runtime = Runtime(n_workers=N_WORKERS)
     start = time.perf_counter()
-    if method == "dense":
-        pmvn_dense(a, b, sigma, n_samples=n_samples, tile_size=tile, runtime=runtime, rng=1)
-    else:
-        pmvn_tlr(
-            a, b, sigma, n_samples=n_samples, tile_size=tile, accuracy=TLR_ACCURACY,
-            max_rank=64, runtime=runtime, rng=1,
-        )
+    mvn_probability(
+        a, b, sigma, method=method, n_samples=n_samples, tile_size=tile,
+        accuracy=TLR_ACCURACY, max_rank=64, runtime=runtime, rng=1,
+    )
     return time.perf_counter() - start
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import N_WORKERS, QMC_SIZES, save_table
-from repro.core import pmvn_dense, pmvn_tlr
+from repro.core import mvn_probability
 from repro.kernels import ExponentialKernel, Geometry, build_covariance
 from repro.perf import MACHINES, PMVNCostModel
 from repro.runtime import Runtime
@@ -42,14 +42,10 @@ def _run(sigma, method: str, n_samples: int) -> float:
     b = np.full(sigma.shape[0], 0.5)
     runtime = Runtime(n_workers=N_WORKERS)
     start = time.perf_counter()
-    if method == "dense":
-        pmvn_dense(a, b, sigma, n_samples=n_samples, tile_size=TILE_SIZE, runtime=runtime, rng=0)
-    else:
-        pmvn_tlr(
-            a, b, sigma, n_samples=n_samples, tile_size=TILE_SIZE,
-            accuracy=TLR_ACCURACY, max_rank=MAX_RANK,
-            runtime=runtime, rng=0,
-        )
+    mvn_probability(
+        a, b, sigma, method=method, n_samples=n_samples, tile_size=TILE_SIZE,
+        accuracy=TLR_ACCURACY, max_rank=MAX_RANK, runtime=runtime, rng=0,
+    )
     return time.perf_counter() - start
 
 

@@ -78,7 +78,7 @@ True
 
 from repro.core.api import mvn_probability, mvn_probability_batch
 from repro.core.crd import ConfidenceRegionResult, confidence_region, confidence_region_from_posterior
-from repro.core.pmvn import pmvn_dense, pmvn_tlr, pmvn_integrate, pmvn_integrate_batch, PMVNOptions
+from repro.core.pmvn import pmvn_integrate, pmvn_integrate_batch, PMVNOptions
 from repro.core.factor import factorize
 from repro.core.update import DowndateError, FactorLineage, lineage_fingerprint, update_factor
 from repro.batch import FactorCache
@@ -106,8 +106,6 @@ __all__ = [
     "ConfidenceRegionResult",
     "confidence_region",
     "confidence_region_from_posterior",
-    "pmvn_dense",
-    "pmvn_tlr",
     "pmvn_integrate",
     "pmvn_integrate_batch",
     "PMVNOptions",

@@ -9,11 +9,10 @@ Public entry points
   registry lives in :mod:`repro.core.methods`).
 * :func:`~repro.batch.batched.mvn_probability_batch` — many boxes against
   one covariance, factorized once (re-exported from :mod:`repro.batch`).
-* :func:`~repro.core.pmvn.pmvn_dense` / :func:`~repro.core.pmvn.pmvn_tlr` —
-  the tile-parallel SOV integration with a dense or TLR Cholesky factor.
 * :func:`~repro.core.pmvn.pmvn_integrate` /
-  :func:`~repro.core.pmvn.pmvn_integrate_batch` — the integration sweep
-  given a pre-computed factor (what Algorithm 1 calls in its inner loop).
+  :func:`~repro.core.pmvn.pmvn_integrate_batch` — the tile-parallel SOV
+  integration sweep given a pre-computed dense or TLR factor (what
+  Algorithm 1 calls in its inner loop).
 * :class:`~repro.core.crd.ConfidenceRegionResult` and
   :func:`~repro.core.crd.confidence_region` — Algorithm 1.
 """
@@ -28,7 +27,7 @@ from repro.core.update import (
 from repro.core.methods import ACCEPTED_METHODS, METHOD_SPECS, canonical_method
 from repro.core.qmc_kernel import qmc_kernel_tile
 from repro.core.kernel_backend import KernelWorkspace, available_backends, get_backend
-from repro.core.pmvn import pmvn_dense, pmvn_tlr, pmvn_integrate, pmvn_integrate_batch, PMVNOptions, SweepWorkspace
+from repro.core.pmvn import pmvn_integrate, pmvn_integrate_batch, PMVNOptions, SweepWorkspace
 from repro.core.crd import (
     ConfidenceRegionResult,
     confidence_region,
@@ -54,8 +53,6 @@ __all__ = [
     "available_backends",
     "get_backend",
     "SweepWorkspace",
-    "pmvn_dense",
-    "pmvn_tlr",
     "pmvn_integrate",
     "pmvn_integrate_batch",
     "PMVNOptions",

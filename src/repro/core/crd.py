@@ -283,9 +283,7 @@ def _confidence_region_impl(
     """
     sigma = np.ascontiguousarray(sigma, dtype=np.float64)
     n = sigma.shape[0]
-    mu = np.full(n, float(mean)) if np.isscalar(mean) else ensure_1d(mean, "mean")
-    if mu.shape[0] != n:
-        raise ValueError("mean must have one entry per location")
+    mu = np.broadcast_to(mean, n)  # the model checked it (check_mean)
     threshold = float(threshold)
 
     with timed("marginals"):

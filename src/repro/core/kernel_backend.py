@@ -54,6 +54,7 @@ from typing import Callable
 import numpy as np
 
 from repro.stats.normal import PPF_EPS, norm_cdf, norm_ppf
+from repro.utils.validation import check_count
 
 __all__ = [
     "KernelBackend",
@@ -90,18 +91,6 @@ _OPTIONAL_BACKENDS = ("numba", "numba-parallel")
 _KERNEL_THREADS: int | None = None
 
 
-def _check_threads(value, source: str = "kernel_threads") -> int:
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be a positive integer, got {value!r}"
-        ) from None
-    if n < 1:
-        raise ValueError(f"{source} must be >= 1, got {n}")
-    return n
-
-
 def set_kernel_threads(n: int | None) -> int | None:
     """Set the process-wide kernel thread count; returns the previous setting.
 
@@ -112,7 +101,7 @@ def set_kernel_threads(n: int | None) -> int | None:
     """
     global _KERNEL_THREADS
     prev = _KERNEL_THREADS
-    _KERNEL_THREADS = None if n is None else _check_threads(n)
+    _KERNEL_THREADS = None if n is None else check_count(n, "kernel_threads")
     return prev
 
 
@@ -123,12 +112,16 @@ def resolve_kernel_threads(explicit: int | None = None) -> int | None:
     single-threaded backends ignore the value entirely.
     """
     if explicit is not None:
-        return _check_threads(explicit)
+        return check_count(explicit, "kernel_threads")
     if _KERNEL_THREADS is not None:
         return _KERNEL_THREADS
     env = os.environ.get(KERNEL_THREADS_ENV_VAR)
     if env:
-        return _check_threads(env, source=f"${KERNEL_THREADS_ENV_VAR}")
+        try:
+            value = float(env)
+        except ValueError:
+            value = env  # not a number: the count rule rejects it by name
+        return check_count(value, f"${KERNEL_THREADS_ENV_VAR}")
     return None
 
 

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.factor import CholeskyFactor, factorize
+from repro.core.factor import CholeskyFactor
 from repro.core.kernel_backend import (
     KernelBackend,
     KernelWorkspace,
@@ -66,16 +66,13 @@ from repro.mvn.result import MVNResult
 from repro.runtime import AccessMode, DataHandle, Runtime
 from repro.stats.qmc import qmc_samples
 from repro.utils.timers import add_timing, timed
-from repro.utils.validation import check_limits, check_positive_int
-from repro.utils.validation import ensure_1d
+from repro.utils.validation import check_limits, check_mean, check_positive_int
 
 __all__ = [
     "PMVNOptions",
     "SweepWorkspace",
     "pmvn_integrate",
     "pmvn_integrate_batch",
-    "pmvn_dense",
-    "pmvn_tlr",
 ]
 
 #: default chain-block width of the batched sweep (wider blocks amortize the
@@ -197,36 +194,6 @@ def _check_boxes(boxes, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return checked
 
 
-def _box_mean(mean, n: int) -> np.ndarray:
-    """One box's mean as a length-``n`` vector (from a scalar or a vector)."""
-    if np.isscalar(mean):
-        return np.full(n, float(mean))
-    mu = ensure_1d(mean, "mean")
-    if mu.shape != (n,):
-        raise ValueError(f"mean must be a scalar or have shape ({n},), got {mu.shape}")
-    return mu
-
-
-def _shared_mean(mean, n_boxes: int, n: int) -> list[np.ndarray]:
-    """One mean for every box, resolved to per-box vectors.
-
-    The single-mean rule of :func:`pmvn_integrate` and
-    :class:`repro.solver.Model` (a query's mean, or a model's mean shared by
-    a batch): ``None`` (zero), a scalar, or a length-``n`` vector, which may
-    come as a ``(1, n)`` row.  Resolving here keeps a shared vector clear of
-    :func:`_resolve_means`' ``n == n_boxes`` ambiguity check.
-    """
-    if mean is None:
-        mean = 0.0
-    elif not np.isscalar(mean):
-        mean = np.asarray(mean, dtype=np.float64)
-        if mean.ndim == 0:
-            mean = float(mean)
-        elif mean.ndim == 2 and mean.shape[0] == 1:
-            mean = mean[0]
-    return [_box_mean(mean, n)] * n_boxes
-
-
 def _resolve_means(means, n_boxes: int, n: int) -> list[np.ndarray]:
     """Canonicalize the ``means`` argument of the batched sweep.
 
@@ -234,38 +201,34 @@ def _resolve_means(means, n_boxes: int, n: int) -> list[np.ndarray]:
     all boxes, a length-``n_boxes`` sequence of per-box scalars, or per-box
     vectors as an ``(n_boxes, n)`` array / nested sequence.  A flat numeric
     sequence whose length is both ``n`` and ``n_boxes`` is ambiguous and
-    rejected — disambiguate with a shape-``(n_boxes, n)`` array.
+    rejected — disambiguate with a shape-``(n_boxes, n)`` array.  Every
+    mean passes :func:`~repro.utils.validation.check_mean`.
     """
     if means is None:
         return [np.zeros(n)] * n_boxes
-    if np.isscalar(means):
-        return [_box_mean(means, n)] * n_boxes
     try:
         arr = np.asarray(means, dtype=np.float64)
     except (TypeError, ValueError):
-        arr = np.asarray(means, dtype=object)
-    if arr.dtype != object and arr.ndim == 1:
-        if arr.shape[0] == n == n_boxes:
+        seq = list(means)  # ragged per-box entries
+    else:
+        if arr.ndim == 1 and arr.shape[0] == n == n_boxes:
             raise ValueError(
                 f"means of length {n} is ambiguous (n == n_boxes): pass a shared mean "
                 f"as a scalar or an (n_boxes, n) array of per-box means"
             )
-        if arr.shape[0] == n:
-            return [_box_mean(arr, n)] * n_boxes
-        if arr.shape[0] == n_boxes:
-            return [_box_mean(mean, n) for mean in arr]
-        raise ValueError(
-            f"means must be a scalar, a shared ({n},) vector, {n_boxes} per-box "
-            f"scalars, or an ({n_boxes}, {n}) array; got shape {arr.shape}"
-        )
-    if arr.dtype != object and arr.ndim == 2:
-        if arr.shape != (n_boxes, n):
+        if arr.ndim == 0 or arr.shape == (n,):
+            return [np.broadcast_to(check_mean(arr, n), n)] * n_boxes
+        if arr.ndim == 1 and arr.shape[0] != n_boxes:
+            raise ValueError(
+                f"means must be a scalar, a shared ({n},) vector, {n_boxes} per-box "
+                f"scalars, or an ({n_boxes}, {n}) array; got shape {arr.shape}"
+            )
+        if arr.ndim == 2 and arr.shape != (n_boxes, n):
             raise ValueError(f"per-box means must have shape ({n_boxes}, {n}), got {arr.shape}")
-        return [np.ascontiguousarray(arr[i]) for i in range(n_boxes)]
-    seq = list(means)
+        seq = list(arr)
     if len(seq) != n_boxes:
         raise ValueError(f"means must provide one entry per box ({n_boxes}), got {len(seq)}")
-    return [_box_mean(mean, n) for mean in seq]
+    return [np.broadcast_to(check_mean(mean, n), n) for mean in seq]
 
 
 def pmvn_integrate_batch(
@@ -771,9 +734,11 @@ def pmvn_integrate(
     runtime : Runtime, optional
         Task runtime; defaults to serial execution.
     mean : float or array_like
-        Mean vector, absorbed into the limits.
+        Mean, absorbed into the limits: ``None`` (zero), a scalar, or an
+        ``(n,)`` vector, which may come as a ``(1, n)`` row (see
+        :func:`~repro.utils.validation.check_mean`).
     """
-    means = _shared_mean(mean, 1, factor.n)
+    means = np.broadcast_to(check_mean(mean, factor.n), (1, factor.n))
     return pmvn_integrate_batch([(a, b)], factor, options, runtime=runtime, means=means)[0]
 
 
@@ -794,85 +759,3 @@ def _stamp_estimator(results: list[MVNResult], method: str, factor: CholeskyFact
         result.method = f"pmvn-{method}"
         result.details["tile_size"] = factor.tile_size
         result.details.update(tlr_details)
-
-
-def pmvn_dense(
-    a,
-    b,
-    sigma,
-    n_samples: int = 10_000,
-    tile_size: int | None = None,
-    runtime: Runtime | None = None,
-    mean=0.0,
-    qmc: str = "richtmyer",
-    rng=None,
-    chain_block: int | None = None,
-    factor: CholeskyFactor | None = None,
-    backend: str | None = None,
-    workspace: SweepWorkspace | None = None,
-    kernel_threads: int | None = None,
-) -> MVNResult:
-    """Dense tile-parallel MVN probability (tiled Cholesky + PMVN sweep).
-
-    Pass ``factor=`` (e.g. from :func:`repro.core.factor.factorize` or a
-    :class:`repro.batch.FactorCache`) to reuse a factorization and skip the
-    Cholesky entirely.  ``backend=`` selects the QMC kernel implementation
-    and ``workspace=`` reuses a pooled :class:`SweepWorkspace` across calls
-    (see :class:`PMVNOptions`).
-    """
-    if factor is None:
-        factor = factorize(sigma, method="dense", tile_size=tile_size, runtime=runtime)
-    elif not isinstance(factor, CholeskyFactor):
-        raise TypeError(f"factor must be a CholeskyFactor, got {type(factor).__name__}")
-    options = PMVNOptions(
-        n_samples=n_samples, chain_block=chain_block, qmc=qmc, rng=rng,
-        backend=backend, workspace=workspace, kernel_threads=kernel_threads,
-    )
-    result = pmvn_integrate(a, b, factor, options, runtime=runtime, mean=mean)
-    _stamp_estimator([result], "dense", factor)
-    return result
-
-
-def pmvn_tlr(
-    a,
-    b,
-    sigma,
-    n_samples: int = 10_000,
-    tile_size: int | None = None,
-    accuracy: float = 1e-3,
-    max_rank: int | None = None,
-    runtime: Runtime | None = None,
-    mean=0.0,
-    qmc: str = "richtmyer",
-    rng=None,
-    chain_block: int | None = None,
-    factor: CholeskyFactor | None = None,
-    backend: str | None = None,
-    workspace: SweepWorkspace | None = None,
-    kernel_threads: int | None = None,
-) -> MVNResult:
-    """TLR-accelerated MVN probability (TLR Cholesky + PMVN sweep).
-
-    Pass ``factor=`` to reuse a pre-computed TLR factorization and skip both
-    the compression and the Cholesky.  ``backend=`` / ``workspace=`` select
-    the QMC kernel implementation and reuse pooled sweep buffers (see
-    :class:`PMVNOptions`).
-    """
-    if factor is None:
-        factor = factorize(
-            sigma,
-            method="tlr",
-            tile_size=tile_size,
-            accuracy=accuracy,
-            max_rank=max_rank,
-            runtime=runtime,
-        )
-    elif not isinstance(factor, CholeskyFactor):
-        raise TypeError(f"factor must be a CholeskyFactor, got {type(factor).__name__}")
-    options = PMVNOptions(
-        n_samples=n_samples, chain_block=chain_block, qmc=qmc, rng=rng,
-        backend=backend, workspace=workspace, kernel_threads=kernel_threads,
-    )
-    result = pmvn_integrate(a, b, factor, options, runtime=runtime, mean=mean)
-    _stamp_estimator([result], "tlr", factor)
-    return result

@@ -64,9 +64,7 @@ def negative_confidence_region(sigma, mean, threshold: float, **kwargs) -> Confi
     ``confidence_function`` is the negative-excursion confidence ``F-``.
     """
     _check_crd_kwargs(kwargs, "negative_confidence_region")
-    mean = np.asarray(mean, dtype=np.float64) if not np.isscalar(mean) else mean
-    neg_mean = -mean if not np.isscalar(mean) else -float(mean)
-    result = confidence_region(sigma, neg_mean, -float(threshold), **kwargs)
+    result = confidence_region(sigma, -np.asarray(mean, dtype=np.float64), -float(threshold), **kwargs)
     result.threshold = float(threshold)
     result.details["set_type"] = "negative"
     return result

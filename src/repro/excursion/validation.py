@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.crd import ConfidenceRegionResult
 from repro.fields.sampling import sample_from_covariance
-from repro.utils.validation import check_covariance, check_positive_int, ensure_1d
+from repro.utils.validation import check_covariance, check_mean, check_positive_int, ensure_1d
 
 __all__ = ["MCValidationResult", "mc_validate_regions", "compare_confidence_functions"]
 
@@ -76,7 +76,7 @@ def mc_validate_regions(
     """
     sigma = check_covariance(sigma, "covariance")
     n = sigma.shape[0]
-    mu = np.full(n, float(mean)) if np.isscalar(mean) else ensure_1d(mean, "mean")
+    mu = check_mean(mean, n)
     n_samples = check_positive_int(n_samples, "n_samples")
     if levels is None:
         levels = np.linspace(0.05, 0.95, 19)

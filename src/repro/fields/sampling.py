@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.kernels.builder import build_covariance
 from repro.kernels.covariance import CovarianceKernel
-from repro.utils.validation import check_covariance, ensure_1d, ensure_2d
+from repro.utils.validation import check_covariance, check_mean, check_square, ensure_1d, ensure_2d
 
 __all__ = [
     "sample_from_cholesky",
@@ -33,19 +33,13 @@ def sample_from_cholesky(
 
     Returns an ``(n, n_samples)`` array (a single column for ``n_samples=1``).
     """
-    factor = ensure_2d(factor, "Cholesky factor")
-    if factor.shape[0] != factor.shape[1]:
-        raise ValueError("Cholesky factor must be square")
+    factor = check_square(factor, "Cholesky factor")
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(rng)
     n = factor.shape[0]
     z = rng.standard_normal((n, n_samples))
-    samples = factor @ z
-    mu = np.full(n, float(mean)) if np.isscalar(mean) else ensure_1d(mean, "mean")
-    if mu.shape[0] != n:
-        raise ValueError("mean must have one entry per location")
-    return samples + mu[:, None]
+    return factor @ z + np.reshape(check_mean(mean, n), (-1, 1))
 
 
 def _factorize(sigma: np.ndarray) -> np.ndarray:
@@ -127,7 +121,7 @@ def conditional_simulation(
     if noise_std < 0:
         raise ValueError("noise_std must be non-negative")
     rng = np.random.default_rng(rng)
-    mu = np.full(n, float(mean)) if np.isscalar(mean) else ensure_1d(mean, "mean")
+    mu = np.broadcast_to(check_mean(mean, n), n)
 
     s_oo = sigma[np.ix_(observed_indices, observed_indices)].copy()
     s_oo[np.diag_indices_from(s_oo)] += noise_std**2 + 1e-12

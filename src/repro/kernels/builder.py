@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.kernels.covariance import CovarianceKernel
 from repro.kernels.geometry import cross_distances
-from repro.utils.validation import check_positive_int, ensure_2d
+from repro.utils.validation import check_positive_int, check_square, ensure_2d
 
 __all__ = ["build_covariance", "build_covariance_tile", "build_tiled_covariance", "add_nugget"]
 
@@ -92,9 +92,7 @@ def build_tiled_covariance(
 
 def add_nugget(sigma: np.ndarray, nugget: float) -> np.ndarray:
     """Return ``sigma + nugget * I`` without modifying the input."""
-    sigma = ensure_2d(sigma, "covariance")
-    if sigma.shape[0] != sigma.shape[1]:
-        raise ValueError("covariance must be square")
+    sigma = check_square(sigma, "covariance")
     if nugget < 0:
         raise ValueError("nugget must be non-negative")
     out = sigma.copy()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mvn.result import MVNResult
-from repro.utils.validation import check_covariance, check_limits, check_positive_int
+from repro.utils.validation import check_covariance, check_limits, check_mean, check_positive_int
 
 __all__ = ["mvn_mc"]
 
@@ -52,10 +52,8 @@ def mvn_mc(
     a, b = check_limits(a, b, n)
     n_samples = check_positive_int(n_samples, "n_samples")
     batch_size = check_positive_int(batch_size, "batch_size")
+    mu = np.reshape(check_mean(mean, n), (-1, 1))  # broadcasts over the samples
     rng = np.random.default_rng(rng)
-    mu = np.full(n, float(mean)) if np.isscalar(mean) else np.asarray(mean, dtype=np.float64)
-    if mu.shape != (n,):
-        raise ValueError(f"mean must have shape ({n},)")
 
     factor = np.linalg.cholesky(sigma)
     hits = 0
@@ -63,7 +61,7 @@ def mvn_mc(
     while remaining > 0:
         batch = min(batch_size, remaining)
         z = rng.standard_normal((n, batch))
-        x = factor @ z + mu[:, None]
+        x = factor @ z + mu
         inside = np.all((x >= a[:, None]) & (x <= b[:, None]), axis=0)
         hits += int(np.count_nonzero(inside))
         remaining -= batch

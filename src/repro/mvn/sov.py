@@ -30,7 +30,7 @@ import numpy as np
 from repro.mvn.result import MVNResult
 from repro.stats.normal import norm_cdf, norm_ppf
 from repro.stats.qmc import qmc_samples
-from repro.utils.validation import check_covariance, check_limits, check_positive_int
+from repro.utils.validation import check_covariance, check_limits, check_mean, check_positive_int
 
 __all__ = ["sov_transform_limits", "mvn_sov", "mvn_sov_vectorized"]
 
@@ -45,9 +45,7 @@ def sov_transform_limits(a, b, sigma, mean=0.0) -> tuple[np.ndarray, np.ndarray,
     sigma = check_covariance(sigma, "covariance", require_spd=True)
     n = sigma.shape[0]
     a, b = check_limits(a, b, n)
-    mu = np.full(n, float(mean)) if np.isscalar(mean) else np.asarray(mean, dtype=np.float64)
-    if mu.shape != (n,):
-        raise ValueError(f"mean must have shape ({n},)")
+    mu = check_mean(mean, n)
     factor = np.linalg.cholesky(sigma)
     return a - mu, b - mu, factor
 

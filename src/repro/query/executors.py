@@ -86,12 +86,6 @@ def _run_python_stage(pipeline: QueryPipeline, name: str, results: dict) -> None
     results[name] = node.fn(*(results[src] for src in node.inputs))
 
 
-def _negated_mean(mean):
-    if mean is None or np.isscalar(mean):
-        return -float(mean if mean is not None else 0.0)
-    return -np.asarray(mean, dtype=np.float64)
-
-
 def _execute_on_solver(pipeline: QueryPipeline, solver) -> PipelineResult:
     plan = solver.planner.plan_pipeline(pipeline, solver.config)
     models: dict = {}
@@ -100,7 +94,7 @@ def _execute_on_solver(pipeline: QueryPipeline, solver) -> PipelineResult:
         key = (ref_name, negate)
         if key not in models:
             ref = pipeline.sigma_ref(ref_name)
-            mean = _negated_mean(ref.mean) if negate else ref.mean
+            mean = -ref.mean if negate else ref.mean  # checked by the ref
             models[key] = solver.model(ref.sigma, mean=mean)
         return models[key]
 

@@ -46,6 +46,7 @@ import numpy as np
 from repro.core.crd import prefix_boxes
 from repro.query.planner import QueryPlan, QueryPlanner, next_sample_count
 from repro.query.spec import MVNQuery
+from repro.utils.validation import check_count, check_mean, check_square
 
 __all__ = [
     "SigmaRef",
@@ -74,12 +75,9 @@ class SigmaRef:
     mean: Any = 0.0
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.sigma, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(
-                f"sigma ref {self.name!r} must be a square matrix, got shape {arr.shape}"
-            )
-        object.__setattr__(self, "sigma", arr)
+        sigma = check_square(self.sigma, f"sigma ref {self.name!r}")
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "mean", check_mean(self.mean, sigma.shape[0]))
 
     @property
     def n(self) -> int:
@@ -289,8 +287,8 @@ class QueryPipeline:
                 f"crd node {name!r}: unknown algorithm {algorithm!r}; "
                 f"use one of {CRD_ALGORITHMS}"
             )
-        if n_samples is not None and (int(n_samples) != n_samples or n_samples < 1):
-            raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
+        if n_samples is not None:
+            n_samples = check_count(n_samples, "n_samples")
         if not (float(nugget) >= 0.0):
             raise ValueError(f"nugget must be >= 0, got {nugget!r}")
         if levels is not None:
@@ -298,8 +296,7 @@ class QueryPipeline:
         inputs = self._check_inputs(after, what=f"after= of node {name!r}")
         self._nodes[name] = PipelineNode(
             name=name, kind="crd", sigma=sigma, threshold=threshold,
-            negate=bool(negate), algorithm=algorithm,
-            n_samples=None if n_samples is None else int(n_samples),
+            negate=bool(negate), algorithm=algorithm, n_samples=n_samples,
             rng=rng, qmc=qmc, nugget=float(nugget), levels=levels, inputs=inputs,
         )
         return name

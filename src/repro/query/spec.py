@@ -1,12 +1,13 @@
 """The declarative query object: *what* is asked, nothing about *how*.
 
 :class:`MVNQuery` is the single validated description of one MVN box query
-``P(a <= X <= b)``.  Every entry point of the library — the functional
-wrappers, :class:`repro.solver.Model`, the batched API and the serving
-broker — normalizes its arguments into one of these, so shape mismatches,
-NaN limits and inverted boxes are rejected *once*, at the query boundary,
-with one uniform ``ValueError`` (historically some paths validated deep
-inside the sweep, or not at all).
+``P(a <= X <= b)``.  The single-box entry points — the functional wrapper,
+:meth:`repro.solver.Model.probability` and the serving broker — normalize
+their arguments into one of these, so shape mismatches, NaN limits,
+inverted boxes and non-finite means are rejected at the query boundary by
+the rules of :mod:`repro.utils.validation`, the same ones the batched API
+runs on each of its boxes (``docs/query.md`` tabulates where each input is
+checked).
 
 A query carries only caller intent:
 
@@ -39,7 +40,7 @@ from typing import Any
 import numpy as np
 
 from repro.stats.qmc import canonical_qmc
-from repro.utils.validation import check_limits
+from repro.utils.validation import check_limits, check_mean, check_schedule
 
 __all__ = ["MVNQuery"]
 
@@ -59,9 +60,12 @@ class MVNQuery:
         construction: NaNs, ``a > b`` and shape mismatches raise
         ``ValueError`` here, before any factorization or sweep starts.
     mean : scalar or array_like (n,), optional
-        Field mean, absorbed into the limits at execution time.  ``None``
-        defers to the executing :class:`repro.solver.Model`'s bound mean
-        (and means "zero mean" on the serving path).
+        Field mean, absorbed into the limits at execution time; checked by
+        :func:`repro.utils.validation.check_mean` (a scalar stays a
+        ``float``, a vector may come as a ``(1, n)`` row, non-finite values
+        raise).  ``None`` defers to the executing
+        :class:`repro.solver.Model`'s bound mean (and means "zero mean" on
+        the serving path).
     n_samples : int, optional
         Initial QMC sample size; ``None`` follows the executing solver's
         :class:`repro.solver.SolverConfig`.
@@ -101,54 +105,22 @@ class MVNQuery:
         a, b = check_limits(self.a, self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "mean", self._normalize_mean(self.mean, a.shape[0]))
-        if self.n_samples is not None:
-            object.__setattr__(self, "n_samples", self._positive_int("n_samples", self.n_samples))
+        if self.mean is not None:
+            object.__setattr__(self, "mean", check_mean(self.mean, a.shape[0]))
         if self.qmc is not None:
             object.__setattr__(self, "qmc", canonical_qmc(self.qmc))
-        if self.target_error is not None:
-            target = float(self.target_error)
-            if not (target > 0.0):
-                raise ValueError(f"target_error must be > 0, got {self.target_error!r}")
-            object.__setattr__(self, "target_error", target)
-        if self.max_samples is not None:
-            max_samples = self._positive_int("max_samples", self.max_samples)
-            if self.n_samples is not None and max_samples < self.n_samples:
-                raise ValueError(
-                    f"max_samples ({max_samples}) must be >= the initial "
-                    f"n_samples ({self.n_samples})"
-                )
-            object.__setattr__(self, "max_samples", max_samples)
+        schedule = check_schedule(self.n_samples, self.target_error, self.max_samples)
+        for name, value in zip(("n_samples", "target_error", "max_samples"), schedule):
+            object.__setattr__(self, name, value)
 
-    @staticmethod
-    def _positive_int(name: str, value) -> int:
-        as_int = int(value)
-        if as_int != value or as_int < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        return as_int
+    def check_dimension(self, n: int) -> None:
+        """Reject the query unless its limits have length ``n``.
 
-    @staticmethod
-    def _normalize_mean(mean, n: int):
-        """Mean as ``None`` (defer / zero), a float, or a finite ``(n,)`` vector."""
-        if mean is None:
-            return None
-        if np.isscalar(mean):
-            mu = float(mean)
-        else:
-            arr = np.asarray(mean, dtype=np.float64)
-            if arr.ndim == 0:
-                mu = float(arr)
-            else:
-                if arr.shape != (n,):
-                    raise ValueError(
-                        f"mean must be a scalar or length-{n} vector, got shape {arr.shape}"
-                    )
-                if not np.all(np.isfinite(arr)):
-                    raise ValueError("mean must be finite")
-                return np.ascontiguousarray(arr)
-        if not np.isfinite(mu):
-            raise ValueError("mean must be finite")
-        return mu
+        The one check a model or broker adds when it takes a query: the
+        limits themselves were checked when the query was built.
+        """
+        if self.n != n:
+            raise ValueError(f"integration limits must have length {n}, got {self.n}")
 
     # -- wire form -------------------------------------------------------------------
     def to_dict(self) -> dict:

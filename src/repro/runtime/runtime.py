@@ -6,7 +6,8 @@ Mirrors the StarPU usage pattern of the paper's code:
 
     rt = Runtime(n_workers=8, policy="prio")
     h = rt.register(tile, name="Sigma[0,0]")
-    rt.insert_task(potrf_kernel, (h, READWRITE), name="potrf(0,0)", priority=10)
+    # a task body is any callable of its handles' data, e.g. a POTRF codelet
+    rt.insert_task(potrf, (h, READWRITE), name="potrf(0,0)", priority=10)
     ...
     rt.wait_all()
 

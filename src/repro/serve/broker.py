@@ -47,7 +47,7 @@ from repro.serve.config import ServeConfig
 from repro.serve.pool import ModelRoster, ShardPool, lineage_payload, shard_for_fingerprint
 from repro.serve.stats import ServeStats, ShardSnapshot
 from repro.solver.config import SolverConfig
-from repro.utils.validation import check_limits
+from repro.utils.validation import check_square
 
 __all__ = ["QueryBroker", "ServeError", "ServeOverloadedError", "SigmaUpdate"]
 
@@ -78,11 +78,7 @@ class SigmaUpdate:
         if isinstance(parent, SigmaUpdate):
             self.parent = parent
         else:
-            self.parent = np.ascontiguousarray(np.asarray(parent, dtype=np.float64))
-            if self.parent.ndim != 2 or self.parent.shape[0] != self.parent.shape[1]:
-                raise ValueError(
-                    f"parent sigma must be a square matrix, got shape {self.parent.shape}"
-                )
+            self.parent = check_square(parent, "parent sigma")
         self.u = normalize_update(u, self.n)
         self.downdate = bool(downdate)
 
@@ -353,22 +349,10 @@ class QueryBroker:
             sigma_arr = sigma  # the dispatcher resolves lineage at flush time
             n = sigma.n
         else:
-            sigma_arr = np.ascontiguousarray(np.asarray(sigma, dtype=np.float64))
-            if sigma_arr.ndim != 2 or sigma_arr.shape[0] != sigma_arr.shape[1]:
-                raise ValueError(f"sigma must be a square matrix, got shape {sigma_arr.shape}")
+            sigma_arr = check_square(sigma, "sigma")
             n = sigma_arr.shape[0]
-        a_vec, b_vec = check_limits(query.a, query.b, n)
-        # query.mean is already validated/normalized by MVNQuery (None,
-        # float, or a length-n vector — the length matches because the
-        # limits just checked out against n); collapse to the wire form
-        # the shards expect: None for a zero mean, else a vector
-        mean = query.mean
-        if mean is None or (np.isscalar(mean) and float(mean) == 0.0):
-            mean_vec = None
-        elif np.isscalar(mean):
-            mean_vec = np.full(n, float(mean))
-        else:
-            mean_vec = mean
+        # the query checked its limits and mean; only the dimension is new
+        query.check_dimension(n)
 
         if isinstance(sigma_arr, SigmaUpdate):
             fingerprint = self._update_fingerprints(sigma_arr)[0]
@@ -395,7 +379,7 @@ class QueryBroker:
                 "requests); retry later or raise ServeConfig.max_pending"
             )
         future: Future = Future()
-        request = _Request(a_vec, b_vec, sigma_arr, mean_vec, future, time.perf_counter())
+        request = _Request(query.a, query.b, sigma_arr, query.mean, future, time.perf_counter())
         try:
             with self._submit_lock:
                 if self._closed:
@@ -594,8 +578,9 @@ class QueryBroker:
         if all(request.mean is None for request in requests):
             means = None
         else:
+            # one row per box: a query's scalar mean broadcasts, no mean is zero
             means = np.stack([
-                request.mean if request.mean is not None else np.zeros(len(request.a))
+                np.broadcast_to(0.0 if request.mean is None else request.mean, len(request.a))
                 for request in requests
             ])
         batch_id = next(self._batch_ids)

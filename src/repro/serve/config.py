@@ -18,6 +18,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from repro.utils.validation import check_count
+
 __all__ = ["ServeConfig", "WORKER_MODES", "SIGMA_TRANSPORTS"]
 
 #: accepted ``worker_mode`` values; ``"auto"`` resolves at pool start
@@ -89,10 +91,7 @@ class ServeConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_shards", "max_batch", "max_pending", "n_workers", "cache_entries"):
-            value = getattr(self, name)
-            if int(value) != value or int(value) < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, check_count(getattr(self, name), name))
         mode = str(self.worker_mode).lower()
         if mode not in WORKER_MODES:
             raise ValueError(

@@ -50,6 +50,7 @@ from repro.query import MVNQuery
 from repro.serve.broker import ServeError, ServeOverloadedError
 from repro.serve.pool import ModelRoster
 from repro.serve.stats import ServeStats
+from repro.utils.validation import check_square
 
 __all__ = ["ServeGateway", "ServeClient", "BackgroundGateway", "GatewayError",
            "PROTOCOL_VERSION"]
@@ -279,12 +280,7 @@ class ServeGateway:
             if required:
                 raise _BadRequest('op "register" requires a "sigma" matrix')
             return None, None
-        sigma = np.asarray(payload, dtype=np.float64)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise _BadRequest(
-                f"sigma must be a square matrix, got shape {sigma.shape}"
-            )
-        sigma = np.ascontiguousarray(sigma)
+        sigma = check_square(payload, "sigma")
         fingerprint = sigma_fingerprint(sigma)
         self._sigmas.insert(fingerprint, sigma)
         return fingerprint, sigma

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from repro.core.kernel_backend import resolve_backend_name
 from repro.core.methods import PARALLEL_METHODS, canonical_method
 from repro.stats.qmc import canonical_qmc
-from repro.utils.validation import check_accuracy
+from repro.utils.validation import check_accuracy, check_count
 
 __all__ = ["SolverConfig"]
 
@@ -83,22 +83,12 @@ class SolverConfig:
             # canonicalize and validate the name now; availability (e.g. a
             # missing numba) is resolved at kernel-dispatch time
             object.__setattr__(self, "backend", resolve_backend_name(self.backend))
-        object.__setattr__(self, "n_samples", self._positive_int("n_samples", self.n_samples))
-        object.__setattr__(self, "tile_size", self._positive_int("tile_size", self.tile_size, optional=True))
+        object.__setattr__(self, "n_samples", check_count(self.n_samples, "n_samples"))
         object.__setattr__(self, "accuracy", check_accuracy(self.accuracy))
-        object.__setattr__(self, "max_rank", self._positive_int("max_rank", self.max_rank, optional=True))
-        object.__setattr__(self, "kernel_threads", self._positive_int("kernel_threads", self.kernel_threads, optional=True))
-
-    @staticmethod
-    def _positive_int(name: str, value, optional: bool = False) -> int | None:
-        if optional and value is None:
-            return None
-        as_int = int(value)
-        if as_int != value:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if as_int < 1:
-            raise ValueError(f"{name} must be >= 1" + (" (or None)" if optional else ""))
-        return as_int
+        for name in ("tile_size", "max_rank", "kernel_threads"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, check_count(value, name))
 
     @property
     def is_parallel(self) -> bool:

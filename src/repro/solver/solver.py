@@ -46,7 +46,6 @@ from repro.core.pmvn import (
     SweepWorkspace,
     _check_boxes,
     _resolve_means,
-    _shared_mean,
     _stamp_estimator,
     pmvn_integrate_batch,
 )
@@ -57,7 +56,7 @@ from repro.query.pipeline import escalate_batch
 from repro.runtime import Runtime
 from repro.solver.config import SolverConfig
 from repro.utils.timers import collect_timings
-from repro.utils.validation import check_covariance
+from repro.utils.validation import check_covariance, check_mean, check_schedule
 
 __all__ = ["MVNSolver", "Model"]
 
@@ -239,7 +238,7 @@ class Model:
         # a threshold sweep with a threshold-invariant ordering standardizes
         # once instead of per detection (see _confidence_region_impl)
         self._std_memo: dict = {}
-        self._mean = mean
+        self._mean = check_mean(mean, self._n)
         if factor is not None and not isinstance(factor, CholeskyFactor):
             raise TypeError(f"factor must be a CholeskyFactor, got {type(factor).__name__}")
         # the model's one factor: bound here, or built on first use
@@ -484,9 +483,11 @@ class Model:
         self._solver._check_open()
         if not isinstance(query, MVNQuery):
             raise TypeError(f"query must be an MVNQuery, got {type(query).__name__}")
+        # the query checked its limits and mean; only the dimension is new
+        query.check_dimension(self.n)
         mean = self._mean if query.mean is None else query.mean
         return self._run(
-            [(query.a, query.b)], _shared_mean(mean, 1, self.n), query.qmc, query.rng, query,
+            [(query.a, query.b)], np.broadcast_to(mean, (1, self.n)), query.qmc, query.rng, query,
         )[0]
 
     def probability_batch(
@@ -506,22 +507,17 @@ class Model:
         ``max_samples`` budget is reached.
         """
         self._solver._check_open()
-        boxes = list(boxes)
+        n_samples, target_error, max_samples = check_schedule(n_samples, target_error, max_samples)
+        # the batch boundary: a bad box or mean raises before any
+        # factorization is paid (or cached)
+        boxes = _check_boxes(boxes, self.n)
         if means is None:
-            means = _shared_mean(self._mean, len(boxes), self.n)
-        if target_error is not None and not (float(target_error) > 0.0):
-            raise ValueError(f"target_error must be > 0, got {target_error!r}")
-        if max_samples is not None and n_samples is not None and max_samples < n_samples:
-            # mirror the MVNQuery contract so single and batched adaptive
-            # calls accept exactly the same arguments
-            raise ValueError(
-                f"max_samples ({max_samples}) must be >= the initial "
-                f"n_samples ({n_samples})"
-            )
+            means = np.broadcast_to(self._mean, (len(boxes), self.n))
+        else:
+            means = _resolve_means(means, len(boxes), self.n)
         results = self._run(
             boxes, means, qmc, rng, n_samples=n_samples,
-            target_error=None if target_error is None else float(target_error),
-            max_samples=max_samples,
+            target_error=target_error, max_samples=max_samples,
         )
         for idx, result in enumerate(results):
             result.details["batch_index"] = idx
@@ -529,29 +525,24 @@ class Model:
         return results
 
     def _run(self, boxes, means, qmc, rng, query=None, **schedule) -> list[MVNResult]:
-        """Validate, schedule, sweep, escalate and stamp: the path of every query.
+        """Schedule, sweep, escalate and stamp: the path of every query.
 
-        ``query`` (a single query's spec) and ``schedule`` set the sample
-        schedule of the model's decision.  Under an adaptive plan, boxes
-        that miss the target are re-swept at escalating sample counts
-        (:func:`repro.query.pipeline.escalate_batch`).
+        ``boxes`` are checked limit pairs and ``means`` one checked mean
+        vector per box.  ``query`` (a single query's spec) and ``schedule``
+        set the sample schedule of the model's decision.  Under an adaptive
+        plan, boxes that miss the target are re-swept at escalating sample
+        counts (:func:`repro.query.pipeline.escalate_batch`).
         """
-        # the uniform query-boundary validation: a bad box raises the same
-        # ValueError on every entry point, before any factorization is paid
-        # (or cached)
-        checked = _check_boxes(boxes, self.n)
         plan = self.plan(query, **schedule)
         qmc = self.config.qmc if qmc is None else qmc
 
-        results = self._evaluate_batch(plan, checked, means, plan.n_samples, qmc, rng)
-        rounds = [1] * len(checked)
-        samples_used = [plan.n_samples] * len(checked)
+        results = self._evaluate_batch(plan, boxes, means, plan.n_samples, qmc, rng)
+        rounds = [1] * len(boxes)
+        samples_used = [plan.n_samples] * len(boxes)
         if plan.target_error is not None:
-            resolved = _resolve_means(means, len(checked), self.n)
             escalate_batch(
                 lambda indices, n_next: self._evaluate_batch(
-                    plan, [checked[i] for i in indices],
-                    np.stack([resolved[i] for i in indices]),
+                    plan, [boxes[i] for i in indices], [means[i] for i in indices],
                     n_next, qmc, rng,
                 ),
                 plan, results, rounds, samples_used,
@@ -572,10 +563,9 @@ class Model:
         estimator = BASELINE_ESTIMATORS.get(plan.method)
         if estimator is not None:
             # the single-node baselines have no batched sweep: one call per box
-            mus = _resolve_means(means, len(boxes), self.n)
             return [
                 estimator(a, b, self._sigma, n_samples=n_samples, mean=mu, qmc=qmc, rng=rng)
-                for (a, b), mu in zip(boxes, mus)
+                for (a, b), mu in zip(boxes, means)
             ]
         factor = self._ensure_factor()
         results = pmvn_integrate_batch(

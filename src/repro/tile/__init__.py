@@ -7,32 +7,20 @@ SYRK, GEMM) submitted to the runtime.  This subpackage provides:
 
 * :class:`~repro.tile.layout.TileMatrix` — a tile descriptor over NumPy
   storage with 2D block-cyclic ownership maps for the distributed simulator.
-* :mod:`repro.tile.dense_kernels` — the per-tile BLAS/LAPACK kernels.
 * :func:`~repro.tile.cholesky.tiled_cholesky` — the right-looking tile
-  Cholesky factorization expressed as runtime tasks.
+  Cholesky factorization expressed as runtime tasks (its codelets are the
+  task bodies; :mod:`repro.tile.dense_kernels` holds their flop counts).
 * :mod:`repro.tile.operations` — tiled GEMM / TRSM helpers used by the PMVN
   sweep and by the tests.
 """
 
 from repro.tile.layout import TileMatrix, tile_ranges
-from repro.tile.dense_kernels import (
-    potrf_kernel,
-    trsm_kernel,
-    syrk_kernel,
-    gemm_kernel,
-    gemm_update_kernel,
-)
 from repro.tile.cholesky import tiled_cholesky
 from repro.tile.operations import tiled_gemm, tiled_lower_solve, tiled_matvec
 
 __all__ = [
     "TileMatrix",
     "tile_ranges",
-    "potrf_kernel",
-    "trsm_kernel",
-    "syrk_kernel",
-    "gemm_kernel",
-    "gemm_update_kernel",
     "tiled_cholesky",
     "tiled_gemm",
     "tiled_lower_solve",

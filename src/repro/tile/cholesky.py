@@ -36,6 +36,13 @@ __all__ = ["tiled_cholesky"]
 
 
 def _potrf_inplace(tile: np.ndarray) -> None:
+    """POTRF codelet: overwrite a diagonal tile with its lower Cholesky factor.
+
+    scipy zeroes the strict upper triangle of the factor it returns.  A tile
+    that is not positive definite fails the task with ``LinAlgError``, which
+    the runtime raises as a :class:`~repro.runtime.TaskError`.  The TLR
+    Cholesky runs this codelet on its dense diagonal tiles too.
+    """
     try:
         factor = scipy_cholesky(tile, lower=True, check_finite=False)
     except Exception as exc:

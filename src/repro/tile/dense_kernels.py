@@ -1,24 +1,15 @@
-"""Per-tile dense kernels (the codelets of the tiled algorithms).
+"""Flop counts of the dense tile codelets (POTRF, TRSM, SYRK, GEMM).
 
-Each function operates on NumPy tiles and either returns a new tile or
-updates one in place; they are the bodies of the runtime tasks submitted by
-the tiled Cholesky and by the PMVN sweep.  Flop counts follow the standard
-LAPACK conventions and feed the performance model of the distributed
-simulator.
+The codelets themselves are the task bodies of
+:func:`repro.tile.cholesky.tiled_cholesky` (whose POTRF the TLR Cholesky
+shares); these counts follow the standard LAPACK conventions and feed the
+runtime's task costs, the planner's prices and the performance model of
+:mod:`repro.perf` and the distributed simulator.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.linalg import cholesky as scipy_cholesky
-from scipy.linalg import solve_triangular
-
 __all__ = [
-    "potrf_kernel",
-    "trsm_kernel",
-    "syrk_kernel",
-    "gemm_kernel",
-    "gemm_update_kernel",
     "potrf_flops",
     "trsm_flops",
     "syrk_flops",
@@ -26,83 +17,6 @@ __all__ = [
 ]
 
 
-def potrf_kernel(tile: np.ndarray) -> np.ndarray:
-    """Cholesky factorization of a diagonal tile: returns lower-triangular ``L``.
-
-    Raises ``numpy.linalg.LinAlgError`` if the tile is not positive definite,
-    which the runtime propagates as a task failure.
-    """
-    if tile.shape[0] != tile.shape[1]:
-        raise ValueError(f"potrf requires a square tile, got {tile.shape}")
-    try:
-        return np.ascontiguousarray(scipy_cholesky(tile, lower=True, check_finite=False))
-    except Exception as exc:
-        raise np.linalg.LinAlgError(f"diagonal tile is not positive definite: {exc}") from exc
-
-
-def trsm_kernel(panel_tile: np.ndarray, diag_factor: np.ndarray) -> np.ndarray:
-    """Triangular solve ``X = A @ L^{-T}`` for an off-diagonal panel tile.
-
-    Solves ``X L^T = A`` with ``L`` lower triangular, i.e. the update applied
-    to every tile below the diagonal after the panel factorization.
-    """
-    if diag_factor.shape[0] != diag_factor.shape[1]:
-        raise ValueError("diag_factor must be square")
-    if panel_tile.shape[1] != diag_factor.shape[0]:
-        raise ValueError(
-            f"panel tile has {panel_tile.shape[1]} columns, factor is {diag_factor.shape[0]}x{diag_factor.shape[1]}"
-        )
-    # X L^T = A  <=>  L X^T = A^T
-    xt = solve_triangular(diag_factor, panel_tile.T, lower=True, check_finite=False)
-    return np.ascontiguousarray(xt.T)
-
-
-def syrk_kernel(diag_tile: np.ndarray, panel_tile: np.ndarray) -> np.ndarray:
-    """Symmetric rank-k update ``C = C - A A^T`` on a diagonal tile (in place)."""
-    if diag_tile.shape[0] != diag_tile.shape[1]:
-        raise ValueError("syrk target must be square")
-    if panel_tile.shape[0] != diag_tile.shape[0]:
-        raise ValueError("panel rows must match the diagonal tile size")
-    diag_tile -= panel_tile @ panel_tile.T
-    return None
-
-
-def gemm_kernel(c_tile: np.ndarray, a_tile: np.ndarray, b_tile: np.ndarray, alpha: float = -1.0, beta: float = 1.0, transpose_b: bool = True) -> None:
-    """General update ``C = beta * C + alpha * A @ op(B)`` (in place).
-
-    The trailing-update of the tiled Cholesky uses ``alpha=-1, beta=1,
-    transpose_b=True``; the PMVN limit-propagation uses ``transpose_b=False``.
-    """
-    op_b = b_tile.T if transpose_b else b_tile
-    if a_tile.shape[1] != op_b.shape[0]:
-        raise ValueError(f"inner dimensions do not match: {a_tile.shape} x {op_b.shape}")
-    if c_tile.shape != (a_tile.shape[0], op_b.shape[1]):
-        raise ValueError(f"output tile has shape {c_tile.shape}, expected {(a_tile.shape[0], op_b.shape[1])}")
-    if beta == 1.0:
-        c_tile += alpha * (a_tile @ op_b)
-    else:
-        c_tile *= beta
-        c_tile += alpha * (a_tile @ op_b)
-    return None
-
-
-def gemm_update_kernel(a_tile: np.ndarray, b_tile: np.ndarray, l_tile: np.ndarray, y_tile: np.ndarray) -> None:
-    """PMVN limit-propagation update (lines 11-12 of Algorithm 2), in place.
-
-    ``A[j,k] -= L[j,r-1] @ Y[r-1,k]`` and ``B[j,k] -= L[j,r-1] @ Y[r-1,k]``.
-    The product is formed once and subtracted from both limit tiles.
-    """
-    if l_tile.shape[1] != y_tile.shape[0]:
-        raise ValueError(f"L tile {l_tile.shape} and Y tile {y_tile.shape} do not align")
-    update = l_tile @ y_tile
-    if a_tile.shape != update.shape or b_tile.shape != update.shape:
-        raise ValueError("limit tiles must match the update shape")
-    a_tile -= update
-    b_tile -= update
-    return None
-
-
-# -- flop counts ---------------------------------------------------------------------
 def potrf_flops(nb: int) -> float:
     return nb ** 3 / 3.0
 

@@ -3,7 +3,8 @@
 The TLR variant of the tiled Cholesky keeps diagonal tiles dense and
 off-diagonal tiles in ``U Vᵀ`` form throughout the factorization:
 
-* ``POTRF``  — dense Cholesky of the diagonal tile (unchanged).
+* ``POTRF``  — dense Cholesky of the diagonal tile: the tiled Cholesky's
+  own codelet (:func:`repro.tile.cholesky.tiled_cholesky`).
 * ``TRSM``   — ``(U Vᵀ) L^{-T} = U (L^{-1} V)ᵀ``: only the ``V`` factor is
   touched, at cost ``O(nb² k)`` instead of ``O(nb³)``.
 * ``SYRK``   — ``C -= U (Vᵀ V) Uᵀ``: cost ``O(nb² k + nb k²)``.
@@ -21,23 +22,15 @@ the trailing updates shrink from cubic to roughly linear in the tile size.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cholesky as scipy_cholesky
 from scipy.linalg import solve_triangular
 
 from repro.runtime import AccessMode, DataHandle, Runtime
+from repro.tile.cholesky import _potrf_inplace
 from repro.tlr.compression import LowRankTile, lowrank_add
 from repro.tlr.matrix import TLRMatrix
 from repro.utils.timers import timed
 
 __all__ = ["tlr_cholesky", "tlr_cholesky_flops"]
-
-
-def _potrf_dense(tile: np.ndarray) -> None:
-    try:
-        factor = scipy_cholesky(tile, lower=True, check_finite=False)
-    except Exception as exc:
-        raise np.linalg.LinAlgError(f"diagonal tile is not positive definite: {exc}") from exc
-    tile[:] = np.tril(factor)
 
 
 def _trsm_lowrank(panel: LowRankTile, diag: np.ndarray) -> LowRankTile:
@@ -107,7 +100,7 @@ def tlr_cholesky(
     with rt.lock, timed("tlr_cholesky"):
         for k in range(nt):
             rt.insert_task(
-                _potrf_dense,
+                _potrf_inplace,
                 (diag_handles[k], AccessMode.READWRITE),
                 name=f"tlr_potrf({k})",
                 priority=3 * (nt - k) + 3,

@@ -19,7 +19,7 @@ from repro.kernels.builder import build_covariance_tile
 from repro.kernels.covariance import CovarianceKernel
 from repro.tile.layout import TileMatrix, tile_ranges
 from repro.tlr.compression import LowRankTile, compress_tile
-from repro.utils.validation import check_accuracy, check_positive_int, ensure_2d
+from repro.utils.validation import check_accuracy, check_positive_int, check_square, ensure_2d
 
 __all__ = ["TLRMatrix"]
 
@@ -46,9 +46,7 @@ class TLRMatrix:
         max_rank: int | None = None,
     ) -> "TLRMatrix":
         """Compress a dense symmetric matrix into TLR format."""
-        dense = ensure_2d(dense, "matrix")
-        if dense.shape[0] != dense.shape[1]:
-            raise ValueError("TLR compression expects a square (symmetric) matrix")
+        dense = check_square(dense, "matrix")
         out = cls(dense.shape[0], tile_size, accuracy, max_rank)
         for i, (r0, r1) in enumerate(out.ranges):
             # copy so that in-place factorizations never touch the caller's matrix

@@ -5,10 +5,13 @@ subpackage can rely on them without import cycles.
 """
 
 from repro.utils.validation import (
+    check_count,
     check_covariance,
     check_limits,
+    check_mean,
     check_positive_int,
     check_probability,
+    check_schedule,
     check_square,
     check_symmetric,
     ensure_1d,
@@ -18,10 +21,13 @@ from repro.utils.timers import TimingRegistry, add_timing, collect_timings, time
 from repro.utils.reporting import Table, format_seconds, format_si
 
 __all__ = [
+    "check_count",
     "check_covariance",
     "check_limits",
+    "check_mean",
     "check_positive_int",
     "check_probability",
+    "check_schedule",
     "check_square",
     "check_symmetric",
     "ensure_1d",

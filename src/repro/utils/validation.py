@@ -1,9 +1,13 @@
 """Input validation helpers used across the library.
 
 Every public entry point of the library validates its inputs through these
-functions so that error messages are consistent and informative.  All
-functions either return a canonicalized ``numpy.ndarray`` (C-contiguous,
-``float64`` unless stated otherwise) or raise ``ValueError`` / ``TypeError``.
+functions so that error messages are consistent and informative.  Each
+caller input has one rule, run where the input enters (``docs/query.md``
+tabulates which rule runs where): :func:`check_limits`, :func:`check_mean`,
+:func:`check_count` (with :func:`check_schedule` for a query's sample
+schedule) and :func:`check_square`.  All functions either return a
+canonicalized value (arrays C-contiguous ``float64`` unless stated
+otherwise) or raise ``ValueError`` / ``TypeError``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ __all__ = [
     "check_symmetric",
     "check_covariance",
     "check_limits",
+    "check_mean",
+    "check_count",
+    "check_schedule",
     "check_positive_int",
     "check_probability",
     "check_accuracy",
@@ -162,6 +169,68 @@ def check_limits(a, b, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         bad = int(np.argmax(a > b))
         raise ValueError(f"lower limit exceeds upper limit at index {bad}: a={a[bad]} > b={b[bad]}")
     return a, b
+
+
+def check_mean(mean, n: int):
+    """Validate one field mean of dimension ``n``.
+
+    Accepts ``None`` (a zero mean), a scalar, a 0-d array, an ``(n,)``
+    vector or a ``(1, n)`` row; NaN and infinite entries are rejected.
+    Returns a ``float`` for the scalar forms (it broadcasts against the
+    limits, and a query keeps it a scalar on the wire) and a contiguous
+    ``(n,)`` vector otherwise.
+    """
+    arr = np.asarray(0.0 if mean is None else mean, dtype=np.float64)
+    if arr.ndim == 0:
+        mu = float(arr)
+    elif arr.shape in ((n,), (1, n)):
+        mu = np.ascontiguousarray(arr.reshape(n))
+    else:
+        raise ValueError(f"mean must be a scalar or have shape ({n},), got shape {arr.shape}")
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("mean must be finite")
+    return mu
+
+
+def check_count(value, name: str) -> int:
+    """Validate a positive count given by a caller: an integral number ``>= 1``.
+
+    ``1e3`` reads as 1000; ``0``, ``-1``, ``2.5``, bools and strings raise a
+    ``ValueError`` naming the field.  This is the rule of the boundary
+    objects (configs, queries, pipelines, the kernel thread count); the
+    numeric internals use the stricter :func:`check_positive_int`.
+    """
+    try:
+        count = int(value)
+        integral = count == value and not isinstance(value, bool)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or count < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return count
+
+
+def check_schedule(n_samples=None, target_error=None, max_samples=None):
+    """Validate a query's sample schedule; ``None`` leaves a setting unset.
+
+    Counts follow :func:`check_count`, ``target_error`` must be positive
+    and the ``max_samples`` budget must not undercut ``n_samples``.
+    Returns the canonical ``(n_samples, target_error, max_samples)``.
+    """
+    if n_samples is not None:
+        n_samples = check_count(n_samples, "n_samples")
+    if target_error is not None:
+        target = float(target_error)
+        if not target > 0.0:
+            raise ValueError(f"target_error must be > 0, got {target_error!r}")
+        target_error = target
+    if max_samples is not None:
+        max_samples = check_count(max_samples, "max_samples")
+        if n_samples is not None and max_samples < n_samples:
+            raise ValueError(
+                f"max_samples ({max_samples}) must be >= the initial n_samples ({n_samples})"
+            )
+    return n_samples, target_error, max_samples
 
 
 def check_positive_int(value, name: str = "value") -> int:

@@ -10,10 +10,8 @@ from repro.core import (
     TLRFactor,
     factorize,
     mvn_probability,
-    pmvn_dense,
     pmvn_integrate,
     pmvn_integrate_batch,
-    pmvn_tlr,
     qmc_kernel_tile,
 )
 from repro.core import pmvn as pmvn_module
@@ -138,7 +136,7 @@ class TestPMVNIntegration:
         sigma = a_mat @ a_mat.T + 10 * np.eye(10)
         b = rng.standard_normal(10) * 1.5
         ref = scipy_ref(sigma, np.full(10, -np.inf), b)
-        res = pmvn_dense(np.full(10, -np.inf), b, sigma, n_samples=4000, tile_size=3, rng=0)
+        res = mvn_probability(np.full(10, -np.inf), b, sigma, n_samples=4000, tile_size=3, rng=0)
         assert res.probability == pytest.approx(ref, abs=5e-3)
 
     def test_matches_vectorized_sov_exactly_single_row_block(self, spd20):
@@ -146,7 +144,7 @@ class TestPMVNIntegration:
         n = spd20.shape[0]
         b = np.full(n, 0.5)
         a = np.full(n, -np.inf)
-        res_tile = pmvn_dense(a, b, spd20, n_samples=1000, tile_size=n, rng=5)
+        res_tile = mvn_probability(a, b, spd20, n_samples=1000, tile_size=n, rng=5)
         res_ref = mvn_sov_vectorized(a, b, spd20, n_samples=1000, rng=5)
         assert res_tile.probability == pytest.approx(res_ref.probability, rel=1e-10)
 
@@ -155,37 +153,38 @@ class TestPMVNIntegration:
         """The estimate must not depend on the tiling (same QMC stream)."""
         n = spd20.shape[0]
         a, b = np.full(n, -np.inf), np.full(n, 0.4)
-        res = pmvn_dense(a, b, spd20, n_samples=2000, tile_size=tile_size, rng=9)
-        ref = pmvn_dense(a, b, spd20, n_samples=2000, tile_size=n, rng=9)
+        res = mvn_probability(a, b, spd20, n_samples=2000, tile_size=tile_size, rng=9)
+        ref = mvn_probability(a, b, spd20, n_samples=2000, tile_size=n, rng=9)
         assert res.probability == pytest.approx(ref.probability, rel=1e-9)
 
     def test_chain_block_invariance(self, spd20):
         n = spd20.shape[0]
         a, b = np.full(n, -1.0), np.full(n, 1.0)
-        res1 = pmvn_dense(a, b, spd20, n_samples=1200, tile_size=7, chain_block=1200, rng=2)
-        res2 = pmvn_dense(a, b, spd20, n_samples=1200, tile_size=7, chain_block=100, rng=2)
+        factor = factorize(spd20, method="dense", tile_size=7)
+        res1 = pmvn_integrate(a, b, factor, PMVNOptions(n_samples=1200, chain_block=1200, rng=2))
+        res2 = pmvn_integrate(a, b, factor, PMVNOptions(n_samples=1200, chain_block=100, rng=2))
         assert res1.probability == pytest.approx(res2.probability, rel=1e-9)
 
     def test_parallel_runtime_matches_serial(self, spd20):
         n = spd20.shape[0]
         a, b = np.full(n, -np.inf), np.full(n, 0.3)
-        serial = pmvn_dense(a, b, spd20, n_samples=1500, tile_size=5, rng=4)
-        parallel = pmvn_dense(a, b, spd20, n_samples=1500, tile_size=5, rng=4, runtime=Runtime(n_workers=4))
+        serial = mvn_probability(a, b, spd20, n_samples=1500, tile_size=5, rng=4)
+        parallel = mvn_probability(a, b, spd20, n_samples=1500, tile_size=5, rng=4, runtime=Runtime(n_workers=4))
         assert parallel.probability == pytest.approx(serial.probability, rel=1e-9)
 
     def test_tlr_close_to_dense(self, spd20):
         n = spd20.shape[0]
         a, b = np.full(n, -np.inf), np.full(n, 0.3)
-        dense = pmvn_dense(a, b, spd20, n_samples=2000, tile_size=5, rng=1)
-        tlr = pmvn_tlr(a, b, spd20, n_samples=2000, tile_size=5, accuracy=1e-6, rng=1)
+        dense = mvn_probability(a, b, spd20, n_samples=2000, tile_size=5, rng=1)
+        tlr = mvn_probability(a, b, spd20, method="tlr", n_samples=2000, tile_size=5, accuracy=1e-6, rng=1)
         assert tlr.probability == pytest.approx(dense.probability, abs=1e-4)
 
     def test_tlr_loose_accuracy_small_bias(self, spd20):
         """The paper's claim: accuracy 1e-3 keeps probability differences below ~1e-3."""
         n = spd20.shape[0]
         a, b = np.full(n, -np.inf), np.full(n, 0.3)
-        dense = pmvn_dense(a, b, spd20, n_samples=4000, tile_size=5, rng=1)
-        tlr = pmvn_tlr(a, b, spd20, n_samples=4000, tile_size=5, accuracy=1e-3, rng=1)
+        dense = mvn_probability(a, b, spd20, n_samples=4000, tile_size=5, rng=1)
+        tlr = mvn_probability(a, b, spd20, method="tlr", n_samples=4000, tile_size=5, accuracy=1e-3, rng=1)
         assert abs(tlr.probability - dense.probability) < 2e-3
 
     def test_mean_absorbed(self, rng):
@@ -194,7 +193,7 @@ class TestPMVNIntegration:
         mean = rng.standard_normal(6)
         b = mean + 1.0
         ref = multivariate_normal(mean=mean, cov=sigma).cdf(b)
-        res = pmvn_dense(np.full(6, -np.inf), b, sigma, n_samples=4000, tile_size=3, mean=mean, rng=0)
+        res = mvn_probability(np.full(6, -np.inf), b, sigma, n_samples=4000, tile_size=3, mean=mean, rng=0)
         assert res.probability == pytest.approx(ref, abs=5e-3)
 
     def test_entry_points_share_one_mean_rule(self, spd20):
@@ -203,16 +202,18 @@ class TestPMVNIntegration:
         n = spd20.shape[0]
         a, b = np.full(n, -np.inf), np.zeros(n)
         mu = np.linspace(-0.3, 0.3, n)
+        factor = factorize(spd20, method="dense", tile_size=5)
+        options = PMVNOptions(n_samples=200, rng=0)
         kwargs = dict(n_samples=200, tile_size=5, rng=0)
         for mean in (0.25, mu, list(mu), mu[None, :]):
             via_model = mvn_probability(a, b, spd20, method="dense", mean=mean, **kwargs)
-            via_sweep = pmvn_dense(a, b, spd20, mean=mean, **kwargs)
+            via_sweep = pmvn_integrate(a, b, factor, options, mean=mean)
             assert via_model.probability == via_sweep.probability
         for bad in (np.zeros(n + 1), np.zeros((2, n))):
             with pytest.raises(ValueError) as from_model:
                 mvn_probability(a, b, spd20, method="dense", mean=bad, **kwargs)
             with pytest.raises(ValueError) as from_sweep:
-                pmvn_dense(a, b, spd20, mean=bad, **kwargs)
+                pmvn_integrate(a, b, factor, options, mean=bad)
             assert str(from_model.value) == str(from_sweep.value)
 
     def test_prefix_probabilities_monotone_and_match_final(self, spd20):
@@ -228,7 +229,8 @@ class TestPMVNIntegration:
 
     def test_result_metadata(self, spd20):
         n = spd20.shape[0]
-        res = pmvn_tlr(np.full(n, -np.inf), np.full(n, 0.0), spd20, n_samples=500, tile_size=5, accuracy=1e-2, rng=0)
+        res = mvn_probability(np.full(n, -np.inf), np.full(n, 0.0), spd20, method="tlr",
+                              n_samples=500, tile_size=5, accuracy=1e-2, rng=0)
         assert res.method == "pmvn-tlr"
         assert res.details["tlr_accuracy"] == 1e-2
         assert res.dimension == n
@@ -242,7 +244,7 @@ class TestPMVNIntegration:
         n = spd20.shape[0]
         a, b = np.full(n, -np.inf), np.zeros(n)
         factor = factorize(spd20, method="tlr", tile_size=5, accuracy=1e-6)
-        direct = pmvn_tlr(a, b, spd20, n_samples=200, factor=factor, rng=0)
+        direct = mvn_probability(a, b, spd20, method="tlr", n_samples=200, factor=factor, rng=0)
         assert direct.details["tlr_accuracy"] == 1e-6
         with MVNSolver(SolverConfig(method="tlr", n_samples=200)) as solver:
             model = solver.model(spd20, factor=factor)
@@ -259,7 +261,7 @@ class TestPMVNIntegration:
     def test_timings_record_phases(self, spd20):
         n = spd20.shape[0]
         with collect_timings() as reg:
-            pmvn_dense(np.full(n, -np.inf), np.full(n, 0.0), spd20, n_samples=500, tile_size=6, rng=0)
+            mvn_probability(np.full(n, -np.inf), np.full(n, 0.0), spd20, n_samples=500, tile_size=6, rng=0)
         for region in ("factorization", "integration", "qmc_generation"):
             assert reg.count(region) >= 1
 

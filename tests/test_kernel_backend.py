@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.batch import mvn_probability_batch
-from repro.core import factorize, pmvn_dense, pmvn_tlr, qmc_kernel_tile
+from repro.core import PMVNOptions, factorize, mvn_probability, pmvn_integrate, qmc_kernel_tile
 from repro.core.kernel_backend import (
     BACKEND_ENV_VAR,
     KernelWorkspace,
@@ -53,10 +53,9 @@ class TestBitParity:
                 np.where(np.arange(n) % 5 == 0, np.inf, 1.2),
             ),
         }[kind]
-        fn = pmvn_dense if method == "dense" else pmvn_tlr
-        kwargs = {} if method == "dense" else {"accuracy": 1e-5}
-        ref = fn(a, b, spd36, n_samples=600, tile_size=7, rng=3, backend="reference", **kwargs)
-        fused = fn(a, b, spd36, n_samples=600, tile_size=7, rng=3, backend="numpy", **kwargs)
+        factor = factorize(spd36, method=method, tile_size=7, accuracy=1e-5)
+        ref = pmvn_integrate(a, b, factor, PMVNOptions(n_samples=600, rng=3, backend="reference"))
+        fused = pmvn_integrate(a, b, factor, PMVNOptions(n_samples=600, rng=3, backend="numpy"))
         assert fused.probability == ref.probability
         assert fused.error == ref.error
         assert fused.details["backend"] == "numpy"
@@ -146,8 +145,9 @@ class TestBitParity:
     def test_numba_backend_close_to_numpy(self, spd36, rng):
         n = spd36.shape[0]
         a, b = np.full(n, -np.inf), rng.uniform(0.5, 2.0, n)
-        fused = pmvn_dense(a, b, spd36, n_samples=600, tile_size=7, rng=3, backend="numpy")
-        jit = pmvn_dense(a, b, spd36, n_samples=600, tile_size=7, rng=3, backend="numba")
+        factor = factorize(spd36, method="dense", tile_size=7)
+        fused = pmvn_integrate(a, b, factor, PMVNOptions(n_samples=600, rng=3, backend="numpy"))
+        jit = pmvn_integrate(a, b, factor, PMVNOptions(n_samples=600, rng=3, backend="numba"))
         assert jit.details["backend"] == "numba"
         assert jit.probability == pytest.approx(fused.probability, rel=1e-9, abs=1e-300)
 
@@ -180,8 +180,8 @@ class TestWorkspacePooling:
             warm1 = model.probability(a1, b1, rng=4)
             warm2 = model.probability(a2, b2, rng=4)
             warm1_again = model.probability(a1, b1, rng=4)
-        fresh1 = pmvn_dense(a1, b1, spd36, n_samples=500, tile_size=7, rng=4)
-        fresh2 = pmvn_dense(a2, b2, spd36, n_samples=500, tile_size=7, rng=4)
+        fresh1 = mvn_probability(a1, b1, spd36, n_samples=500, tile_size=7, rng=4)
+        fresh2 = mvn_probability(a2, b2, spd36, n_samples=500, tile_size=7, rng=4)
         assert warm1.probability == fresh1.probability
         assert warm2.probability == fresh2.probability
         assert warm1_again.probability == fresh1.probability
@@ -199,8 +199,9 @@ class TestWorkspacePooling:
         # a sweep handed a busy workspace must still be bit-correct
         n = spd36.shape[0]
         a, b = np.full(n, -np.inf), rng.uniform(0.5, 2.0, n)
-        busy = pmvn_dense(a, b, spd36, n_samples=400, tile_size=7, rng=8, workspace=ws)
-        fresh = pmvn_dense(a, b, spd36, n_samples=400, tile_size=7, rng=8)
+        factor = factorize(spd36, method="dense", tile_size=7)
+        busy = pmvn_integrate(a, b, factor, PMVNOptions(n_samples=400, rng=8, workspace=ws))
+        fresh = pmvn_integrate(a, b, factor, PMVNOptions(n_samples=400, rng=8))
         assert busy.probability == fresh.probability
 
         ws.release_wave_buffers()
@@ -300,8 +301,8 @@ class TestPhaseAttribution:
     def test_details_and_timings_expose_phases(self, spd36):
         n = spd36.shape[0]
         with collect_timings() as reg:
-            res = pmvn_dense(np.full(n, -np.inf), np.full(n, 0.5), spd36,
-                             n_samples=400, tile_size=7, rng=0)
+            res = mvn_probability(np.full(n, -np.inf), np.full(n, 0.5), spd36,
+                                  n_samples=400, tile_size=7, rng=0)
         assert res.details["backend"] == "numpy"
         assert res.details["kernel_seconds"] > 0.0
         assert res.details["gemm_seconds"] >= 0.0

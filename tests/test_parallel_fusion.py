@@ -34,7 +34,7 @@ from repro.core.kernel_backend import (
     resolve_kernel_threads,
     set_kernel_threads,
 )
-from repro.core.pmvn import PMVNOptions, pmvn_integrate_batch
+from repro.core.pmvn import PMVNOptions, pmvn_integrate, pmvn_integrate_batch
 from repro.runtime import Runtime
 from repro.solver import SolverConfig
 from repro.stats.qmc import qmc_samples
@@ -163,15 +163,13 @@ class TestParallelKernelBody:
 
     @pytest.mark.skipif(numba_missing, reason="numba not installed")
     def test_compiled_parallel_bit_identical_to_serial(self, spd36, rng):
-        from repro.core import pmvn_dense
-
         n = spd36.shape[0]
         a, b = np.full(n, -np.inf), rng.uniform(0.5, 2.0, n)
-        serial = pmvn_dense(a, b, spd36, n_samples=600, tile_size=7, rng=3,
-                            backend="numba")
+        factor = factorize(spd36, method="dense", tile_size=7)
+        serial = pmvn_integrate(a, b, factor, PMVNOptions(n_samples=600, rng=3, backend="numba"))
         for threads in (1, 2):
-            par = pmvn_dense(a, b, spd36, n_samples=600, tile_size=7, rng=3,
-                             backend="numba-parallel", kernel_threads=threads)
+            par = pmvn_integrate(a, b, factor, PMVNOptions(
+                n_samples=600, rng=3, backend="numba-parallel", kernel_threads=threads))
             assert par.details["backend"] == "numba-parallel"
             assert par.probability == serial.probability
             assert par.error == serial.error

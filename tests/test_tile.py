@@ -6,16 +6,11 @@ import pytest
 from repro.runtime import Runtime, TaskError
 from repro.tile import (
     TileMatrix,
-    gemm_kernel,
-    gemm_update_kernel,
-    potrf_kernel,
-    syrk_kernel,
     tile_ranges,
     tiled_cholesky,
     tiled_gemm,
     tiled_lower_solve,
     tiled_matvec,
-    trsm_kernel,
 )
 from repro.tile.dense_kernels import potrf_flops
 
@@ -91,55 +86,6 @@ class TestTileMatrix:
     def test_memory_bytes(self, small_spd):
         tiles = TileMatrix.from_dense(small_spd, 4)
         assert tiles.memory_bytes() == small_spd.nbytes
-
-
-class TestDenseKernels:
-    def test_potrf_reconstructs(self, small_spd):
-        factor = potrf_kernel(small_spd)
-        np.testing.assert_allclose(factor @ factor.T, small_spd, atol=1e-10)
-        assert np.allclose(factor, np.tril(factor))
-
-    def test_potrf_rejects_indefinite(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            potrf_kernel(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_trsm_solves_panel(self, rng, small_spd):
-        factor = potrf_kernel(small_spd)
-        panel = rng.standard_normal((5, 8))
-        out = trsm_kernel(panel, factor)
-        np.testing.assert_allclose(out @ factor.T, panel, atol=1e-10)
-
-    def test_trsm_shape_checks(self, rng):
-        with pytest.raises(ValueError):
-            trsm_kernel(rng.standard_normal((3, 4)), rng.standard_normal((3, 3)))
-
-    def test_syrk_in_place(self, rng):
-        c = np.eye(4) * 10
-        a = rng.standard_normal((4, 3))
-        expected = c - a @ a.T
-        syrk_kernel(c, a)
-        np.testing.assert_allclose(c, expected)
-
-    def test_gemm_kernel_transpose_modes(self, rng):
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((3, 4))
-        c = np.zeros((3, 3))
-        gemm_kernel(c, a, b, alpha=-1.0, beta=1.0, transpose_b=True)
-        np.testing.assert_allclose(c, -a @ b.T)
-        c2 = np.zeros((3, 5))
-        b2 = rng.standard_normal((4, 5))
-        gemm_kernel(c2, a, b2, alpha=2.0, beta=0.0, transpose_b=False)
-        np.testing.assert_allclose(c2, 2 * a @ b2)
-
-    def test_gemm_update_kernel(self, rng):
-        l_tile = rng.standard_normal((4, 3))
-        y_tile = rng.standard_normal((3, 6))
-        a = rng.standard_normal((4, 6))
-        b = rng.standard_normal((4, 6))
-        a0, b0 = a.copy(), b.copy()
-        gemm_update_kernel(a, b, l_tile, y_tile)
-        np.testing.assert_allclose(a, a0 - l_tile @ y_tile)
-        np.testing.assert_allclose(b, b0 - l_tile @ y_tile)
 
 
 class TestTiledCholesky:

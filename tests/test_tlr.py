@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.pmvn import pmvn_dense, pmvn_tlr
+from repro.core import mvn_probability
 
 from repro.kernels import ExponentialKernel, Geometry, build_covariance
-from repro.runtime import Runtime
+from repro.runtime import Runtime, TaskError
 from repro.tile import TileMatrix
 from repro.tlr import cholesky as tlr_cholesky_module
 from repro.tlr import compression as tlr_compression
@@ -259,6 +259,13 @@ class TestTLRCholesky:
         out = tlr_cholesky(tlr, overwrite=True)
         assert out is tlr
 
+    def test_indefinite_diagonal_tile_raises_task_error(self):
+        """The POTRF codelet shared with the tiled Cholesky fails the task."""
+        bad = np.eye(6)
+        bad[3, 3] = -2.0
+        with pytest.raises(TaskError, match="diagonal tile is not positive definite"):
+            tlr_cholesky(TLRMatrix.from_dense(bad, 3, accuracy=1e-8))
+
     def test_gemm_stacks_min_rank(self, monkeypatch):
         """Every GEMM task rounds ``k_ij + min(k_ik, k_jk)`` stacked columns."""
         geom = Geometry.regular_grid(12, 12)
@@ -300,9 +307,10 @@ class TestEndToEndAccuracy:
         sigma = build_covariance(ExponentialKernel(1.0, 0.234), geom.locations, nugget=1e-6)
         n = sigma.shape[0]
         a, b = np.full(n, -np.inf), np.full(n, 1.5)
-        dense = pmvn_dense(a, b, sigma, n_samples=2000, tile_size=32, rng=7).probability
+        dense = mvn_probability(a, b, sigma, n_samples=2000, tile_size=32, rng=7).probability
         for eps in (1e-2, 1e-3, 1e-4):
-            tlr = pmvn_tlr(a, b, sigma, n_samples=2000, tile_size=32, accuracy=eps, rng=7).probability
+            tlr = mvn_probability(a, b, sigma, method="tlr", n_samples=2000, tile_size=32,
+                                  accuracy=eps, rng=7).probability
             assert abs(tlr - dense) <= 0.025 * eps
 
 
