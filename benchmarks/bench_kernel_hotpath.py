@@ -14,40 +14,21 @@ per-phase clock the sweep always carries in ``MVNResult.details``): the GEMM
 propagation and QMC generation are shared costs, so folding them in would
 let BLAS noise mask a kernel regression.  The reference backend sweeps last
 in every repeat, through the identical task graph.
-
-The record also carries the **multi-core gate** of the parallel-kernel PR:
-``numba-parallel`` must beat the fused single-thread numpy kernel by
-**>= 3x at 8 cores** while staying bit-identical to the serial ``numba``
-backend (thread count never changes the numbers; the numba pair is not
-bit-identical to numpy by design — see :mod:`repro.core.kernel_backend`).
-On machines that cannot exercise it — numba missing, or fewer than 8 cores
-— the section's ``passed`` is ``None`` and its ``reason`` says why, never a
-faked verdict.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from benchmarks.conftest import append_record, gate_record, min_spread, save_table, time_paths
 from repro.core.factor import factorize
-from repro.core.kernel_backend import available_backends, resolve_kernel_threads
+from repro.core.kernel_backend import available_backends
 from repro.core.pmvn import PMVNOptions, SweepWorkspace, pmvn_integrate
 from repro.kernels import ExponentialKernel, Geometry, build_covariance
 from repro.utils.reporting import Table
 
 #: acceptance threshold of the hot-path PR: fused numpy kernel vs reference
 KERNEL_SPEEDUP_GATE = 1.5
-
-#: acceptance threshold of the multi-core gate: numba-parallel kernel phase
-#: vs the fused single-thread numpy kernel phase
-MULTICORE_SPEEDUP_GATE = 3.0
-
-#: the multi-core gate only applies on machines with at least this many
-#: cores (the acceptance criterion is stated at 8 cores)
-MULTICORE_MIN_CORES = 8
 
 # narrower chain blocks weight the per-row overhead the fusion removes more
 # heavily (and match the single-box sweep's square-tile default)
@@ -129,50 +110,8 @@ def run(quick: bool = False) -> dict:
             "backends": backends,
             "speedup": speedup,
             "parity": parity,
-            "multicore": _multicore_section(backends),
         },
     )
-
-
-def _multicore_section(backends: dict) -> dict:
-    """The multi-core gate: numba-parallel vs single-thread numpy kernel.
-
-    ``passed`` stays ``None`` (with a ``reason``) unless the parallel
-    backend was measured on a machine with enough cores — an unavailable
-    backend must never produce a fake pass *or* a fake fail.
-    """
-    section: dict = {
-        "metric": "kernel speedup, numba-parallel vs numpy (single thread)",
-        "kernel_threads": resolve_kernel_threads(),  # None = backend default
-        "min_cores": MULTICORE_MIN_CORES,
-        "threshold": MULTICORE_SPEEDUP_GATE,
-        "passed": None,
-    }
-    if "numba-parallel" not in backends:
-        section["reason"] = "numba-parallel backend not available on this install"
-        return section
-    section["value"] = (
-        backends["numpy"]["kernel_seconds"]["min"]
-        / backends["numba-parallel"]["kernel_seconds"]["min"]
-    )
-    # thread count must never change the numbers: the parallel backend has
-    # to agree bit for bit with the serial numba backend (the numba pair is
-    # ~1e-12 from numpy by design, so numpy is not the parity baseline here)
-    section["bit_identical_to_numba"] = (
-        backends["numba-parallel"]["probability"] == backends["numba"]["probability"]
-        and backends["numba-parallel"]["error"] == backends["numba"]["error"]
-    ) if "numba" in backends else None
-    cores = os.cpu_count() or 1
-    if cores < MULTICORE_MIN_CORES:
-        section["reason"] = (
-            f"machine has {cores} core(s); the gate is defined at >= {MULTICORE_MIN_CORES}"
-        )
-        return section
-    section["passed"] = bool(
-        section["value"] >= MULTICORE_SPEEDUP_GATE
-        and section["bit_identical_to_numba"] is not False
-    )
-    return section
 
 
 def test_kernel_hotpath(benchmark):
@@ -201,30 +140,3 @@ def test_kernel_hotpath(benchmark):
     assert record["value"] >= KERNEL_SPEEDUP_GATE, (
         f"fused kernel speedup only {record['value']:.2f}x (gate: {KERNEL_SPEEDUP_GATE}x)"
     )
-
-    # multi-core gate: numba-parallel >= 3x over single-thread numpy at
-    # >= 8 cores, bit-identical to serial numba.  Machines that cannot run
-    # it must record an accurate reason, never a fabricated verdict.
-    multicore = detail["multicore"]
-    assert multicore["threshold"] == MULTICORE_SPEEDUP_GATE
-    assert multicore["min_cores"] == MULTICORE_MIN_CORES
-    cores = os.cpu_count() or 1
-    assert record["cores"] == os.cpu_count()
-    if "numba-parallel" not in available_backends():
-        assert multicore["passed"] is None
-        assert "not available" in multicore["reason"]
-    elif cores < MULTICORE_MIN_CORES:
-        assert multicore["passed"] is None
-        assert "core" in multicore["reason"]
-        # the measurement itself still ran — record the value for the trail
-        assert multicore["value"] > 0
-    else:
-        assert multicore["bit_identical_to_numba"], (
-            "numba-parallel diverged from serial numba: thread count must "
-            "never change the numbers"
-        )
-        assert multicore["value"] >= MULTICORE_SPEEDUP_GATE, (
-            f"numba-parallel speedup only {multicore['value']:.2f}x "
-            f"(gate: {MULTICORE_SPEEDUP_GATE}x at {cores} cores)"
-        )
-        assert multicore["passed"] is True

@@ -73,26 +73,8 @@ def test_hotpath_benchmark_smoke(tmp_path):
     assert detail["backends"]["numpy"]["probability"] > 0.0
     assert detail["speedup"]["numpy"]["kernel"] > 0.0
     assert record["threshold"] == 1.5
-
-    # the multi-core section is always present; it either gated or says why
-    # it could not (never a fabricated verdict)
-    multicore = detail["multicore"]
-    assert multicore["threshold"] == 3.0
     assert record["cores"] >= 1
-    if multicore["passed"] is None:
-        assert multicore["reason"]
-    else:
-        assert isinstance(multicore["passed"], bool)
-        assert multicore["value"] > 0.0
-
-
-def test_unavailable_backend_not_faked():
-    """A backend that is not installed must not appear as its own row."""
-    if "numba" in available_backends():
-        pytest.skip("numba installed: the fallback path cannot be exercised")
-    backends = bench_kernel_hotpath.run(quick=True)["detail"]["backends"]
-    assert "numba" not in backends
-    assert set(backends) == {"numpy", "reference"}
+    assert set(detail["backends"]) == {"numpy", "reference"}
 
 
 def test_hotpath_two_sided_smoke(monkeypatch):

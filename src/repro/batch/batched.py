@@ -101,7 +101,6 @@ def mvn_probability_batch(
     factor: CholeskyFactor | None = None,
     cache: FactorCache | None = None,
     backend: str | None = None,
-    kernel_threads: int | None = None,
     target_error: float | None = None,
     max_samples: int | None = None,
 ) -> list[MVNResult]:
@@ -129,8 +128,6 @@ def mvn_probability_batch(
         Factor cache consulted (and populated) when ``factor`` is not given.
     backend : str, optional
         QMC kernel backend (see :mod:`repro.core.kernel_backend`).
-    kernel_threads : int, optional
-        Thread count for chain-parallel backends (``numba-parallel``).
     target_error, max_samples : optional
         Per-box adaptive accuracy targeting: boxes whose standard error
         misses ``target_error`` are re-swept at escalating sample counts
@@ -157,8 +154,7 @@ def mvn_probability_batch(
 
     config = SolverConfig(
         method=method, n_samples=n_samples, tile_size=tile_size,
-        accuracy=accuracy, max_rank=max_rank, qmc=qmc,
-        backend=backend, kernel_threads=kernel_threads,
+        accuracy=accuracy, max_rank=max_rank, qmc=qmc, backend=backend,
     )
     check_factor_args(config.method, factor, cache)
     with MVNSolver(config, n_workers=n_workers, runtime=runtime, cache=cache) as solver:

@@ -29,7 +29,6 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.factor import CholeskyFactor, factorize
-from repro.core.update import FactorLineage
 
 __all__ = ["FactorCache", "FingerprintMemo", "sigma_fingerprint"]
 
@@ -139,13 +138,7 @@ class FactorCache:
         self.max_entries = int(max_entries)
         self._entries: OrderedDict[tuple, CholeskyFactor] = OrderedDict()
         self._fp_memo = FingerprintMemo()
-        # child fingerprint -> FactorLineage for factors produced by rank-k
-        # up/down-dates (bounded separately from the factor entries: lineage
-        # records are tiny and outliving the factor is useful for routing)
-        self._lineage: OrderedDict[str, FactorLineage] = OrderedDict()
-        self._max_lineage = 4 * self.max_entries
         self.factorize_count = 0
-        self.update_count = 0
         self.hits = 0
         self.misses = 0
 
@@ -230,68 +223,6 @@ class FactorCache:
             self._entries.popitem(last=False)
         return factor
 
-    def get_cached(
-        self,
-        fingerprint: str,
-        method: str = "dense",
-        tile_size: int | None = None,
-        accuracy: float = 1e-3,
-        max_rank: int | None = None,
-        precision: str = "double",
-    ) -> CholeskyFactor | None:
-        """Look up a factor by a *known* fingerprint, without a sigma array.
-
-        The lineage fast path: an updated model's fingerprint is derived
-        (:func:`repro.core.update.lineage_fingerprint`), so there is no
-        covariance to hash.  Returns ``None`` on a miss and does not count
-        toward hit/miss statistics unless found.
-        """
-        key = (fingerprint,) + self._settings_key(
-            method, tile_size, accuracy, max_rank, precision
-        )
-        factor = self._entries.get(key)
-        if factor is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-        return factor
-
-    def register_factor(
-        self,
-        fingerprint: str,
-        factor: CholeskyFactor,
-        method: str = "dense",
-        tile_size: int | None = None,
-        accuracy: float = 1e-3,
-        max_rank: int | None = None,
-        precision: str = "double",
-    ) -> None:
-        """Insert an externally-built factor under a known fingerprint.
-
-        Used by :meth:`repro.solver.Model.update` to make the up/down-dated
-        factor warm for subsequent queries against the child model, exactly
-        as if it had been factorized from the child covariance.
-        """
-        key = (fingerprint,) + self._settings_key(
-            method, tile_size, accuracy, max_rank, precision
-        )
-        self._entries[key] = factor
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def record_update(self, lineage: FactorLineage) -> None:
-        """Remember the provenance of an up/down-dated factor."""
-        self._lineage[lineage.child_fingerprint] = lineage
-        self._lineage.move_to_end(lineage.child_fingerprint)
-        while len(self._lineage) > self._max_lineage:
-            self._lineage.popitem(last=False)
-        self.update_count += 1
-
-    def lineage_of(self, fingerprint: str) -> FactorLineage | None:
-        """The :class:`FactorLineage` of an updated factor, or ``None``."""
-        return self._lineage.get(fingerprint)
-
     def clear(self) -> None:
-        """Drop every cached factor and lineage record (statistics kept)."""
+        """Drop every cached factor (statistics kept)."""
         self._entries.clear()
-        self._lineage.clear()

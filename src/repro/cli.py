@@ -65,7 +65,7 @@ from repro.utils.timers import collect_timings
 __all__ = ["main", "build_parser"]
 
 #: the ``--backend`` choices every solver subcommand offers
-_BACKEND_CHOICES = ["numpy", "numba", "numba-parallel", "reference", "auto"]
+_BACKEND_CHOICES = ["numpy", "reference"]
 
 
 def _runtime_parent() -> argparse.ArgumentParser:
@@ -90,9 +90,6 @@ def _add_mvn_problem_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default=None,
                         choices=_BACKEND_CHOICES,
                         help="QMC kernel backend (default: $REPRO_KERNEL_BACKEND or numpy)")
-    parser.add_argument("--kernel-threads", type=int, default=None,
-                        help="threads for chain-parallel kernel backends "
-                             "(default: $REPRO_KERNEL_THREADS or all cores)")
     parser.add_argument("--auto", action="store_true",
                         help="shorthand for --method auto: let the query planner "
                              "pick the estimator (see docs/query.md)")
@@ -150,9 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     crd.add_argument("--backend", default=None,
                      choices=_BACKEND_CHOICES,
                      help="QMC kernel backend (default: $REPRO_KERNEL_BACKEND or numpy)")
-    crd.add_argument("--kernel-threads", type=int, default=None,
-                     help="threads for chain-parallel kernel backends "
-                          "(default: $REPRO_KERNEL_THREADS or all cores)")
     crd.add_argument("--verbose", action="store_true",
                      help="print the per-phase timing breakdown of the detection")
     crd.add_argument("--save", type=Path, default=None, help="save the result to this .npz path")
@@ -181,8 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--backend", default=None,
                       choices=_BACKEND_CHOICES,
                       help="QMC kernel backend (default: $REPRO_KERNEL_BACKEND or numpy)")
-    pipe.add_argument("--kernel-threads", type=int, default=None,
-                      help="threads for chain-parallel kernel backends")
     pipe.add_argument("--verbose", action="store_true",
                       help="print the per-phase timing breakdown of the run")
 
@@ -221,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--backend", default=None,
                          choices=_BACKEND_CHOICES,
                          help="QMC kernel backend (default: $REPRO_KERNEL_BACKEND or numpy)")
-    gateway.add_argument("--kernel-threads", type=int, default=None,
-                         help="threads for chain-parallel kernel backends "
-                              "(default: $REPRO_KERNEL_THREADS or all cores)")
     gateway.add_argument("--shards", type=int, default=2, help="initial warm solver shards")
     gateway.add_argument("--mode", default="auto", choices=list(WORKER_MODES),
                          help="shard worker mode")
@@ -265,7 +254,6 @@ def _config_from_args(args, tile_size=None):
         tile_size=tile_size if tile_size is not None else getattr(args, "tile_size", None),
         accuracy=args.accuracy,
         backend=getattr(args, "backend", None),
-        kernel_threads=getattr(args, "kernel_threads", None),
     )
 
 
@@ -546,8 +534,7 @@ def _cmd_serve(args) -> int:
     from repro.serve.net import Autoscaler, ServeGateway
 
     solver_config = SolverConfig(method=args.method, n_samples=args.samples,
-                                 backend=args.backend,
-                                 kernel_threads=args.kernel_threads)
+                                 backend=args.backend)
     serve_config = ServeConfig(
         n_shards=args.shards, worker_mode=args.mode, max_batch=args.max_batch,
         batch_window=args.batch_window, max_pending=args.max_pending,

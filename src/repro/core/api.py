@@ -78,9 +78,8 @@ __METHOD_LIST__
         Factor cache consulted (and populated) when ``factor`` is not given;
         repeated calls against the same covariance factorize once.
     backend : str, optional
-        QMC kernel backend for the factor-based methods (``"numpy"``,
-        ``"numba"``, ``"reference"``, ``"auto"``); see
-        :mod:`repro.core.kernel_backend`.
+        QMC kernel backend for the factor-based methods (``"numpy"`` or
+        ``"reference"``); see :mod:`repro.core.kernel_backend`.
     target_error : float, optional
         Standard-error target for adaptive accuracy: the sweep re-runs with
         escalating sample counts (reusing the factorization) until

@@ -263,7 +263,7 @@ def _confidence_region_impl(
     """Algorithm 1 proper, run by :meth:`repro.solver.Model.confidence_region`.
 
     ``options`` are the model's sweep options (sample size, QMC sequence
-    and seed, kernel backend and threads, pooled sweep buffers), built
+    and seed, kernel backend, pooled sweep buffers), built
     where a query's are; the prefix sweep adds ``return_prefix`` to them.
     ``sigma`` must already have passed
     :func:`~repro.utils.validation.check_covariance`: a
@@ -272,14 +272,16 @@ def _confidence_region_impl(
     every detection, by :func:`~repro.core.factor.factorize` (or skipped
     with it on a factor-cache hit).
 
-    ``std_memo`` (a mutable dict owned by the caller) memoizes the reordered
-    correlation matrix per ``(ordering, nugget)``: the matrix depends on the
-    detection ordering but *not* on the threshold, so a threshold sweep whose
-    ordering is threshold-invariant rebuilds it once instead of per
-    detection — and, because the same array object is handed back to the
-    factor cache, the cache's identity-memoized fingerprint skips the
-    ``O(n^2)`` content hash as well.  The memoized matrix is never mutated
-    (the factorization paths copy), so the reuse is bit-identical.
+    ``std_memo`` (a mutable dict owned by the caller) keeps the latest
+    reordered correlation matrix under its ``(ordering, nugget)``: the
+    matrix depends on the detection ordering but *not* on the threshold, so
+    a threshold sweep whose ordering is threshold-invariant rebuilds it once
+    instead of per detection, and a sweep whose ordering moves with the
+    threshold holds one matrix, not one per threshold.  Because the same
+    array object is handed back to the factor cache, the cache's
+    identity-memoized fingerprint skips the ``O(n^2)`` content hash as well.
+    The memoized matrix is never mutated (the factorization paths copy), so
+    the reuse is bit-identical.
     """
     sigma = np.ascontiguousarray(sigma, dtype=np.float64)
     n = sigma.shape[0]
@@ -298,6 +300,7 @@ def _confidence_region_impl(
             if nugget:
                 corr_ord[np.diag_indices_from(corr_ord)] += nugget
             if std_memo is not None:
+                std_memo.clear()
                 std_memo[memo_key] = corr_ord
         else:
             # same formula as _standardized_problem, only the O(n) part —

@@ -55,12 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.factor import CholeskyFactor
-from repro.core.kernel_backend import (
-    KernelBackend,
-    KernelWorkspace,
-    get_backend,
-    set_kernel_threads,
-)
+from repro.core.kernel_backend import KernelBackend, KernelWorkspace, get_backend
 from repro.core.qmc_kernel import qmc_kernel_tile
 from repro.mvn.result import MVNResult
 from repro.runtime import AccessMode, DataHandle, Runtime
@@ -119,20 +114,14 @@ class PMVNOptions:
         (defaults to :data:`BATCH_WORKSPACE_COLS` scaled by the dimension);
         additional boxes are swept in waves through the same runtime.
     backend : str, optional
-        QMC kernel backend (``"numpy"``, ``"numba"``, ``"reference"``,
-        ``"auto"``); ``None`` follows ``$REPRO_KERNEL_BACKEND`` and defaults
-        to the fused bit-identical ``"numpy"`` backend.  See
+        QMC kernel backend (``"numpy"`` or ``"reference"``); ``None``
+        follows ``$REPRO_KERNEL_BACKEND`` and defaults to the fused
+        bit-identical ``"numpy"`` backend.  See
         :mod:`repro.core.kernel_backend`.
     workspace : SweepWorkspace, optional
         Pooled work buffers reused across calls (a
         :class:`repro.solver.MVNSolver` holds one for all its models); a
         fresh pool is created when omitted.
-    kernel_threads : int, optional
-        Thread count for chain-parallel kernel backends (``numba-parallel``);
-        applied for the duration of the sweep via
-        :func:`repro.core.kernel_backend.set_kernel_threads`.  ``None``
-        defers to ``$REPRO_KERNEL_THREADS`` and then the backend default
-        (all cores).  Single-threaded backends ignore it.
     """
 
     n_samples: int = 10_000
@@ -143,7 +132,6 @@ class PMVNOptions:
     max_workspace_cols: int | None = None
     backend: str | None = None
     workspace: "SweepWorkspace | None" = field(default=None, repr=False)
-    kernel_threads: int | None = None
 
 
 def _gemm_limits_update(
@@ -333,8 +321,6 @@ def pmvn_integrate_batch(
     backend = get_backend(options.backend)
     clock = _PhaseClock()
     results: list[MVNResult | None] = [None] * n_boxes
-    threads_set = options.kernel_threads is not None
-    prev_threads = set_kernel_threads(options.kernel_threads) if threads_set else None
     try:
         for wave_start in range(0, n_boxes, boxes_per_wave):
             wave = list(range(wave_start, min(wave_start + boxes_per_wave, n_boxes)))
@@ -347,8 +333,6 @@ def pmvn_integrate_batch(
                         fused, results, workspace, backend, clock)
             del variates  # free this wave's draws before the next wave's
     finally:
-        if threads_set:
-            set_kernel_threads(prev_threads)
         if claimed:
             workspace.release_wave_buffers()
     add_timing("kernel_sweep", clock.kernel)

@@ -17,8 +17,8 @@ vectorized positive-diagonal pre-check, so callers never observe a
 half-updated ``p_seg`` from a bad tile) happens once per tile, then the row
 recursion runs on a pluggable backend from
 :mod:`repro.core.kernel_backend` — the fused allocation-free ``"numpy"``
-backend by default, the original ``"reference"`` loop for parity baselines,
-or an ``@njit``-compiled ``"numba"`` backend when numba is installed.
+backend by default, or the original ``"reference"`` loop for parity
+baselines.
 
 Note on the paper's pseudo-code: line 5/12 of Algorithm 3 writes
 ``y = Phi^{-1}(R * (Phi(b') - Phi(a')))``; the correct Genz recursion (and

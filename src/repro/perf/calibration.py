@@ -13,11 +13,7 @@ scale to other node counts; the shape of the predictions (speedups,
 crossovers) therefore reflects measured constants rather than guesses.
 
 The QMC throughput depends on the kernel backend, so ``calibrate`` accepts
-``backend=`` and :func:`calibrate_backends` sweeps every available backend —
-feeding per-backend :class:`repro.distributed.pmvn_model.KernelRates` into
-:class:`repro.runtime.estimates.ModelEstimator` keeps the scheduler's cost
-estimates honest when a parallel kernel makes the sweep several times
-faster.
+``backend=`` and records the backend it timed.
 """
 
 from __future__ import annotations
@@ -28,12 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky as scipy_cholesky
 
-from repro.core.kernel_backend import available_backends, get_backend
+from repro.core.kernel_backend import get_backend
 from repro.core.qmc_kernel import qmc_kernel_tile
 from repro.tlr.compression import LowRankTile, lowrank_matmul_dense
 from repro.utils.validation import check_positive_int
 
-__all__ = ["CalibrationResult", "calibrate", "calibrate_backends"]
+__all__ = ["CalibrationResult", "calibrate"]
 
 
 @dataclass
@@ -46,8 +42,8 @@ class CalibrationResult:
     qmc_rows_per_second: float
     lowrank_gemm_gflops: float
     rank: int
-    #: kernel backend the QMC throughput was measured with (the *resolved*
-    #: name — e.g. "numpy" when an absent numba was requested and fell back)
+    #: kernel backend the QMC throughput was measured with (the resolved
+    #: name: a ``backend=None`` call records the default it ran)
     backend: str | None = None
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -133,25 +129,3 @@ def calibrate(tile_size: int = 256, rank: int = 16, n_chains: int = 256, rng=Non
         backend=resolved_backend.name,
     )
 
-
-def calibrate_backends(backends=None, tile_size: int = 256, rank: int = 16,
-                       n_chains: int = 256, rng=None) -> dict[str, CalibrationResult]:
-    """Per-backend calibration: one :func:`calibrate` run per kernel backend.
-
-    ``backends=None`` measures every backend available on this install.
-    Requested names that resolve to a different backend (e.g. ``"numba"``
-    falling back to ``"numpy"`` on a minimal install) are recorded under the
-    *resolved* name, so a rate is never attributed to a backend that did not
-    actually run; duplicates collapse to one measurement.
-    """
-    names = list(backends) if backends is not None else available_backends()
-    out: dict[str, CalibrationResult] = {}
-    for name in names:
-        resolved = get_backend(name).name
-        if resolved in out:
-            continue
-        out[resolved] = calibrate(
-            tile_size=tile_size, rank=rank, n_chains=n_chains, rng=rng,
-            backend=resolved,
-        )
-    return out

@@ -14,8 +14,7 @@ Its output is an explicit, inspectable :class:`QueryPlan`:
   change the answer: when dense already wins against TLR priced at rank 1,
   no probe runs;
 * the **kernel backend**, resolved to the concrete backend the sweep will
-  dispatch to (``None`` / ``$REPRO_KERNEL_BACKEND`` / ``"auto"`` collapse to
-  a real name);
+  dispatch to (``None`` follows ``$REPRO_KERNEL_BACKEND`` to a real name);
 * the **adaptive-accuracy schedule** — the initial sample count, the error
   target and the sample budget of the escalation loop
   (:meth:`QueryPlan.with_schedule` sets it, :func:`next_sample_count`
@@ -58,6 +57,7 @@ from repro.core.pmvn import BATCH_CHAIN_BLOCK
 from repro.distributed.pmvn_model import KernelRates
 from repro.query.spec import MVNQuery
 from repro.runtime.estimates import ModelEstimator
+from repro.utils.validation import check_schedule
 
 __all__ = [
     "QueryPlan",
@@ -241,13 +241,13 @@ class QueryPlan:
             n_samples = query.n_samples if n_samples is None else n_samples
             target_error = query.target_error if target_error is None else target_error
             max_samples = query.max_samples if max_samples is None else max_samples
-        n_samples = int(self.n_samples if n_samples is None else n_samples)
+        n_samples = self.n_samples if n_samples is None else n_samples
         if target_error is None:
             max_samples = n_samples
         elif max_samples is None:
             max_samples = DEFAULT_BUDGET_MULTIPLIER * n_samples
         return replace(self, n_samples=n_samples, target_error=target_error,
-                       max_samples=int(max_samples))
+                       max_samples=max_samples)
 
     def as_details(self, *, rounds: int = 1, samples_used: int | None = None,
                    target_met: bool | None = None) -> dict:
@@ -427,8 +427,9 @@ class QueryPlanner:
             The query; its overrides (``n_samples``, ``target_error``,
             ``max_samples``, one-sidedness) seed the keyword arguments
             below, which may also be given directly (a pipeline aggregates
-            them over its stages).
+            them over its stages) and are checked like a query's.
         """
+        n_samples, target_error, max_samples = check_schedule(n_samples, target_error, max_samples)
         if isinstance(sigma, CholeskyFactor):
             check_factor_args(config.method, sigma)
             bound, n = sigma.kind, sigma.n

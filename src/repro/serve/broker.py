@@ -47,7 +47,7 @@ from repro.serve.config import ServeConfig
 from repro.serve.pool import ModelRoster, ShardPool, lineage_payload, shard_for_fingerprint
 from repro.serve.stats import ServeStats, ShardSnapshot
 from repro.solver.config import SolverConfig
-from repro.utils.validation import check_square
+from repro.utils.validation import check_count, check_square
 
 __all__ = ["QueryBroker", "ServeError", "ServeOverloadedError", "SigmaUpdate"]
 
@@ -436,9 +436,7 @@ class QueryBroker:
         which drain their queued batches before stopping.  Returns the new
         shard count.
         """
-        target = int(n_shards)
-        if target < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards!r}")
+        target = check_count(n_shards, "n_shards")
         request = _Resize(target)
         with self._submit_lock:
             if self._closed:

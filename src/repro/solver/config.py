@@ -52,16 +52,10 @@ class SolverConfig:
         :func:`repro.stats.qmc.canonical_qmc`, so ``"lattice"`` is
         ``"richtmyer"`` and unknown names raise at construction).
     backend : str, optional
-        QMC kernel backend (``"numpy"``, ``"numba"``, ``"numba-parallel"``,
-        ``"reference"``, ``"auto"``); ``None`` follows
-        ``$REPRO_KERNEL_BACKEND`` and defaults to the fused bit-identical
-        numpy backend.  Unknown names raise at construction.  See
-        :mod:`repro.core.kernel_backend` and ``docs/performance.md``.
-    kernel_threads : int, optional
-        Thread count for chain-parallel kernel backends
-        (``numba-parallel``); ``None`` defers to ``$REPRO_KERNEL_THREADS``
-        and then to the backend default (all cores).  Single-threaded
-        backends ignore it.
+        QMC kernel backend (``"numpy"`` or ``"reference"``); ``None``
+        follows ``$REPRO_KERNEL_BACKEND`` and defaults to the fused
+        bit-identical numpy backend.  Unknown names raise at construction.
+        See :mod:`repro.core.kernel_backend` and ``docs/performance.md``.
 
     The runtime's scheduling policy is not an evaluation setting: it is
     passed to :class:`~repro.solver.MVNSolver` (``policy=``).
@@ -74,18 +68,15 @@ class SolverConfig:
     max_rank: int | None = None
     qmc: str = "richtmyer"
     backend: str | None = None
-    kernel_threads: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", canonical_method(self.method))
         object.__setattr__(self, "qmc", canonical_qmc(self.qmc))
         if self.backend is not None:
-            # canonicalize and validate the name now; availability (e.g. a
-            # missing numba) is resolved at kernel-dispatch time
             object.__setattr__(self, "backend", resolve_backend_name(self.backend))
         object.__setattr__(self, "n_samples", check_count(self.n_samples, "n_samples"))
         object.__setattr__(self, "accuracy", check_accuracy(self.accuracy))
-        for name in ("tile_size", "max_rank", "kernel_threads"):
+        for name in ("tile_size", "max_rank"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, check_count(value, name))

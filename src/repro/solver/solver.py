@@ -234,9 +234,10 @@ class Model:
         # covariance validation happens at most once per model, not once
         # per detection (see _confidence_region_impl)
         self._sigma_validated = False
-        # reordered correlation matrices per (detection ordering, nugget):
-        # a threshold sweep with a threshold-invariant ordering standardizes
-        # once instead of per detection (see _confidence_region_impl)
+        # the latest detection's reordered correlation matrix, keyed by
+        # (ordering, nugget): a threshold sweep with a threshold-invariant
+        # ordering standardizes once instead of per detection (see
+        # _confidence_region_impl)
         self._std_memo: dict = {}
         self._mean = check_mean(mean, self._n)
         if factor is not None and not isinstance(factor, CholeskyFactor):
@@ -340,11 +341,15 @@ class Model:
         The model's one decision (method, backend, reason, and costs priced
         for two-sided boxes at ``config.n_samples``) under the query's
         sample schedule; ``schedule`` (``n_samples=``, ``target_error=``,
-        ``max_samples=``) overrides the query's.  Pure inspection: nothing
-        is factorized or swept.
+        ``max_samples=``) overrides the query's and is checked like a
+        query's (:func:`~repro.utils.validation.check_schedule`).  Pure
+        inspection: nothing is factorized or swept.
         """
         self._solver._check_open()
-        return self._decide().with_schedule(query, **schedule)
+        n_samples, target_error, max_samples = check_schedule(**schedule)
+        return self._decide().with_schedule(
+            query, n_samples=n_samples, target_error=target_error, max_samples=max_samples,
+        )
 
     def _factor_method(self) -> str:
         """The model's method, which must be factor-based."""
@@ -388,9 +393,10 @@ class Model:
         * never assembles its covariance on the query fast path (its
           fingerprint is derived from the parent's, see
           :func:`repro.core.update.lineage_fingerprint`);
-        * is registered in the solver's :class:`~repro.batch.FactorCache`
-          under the derived fingerprint, with the lineage recorded so the
-          serve broker can route it to the shard holding the parent;
+        * holds its factor outside the solver's
+          :class:`~repro.batch.FactorCache` (keyed by covariance content,
+          which a derived fingerprint never matches), so the factor dies
+          with the child;
         * is planned from its factor (under ``method="auto"`` it keeps the
           factor's method, the factorization being already paid), so it
           never probes;
@@ -411,7 +417,6 @@ class Model:
         solver = self._solver
         solver._check_open()
         u = normalize_update(u, self.n)
-        cfg = solver.config
         parent_factor = self._ensure_factor()
         child_factor = update_factor(parent_factor, u, downdate=downdate)
 
@@ -422,14 +427,6 @@ class Model:
             parent_fingerprint=parent_fp, child_fingerprint=child_fp,
             rank=int(u.shape[1]), downdate=bool(downdate), depth=depth,
         )
-        cache = solver.cache
-        if cache is not None:
-            cache.register_factor(
-                child_fp, child_factor, method=child_factor.kind, tile_size=cfg.tile_size,
-                accuracy=cfg.accuracy, max_rank=cfg.max_rank,
-            )
-            cache.record_update(lineage)
-
         child = Model(solver, None, mean=self._mean if mean is None else mean,
                       factor=child_factor)
         child._fingerprint = child_fp
@@ -533,7 +530,7 @@ class Model:
         plan, boxes that miss the target are re-swept at escalating sample
         counts (:func:`repro.query.pipeline.escalate_batch`).
         """
-        plan = self.plan(query, **schedule)
+        plan = self._decide().with_schedule(query, **schedule)
         qmc = self.config.qmc if qmc is None else qmc
 
         results = self._evaluate_batch(plan, boxes, means, plan.n_samples, qmc, rng)
@@ -580,7 +577,6 @@ class Model:
         return PMVNOptions(
             n_samples=n_samples, qmc=qmc, rng=rng, backend=self._decide().backend,
             workspace=self._solver._sweep_workspace,
-            kernel_threads=self.config.kernel_threads,
         )
 
     def confidence_region(

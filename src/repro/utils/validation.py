@@ -197,7 +197,7 @@ def check_count(value, name: str) -> int:
 
     ``1e3`` reads as 1000; ``0``, ``-1``, ``2.5``, bools and strings raise a
     ``ValueError`` naming the field.  This is the rule of the boundary
-    objects (configs, queries, pipelines, the kernel thread count); the
+    objects (configs, queries, pipelines, the broker's shard count); the
     numeric internals use the stricter :func:`check_positive_int`.
     """
     try:

@@ -11,17 +11,11 @@ from repro.excursion import (
     mc_validate_regions,
     region_overlap,
 )
-from repro.core.kernel_backend import available_backends
 from repro.kernels import ExponentialKernel, Geometry, build_covariance
 
-# parametrize the heavier estimator-driven cases over the accelerated sweep
-# backends, like the newer suites: numba rows skip (never silently fall back)
-# when the JIT is not installed
-BACKENDS = [
-    "numpy",
-    pytest.param("numba", marks=pytest.mark.skipif(
-        "numba" not in available_backends(), reason="numba not installed")),
-]
+# the heavier estimator-driven cases run on both kernel backends: the fused
+# default and the reference row loop it is bit-identical to
+BACKENDS = ["numpy", "reference"]
 
 
 @pytest.fixture

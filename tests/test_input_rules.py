@@ -16,13 +16,8 @@ import pytest
 
 from repro.batch import FactorCache, mvn_probability_batch
 from repro.core import PMVNOptions, factorize, mvn_probability, pmvn_integrate
-from repro.core.kernel_backend import (
-    KERNEL_THREADS_ENV_VAR,
-    resolve_kernel_threads,
-    set_kernel_threads,
-)
 from repro.mvn import mvn_mc, mvn_sov
-from repro.query import MVNQuery, QueryPipeline
+from repro.query import MVNQuery, QueryPipeline, QueryPlanner
 from repro.serve import QueryBroker, ServeConfig
 from repro.solver import MVNSolver, SolverConfig
 from repro.utils import validation
@@ -88,31 +83,38 @@ def _pipeline_crd_samples(value):
     return pipeline.node("crd").n_samples
 
 
-def _kernel_threads_setting(value):
-    previous = set_kernel_threads(value)
-    try:
-        return resolve_kernel_threads()
-    finally:
-        set_kernel_threads(previous)
+def _planned_count(name):
+    """Plans a query with one schedule override and reads that count back
+    (a sample budget only counts beside an error target)."""
+    schedule = {"target_error": 1e-3} if name == "max_samples" else {}
+
+    def read(value):
+        plan = QueryPlanner().plan(np.eye(2), SolverConfig(method="dense", n_samples=64),
+                                   **schedule, **{name: value})
+        return getattr(plan, name)
+    return read
 
 
 #: field name -> reads one value through its boundary and returns the count
 COUNT_FIELDS = {
     **{f"SolverConfig.{name}": (name, lambda v, name=name: getattr(SolverConfig(**{name: v}), name))
-       for name in ("n_samples", "tile_size", "max_rank", "kernel_threads")},
+       for name in ("n_samples", "tile_size", "max_rank")},
     **{f"MVNQuery.{name}": (name, lambda v, name=name: getattr(MVNQuery([0.0], [1.0], **{name: v}), name))
        for name in ("n_samples", "max_samples")},
     **{f"ServeConfig.{name}": (name, lambda v, name=name: getattr(ServeConfig(**{name: v}), name))
        for name in ("n_shards", "max_batch", "max_pending", "n_workers", "cache_entries")},
     "QueryPipeline.add_crd.n_samples": ("n_samples", _pipeline_crd_samples),
-    "set_kernel_threads": ("kernel_threads", _kernel_threads_setting),
+    **{f"QueryPlanner.plan.{name}": (name, _planned_count(name))
+       for name in ("n_samples", "max_samples")},
 }
+
+#: counts every boundary rejects, each with the same message
+BAD_COUNTS = [0, -1, 2.5, True]
 
 
 @pytest.mark.parametrize("field", sorted(COUNT_FIELDS))
-@pytest.mark.parametrize("bad", [0, -1, 2.5, True])
-def test_boundary_counts_share_one_rule(field, bad, monkeypatch):
-    monkeypatch.delenv(KERNEL_THREADS_ENV_VAR, raising=False)
+@pytest.mark.parametrize("bad", BAD_COUNTS)
+def test_boundary_counts_share_one_rule(field, bad):
     name, read = COUNT_FIELDS[field]
     with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got {bad!r}$"):
         read(bad)
@@ -120,13 +122,35 @@ def test_boundary_counts_share_one_rule(field, bad, monkeypatch):
     assert type(read(1e3)) is int
 
 
-@pytest.mark.parametrize("bad", ["0", "-1", "2.5", "True", "lots"])
-def test_kernel_threads_environment_count(bad, monkeypatch):
-    monkeypatch.setenv(KERNEL_THREADS_ENV_VAR, bad)
-    with pytest.raises(ValueError, match=f"{KERNEL_THREADS_ENV_VAR} must be a positive integer"):
-        _kernel_threads_setting(None)
-    monkeypatch.setenv(KERNEL_THREADS_ENV_VAR, "4")
-    assert _kernel_threads_setting(None) == 4
+@pytest.fixture(scope="module")
+def one_shard_broker():
+    with QueryBroker(ServeConfig(n_shards=1, worker_mode="thread"),
+                     SolverConfig(n_samples=64)) as broker:
+        yield broker
+
+
+@pytest.mark.parametrize("bad", BAD_COUNTS)
+def test_broker_resize_shares_the_count_rule(one_shard_broker, bad):
+    """A live shard count follows the config's rule (1e3 is not tried: it
+    would start a thousand shards)."""
+    with pytest.raises(ValueError, match=f"^n_shards must be a positive integer, got {bad!r}$"):
+        one_shard_broker.resize(bad)
+    assert one_shard_broker.n_shards == 1
+
+
+@pytest.mark.parametrize("bad", BAD_COUNTS)
+def test_model_plan_shares_the_schedule_rule(sigma, bad):
+    """``Model.plan`` checks its schedule overrides as the query paths do."""
+    with MVNSolver(SolverConfig(n_samples=64)) as solver:
+        model = solver.model(sigma)
+        for field in ("n_samples", "max_samples"):
+            with pytest.raises(ValueError, match=f"^{field} must be a positive integer"):
+                model.plan(**{field: bad})
+            with pytest.raises(ValueError, match=f"^{field} must be a positive integer"):
+                model.probability_batch([_box(sigma.shape[0])], **{field: bad})
+        plan = model.plan(n_samples=1e3, target_error=1e-3)
+    assert plan.n_samples == 1000 and type(plan.n_samples) is int
+    assert plan.max_samples == 64_000
 
 
 # -- the limits: checked once per boundary -------------------------------------------

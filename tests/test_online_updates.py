@@ -291,7 +291,7 @@ class TestModelUpdateLineage:
             direct = parent.probability(np.full(n, -np.inf), np.ones(n), rng=0)
             assert "lineage" not in direct.details
 
-    def test_cache_records_lineage_and_serves_children(self):
+    def test_child_records_lineage(self):
         n = 16
         sigma = _spd(12, n)
         u = _update_matrix(12, n, 2)
@@ -300,13 +300,24 @@ class TestModelUpdateLineage:
                        cache=cache) as solver:
             parent = solver.model(sigma)
             child = parent.update(u)
-            assert cache.update_count == 1
-            lineage = cache.lineage_of(child.fingerprint)
+            lineage = child.lineage
             assert isinstance(lineage, FactorLineage)
             assert lineage.parent_fingerprint == parent.fingerprint
             assert lineage.rank == 2 and lineage.depth == 1
-            # the child factor is registered under its derived fingerprint
-            assert cache.get_cached(child.fingerprint, tile_size=8) is not None
+
+    def test_child_factors_stay_out_of_the_cache(self):
+        """A depth-8 chain leaves the root's factor alone in the solver's
+        cache: each child owns its factor, so it is freed with the child."""
+        n = 16
+        sigma = _spd(14, n)
+        with self._solver(n_samples=64) as solver:
+            model = solver.model(sigma)
+            for step in range(8):
+                model = model.update(_update_matrix(100 + step, n, 4, scale=0.1),
+                                     downdate=bool(step % 2))
+                model.probability(np.full(n, -np.inf), np.ones(n), rng=0)
+            assert model.lineage.depth == 8
+            assert len(solver.cache) == 1
 
     def test_downdate_error_propagates_from_model(self):
         n = 12

@@ -181,6 +181,31 @@ class TestCacheBehavior:
             model.confidence_region(0.3, rng=0, nugget=0.0)
             assert solver.cache.factorize_count == 1
 
+    def test_detection_memo_keeps_the_latest_matrix(self, monkeypatch):
+        """A threshold sweep standardizes once when its ordering is
+        threshold-invariant (constant variance), and holds one reordered
+        matrix, not one per threshold, when the ordering moves with it."""
+        import repro.core.crd as crd
+
+        built = []
+        real = crd._standardized_problem
+        monkeypatch.setattr(crd, "_standardized_problem",
+                            lambda *args: built.append(1) or real(*args))
+        rng = np.random.default_rng(3)
+        geom = Geometry.regular_grid(16, 16)
+        n = geom.locations.shape[0]
+        corr = build_covariance(ExponentialKernel(1.0, 0.1), geom.locations, nugget=1e-6)
+        scale = rng.uniform(0.5, 2.0, n)
+        mean = rng.uniform(-1.0, 1.0, n)
+        for sigma, standardized in ((corr, 1), (corr * np.outer(scale, scale), 12)):
+            built.clear()
+            with MVNSolver(SolverConfig(method="dense", n_samples=64)) as solver:
+                model = solver.model(sigma, mean=mean)
+                for threshold in np.linspace(-1.0, 1.0, 12):
+                    model.confidence_region(threshold, rng=0)
+                assert len(built) == standardized
+                assert len(model._std_memo) == 1
+
     def test_factor_shared_across_models_of_same_sigma(self, solver_sigma):
         n = solver_sigma.shape[0]
         a, b = _box(n)
@@ -560,25 +585,25 @@ class TestConfig:
                     assert solver.cache.factorize_count == 0
 
     @pytest.mark.parametrize("algorithm", ["prefix", "sequential"])
-    def test_detection_sweeps_with_the_configured_kernel_threads(
+    def test_detection_sweeps_with_the_configured_backend(
         self, solver_sigma, monkeypatch, algorithm,
     ):
         """A detection's sweep gets the options a query of its model would."""
         import repro.core.pmvn as pmvn
 
-        applied = []
-        real = pmvn.set_kernel_threads
-        monkeypatch.setattr(pmvn, "set_kernel_threads",
-                            lambda threads: applied.append(threads) or real(threads))
+        requested = []
+        real = pmvn.get_backend
+        monkeypatch.setattr(pmvn, "get_backend",
+                            lambda name=None: requested.append(name) or real(name))
         n = solver_sigma.shape[0]
-        config = SolverConfig(method="dense", n_samples=100, kernel_threads=2)
+        config = SolverConfig(method="dense", n_samples=100, backend="reference")
         with MVNSolver(config) as solver:
             model = solver.model(solver_sigma, mean=np.linspace(-0.5, 1.0, n))
             model.probability(*_box(n), rng=0)
-            assert applied[:1] == [2]
-            applied.clear()
+            assert requested == ["reference"]
+            requested.clear()
             model.confidence_region(0.3, algorithm=algorithm, rng=0, levels=[1, 10, n])
-        assert applied[:1] == [2]
+        assert requested == ["reference"]
 
     def test_confidence_region_rejects_baselines(self, solver_sigma):
         with MVNSolver("mc") as solver:

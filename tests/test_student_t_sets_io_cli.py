@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import multivariate_t, norm, t as student_t
 
 from repro.core import confidence_region
+from repro.core.kernel_backend import available_backends
 from repro.excursion import excursion_analysis, negative_confidence_region
 from repro.kernels import ExponentialKernel, Geometry, build_covariance
 from repro.mvn import chi_quantile, mvt_sov_vectorized, mvn_sov_vectorized
@@ -176,6 +177,22 @@ class TestCLI:
         assert "confidence region size" in out
         loaded = load_confidence_region(out_path)
         assert loaded.n == 100
+
+    @pytest.mark.parametrize(
+        "command",
+        [["mvn"], ["batch", "--boxes", "boxes.npz"], ["plan"], ["crd"],
+         ["pipeline", "run"], ["update"], ["serve"]],
+        ids=lambda command: command[0],
+    )
+    def test_backend_choices_are_the_registered_backends(self, command):
+        """Every ``--backend`` offers exactly the registered kernel backends,
+        and no subcommand takes a kernel thread count."""
+        parser = cli.build_parser()
+        for name in available_backends():
+            assert parser.parse_args(command + ["--backend", name]).backend == name
+        for flag in (["--backend", "numba"], ["--backend", "auto"], ["--kernel-threads", "2"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(command + flag)
 
     def test_calibrate(self, capsys):
         code = cli.main(["calibrate", "--tile-size", "48", "--rank", "4"])
