@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shard worker mode")
     gateway.add_argument("--max-batch", type=int, default=32, help="micro-batch capacity")
     gateway.add_argument("--batch-window", type=float, default=0.002,
-                         help="micro-batch coalescing window (seconds)")
+                         help="how long a request waits for companions on an idle shard (seconds)")
     gateway.add_argument("--max-pending", type=int, default=1024,
                          help="backpressure limit on submitted-but-unfinished requests")
     gateway.add_argument("--cache-entries", type=int, default=8,

@@ -28,7 +28,7 @@ their callable returned).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -148,15 +148,18 @@ def _execute_on_broker(pipeline: QueryPipeline, broker) -> PipelineResult:
                 "MVNSolver instead"
             )
         ref = pipeline.sigma_ref(stage.sigma)
+        # a node without its own mean runs at the ref's (checked by the ref);
+        # the query is not rebuilt to carry it
+        ref_mean = None if np.isscalar(ref.mean) and float(ref.mean) == 0.0 else ref.mean
         futures = []
         for name in stage.nodes:
             query = pipeline.node(name).query
-            if query.mean is None and not (np.isscalar(ref.mean) and float(ref.mean) == 0.0):
-                query = replace(query, mean=ref.mean)
+            mean = ref_mean if query.mean is None else query.mean
             # one batch key per (pipeline, stage): the whole stage micro-batches
             # together on its owning shard
-            futures.append(broker.submit(query, ref.sigma,
-                                         batch_tag=(pipeline.name, stage_idx)))
+            futures.append(broker._submit_query(query, ref.sigma, mean,
+                                                batch_tag=(pipeline.name, stage_idx),
+                                                timeout=None))
         for name, future in zip(stage.nodes, futures):
             results[name] = future.result()
     return PipelineResult(results=results, plan=None, details={"executor": "broker"})

@@ -8,14 +8,15 @@ amortizes factorization *within* one caller; this subpackage amortizes it
 * :class:`~repro.serve.broker.QueryBroker` — an async-friendly
   ``submit()``/Future front door that **micro-batches** requests sharing a
   covariance (keyed by its factor-cache fingerprint) into single
-  ``probability_batch`` sweeps,
+  ``probability_batch`` sweeps, each formed when its shard is free for it,
 * :class:`~repro.serve.pool.ShardPool` — warm solver **shards** (threads
   or ``multiprocessing`` workers), with consistent Sigma-to-shard routing
   so every distinct covariance is factorized once per shard,
 * :class:`~repro.serve.config.ServeConfig` /
   :class:`~repro.serve.stats.ServeStats` — the serving knobs
   (batch window, backpressure limit, worker mode) and the observability
-  counters (queue depth, batch-fill ratio, per-shard hit rate).
+  counters (queue depth, batch-fill ratio, per-shard hit rate, queue-wait
+  and service-time quantiles).
 
 Served results are **bit-identical** to direct
 :meth:`repro.solver.Model.probability` calls with the same seed — batching

@@ -6,13 +6,19 @@ from anywhere and get a :class:`concurrent.futures.Future` back immediately;
 ``future.result()`` (or ``await asyncio.wrap_future(future)``) delivers the
 :class:`repro.mvn.result.MVNResult`.
 
-Behind the ``submit()`` queue a single dispatcher thread **micro-batches**:
-requests sharing one batch key — covariance fingerprint (see
+Behind the ``submit()`` queue a single dispatcher thread **micro-batches**
+late: requests sharing one batch key — covariance fingerprint (see
 :func:`repro.batch.cache.sigma_fingerprint`), sample size, QMC sequence and
-seed — are grouped, for at most ``batch_window`` seconds or until
-``max_batch`` requests, into one
-:meth:`repro.solver.Model.probability_batch` call, dispatched to the shard
-that owns the fingerprint (:func:`repro.serve.pool.shard_for_fingerprint`).
+seed — collect in one bucket, and a bucket's batch forms when the shard that
+owns the fingerprint (:func:`repro.serve.pool.shard_for_fingerprint`) is free
+for it.  While that shard has ``_SHARD_DEPTH`` batches in flight the
+dispatcher holds the bucket, so requests arriving behind a busy shard join
+one sweep instead of queueing as many small ones.  When the shard frees, the
+oldest held bucket goes whole, in chunks of at most ``max_batch``, as
+:meth:`repro.solver.Model.probability_batch` calls; routing is decided at
+that moment.  On an idle shard a bucket waits at most ``batch_window``
+seconds for companions (or until it holds ``max_batch`` requests) — at light
+load the window is the only thing that coalesces requests.
 Batching changes the schedule, never the estimator, and the shard runs the
 very same solver code a direct caller would — so served probabilities are
 bit-identical to direct :class:`repro.solver.Model` calls with the same
@@ -25,7 +31,8 @@ Backpressure is a hard cap on submitted-but-unfinished requests
 (``max_pending``): at the limit ``submit`` blocks, and ``submit(...,
 timeout=0)`` raises :class:`ServeOverloadedError` instead — load-shedding
 for latency-sensitive callers.  :meth:`QueryBroker.stats` exposes queue
-depth, batch fill and per-shard factor-cache hit rates
+depth, batch fill, per-shard factor-cache hit rates and the p50/p95/p99 of
+recent requests' queue wait and service time
 (:class:`repro.serve.stats.ServeStats`).
 """
 
@@ -35,7 +42,9 @@ import itertools
 import queue
 import threading
 import time
+from collections import Counter, deque
 from concurrent.futures import Future, InvalidStateError
+from dataclasses import replace
 
 import numpy as np
 
@@ -45,7 +54,7 @@ from repro.mvn.result import MVNResult
 from repro.query import MVNQuery
 from repro.serve.config import ServeConfig
 from repro.serve.pool import ModelRoster, ShardPool, lineage_payload, shard_for_fingerprint
-from repro.serve.stats import ServeStats, ShardSnapshot
+from repro.serve.stats import LATENCY_WINDOW, ServeStats, ShardSnapshot, latency_quantiles
 from repro.solver.config import SolverConfig
 from repro.utils.validation import check_count, check_square
 
@@ -99,6 +108,17 @@ class SigmaUpdate:
 #: dispatcher-queue sentinel: flush everything, stop the shards, exit
 _CLOSE = object()
 
+#: dispatcher-queue sentinel: a shard's batch ended, re-check the held buckets
+_WAKE = object()
+
+#: batches a shard may have in flight (one running, one queued) before the
+#: dispatcher holds its next bucket back.  Measured on perfbench's
+#: serve_gateway (one thread shard, 10 runs each): a depth of 1 formed
+#: larger batches (6.7 against 5.4 queries) at the same throughput, but the
+#: shard idled between batches and the p99 latency rose 17-20% over
+#: eager dispatch, against 2-5% at a depth of 2
+_SHARD_DEPTH = 2
+
 
 class _Resize:
     """Dispatcher control message: change the shard count to ``n_shards``.
@@ -145,7 +165,11 @@ class _Request:
 
 
 class _Bucket:
-    """Requests accumulating toward one micro-batch (one batch key)."""
+    """Requests held toward one micro-batch (one batch key).
+
+    ``deadline`` ends the ``batch_window`` of the bucket's first request:
+    the latest an idle shard waits for companions.
+    """
 
     __slots__ = ("requests", "deadline")
 
@@ -236,9 +260,14 @@ class QueryBroker:
         self._state_lock = threading.Lock()
         self._closed = False
         self._batch_ids = itertools.count()
-        # batch_id -> (requests, shard_id, dispatched_at)
+        # batch_id -> (requests, shard_id, dispatched_at, lineage); a shard's
+        # entries here are its load, which decides when its next batch forms
         self._inflight: dict[int, tuple[list[_Request], int, float, dict | None]] = {}
         self._stats = ServeStats(max_batch=config.max_batch)
+        # the latest completed requests' queue wait and dispatch-to-result
+        # seconds, for the quantiles of stats()
+        self._queue_seconds: deque = deque(maxlen=LATENCY_WINDOW)
+        self._service_seconds: deque = deque(maxlen=LATENCY_WINDOW)
         self._stats.shards = [ShardSnapshot(shard=i) for i in range(config.n_shards)]
 
         self._pool.start()
@@ -336,6 +365,15 @@ class QueryBroker:
                 a, b, mean=mean, n_samples=n_samples, rng=rng, qmc=qmc,
                 target_error=target_error, max_samples=max_samples,
             )
+        return self._submit_query(query, sigma, query.mean, batch_tag, timeout)
+
+    def _submit_query(self, query: MVNQuery, sigma, mean, batch_tag, timeout) -> Future:
+        """Queue a built query, with ``mean`` standing in for the query's own.
+
+        :meth:`submit` passes ``query.mean``; the pipeline executor passes
+        its covariance reference's mean (already checked by the reference),
+        so a node's query is not rebuilt — and re-checked — per request.
+        """
         if sigma is None:
             raise TypeError("submit requires the covariance matrix (sigma)")
         rng = query.rng
@@ -373,13 +411,14 @@ class QueryBroker:
 
         if not self._slots.acquire(timeout=timeout):
             with self._state_lock:
+                self._stats.submitted += 1
                 self._stats.rejected += 1
             raise ServeOverloadedError(
                 f"serving queue is full ({self.config.max_pending} outstanding "
                 "requests); retry later or raise ServeConfig.max_pending"
             )
         future: Future = Future()
-        request = _Request(query.a, query.b, sigma_arr, query.mean, future, time.perf_counter())
+        request = _Request(query.a, query.b, sigma_arr, mean, future, time.perf_counter())
         try:
             with self._submit_lock:
                 if self._closed:
@@ -459,9 +498,10 @@ class QueryBroker:
     def close(self, timeout: float | None = 60.0) -> None:
         """Drain every pending request, stop the shards, join the workers.
 
-        Idempotent.  Every already-submitted Future resolves (the shards
-        finish their queued batches before acknowledging the stop); new
-        ``submit`` calls raise immediately.
+        Idempotent.  Every already-submitted Future resolves (the
+        dispatcher sends every held bucket, and the shards finish their
+        queued batches before acknowledging the stop); new ``submit`` calls
+        raise immediately.
         """
         with self._submit_lock:
             if self._closed:
@@ -484,25 +524,13 @@ class QueryBroker:
     def stats(self) -> ServeStats:
         """A consistent snapshot of the serving counters."""
         with self._state_lock:
-            snapshot = ServeStats(
-                submitted=self._stats.submitted,
-                completed=self._stats.completed,
-                failed=self._stats.failed,
-                rejected=self._stats.rejected,
-                batches=self._stats.batches,
-                queue_depth=self._stats.queue_depth,
-                max_queue_depth=self._stats.max_queue_depth,
-                max_batch=self._stats.max_batch,
-                sigma_sends=self._stats.sigma_sends,
-                sigma_skips=self._stats.sigma_skips,
-                sigma_bytes=self._stats.sigma_bytes,
-                preloads=self._stats.preloads,
-                lineage_routes=self._stats.lineage_routes,
-                lineage_fallbacks=self._stats.lineage_fallbacks,
-                update_sends=self._stats.update_sends,
-                update_bytes=self._stats.update_bytes,
-                shards=[ShardSnapshot(**vars(s)) for s in self._stats.shards],
+            snapshot = replace(
+                self._stats, shards=[ShardSnapshot(**vars(s)) for s in self._stats.shards]
             )
+            queue_seconds = list(self._queue_seconds)
+            service_seconds = list(self._service_seconds)
+        snapshot.queue_seconds = latency_quantiles(queue_seconds)
+        snapshot.service_seconds = latency_quantiles(service_seconds)
         return snapshot
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -515,22 +543,17 @@ class QueryBroker:
 
     # -- dispatcher ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
+        # held buckets, oldest first (a dict keeps arrival order), so an
+        # update chain's parent batch still goes before its child's
         buckets: dict[tuple, _Bucket] = {}
         window = self.config.batch_window
-        max_batch = self.config.max_batch
+        timeout = None
         while True:
-            timeout = None
-            if buckets:
-                now = time.perf_counter()
-                timeout = max(0.0, min(b.deadline for b in buckets.values()) - now)
             try:
                 items = [self._queue.get(timeout=timeout)]
             except queue.Empty:
                 items = []
-            # drain the whole backlog before making any batching decision:
-            # requests that queued up while a shard was busy must coalesce
-            # even when their window already expired (the window bounds how
-            # long the *dispatcher* may idle, not how full a batch can get)
+            # drain the whole backlog before making any batching decision
             while True:
                 try:
                     items.append(self._queue.get_nowait())
@@ -540,36 +563,70 @@ class QueryBroker:
             for key, item in items:
                 if item is _CLOSE:
                     closing = True  # submit() rejects after close: no later items
-                    continue
-                if isinstance(item, _Resize):
+                elif isinstance(item, _Resize):
                     self._apply_resize(item)
-                    continue
-                bucket = buckets.get(key)
-                if bucket is None:
-                    bucket = buckets[key] = _Bucket(item.enqueued + window)
-                bucket.requests.append(item)
-                if len(bucket.requests) >= max_batch:
-                    self._flush(key, buckets.pop(key))
+                elif item is not _WAKE:
+                    bucket = buckets.get(key)
+                    if bucket is None:
+                        bucket = buckets[key] = _Bucket(item.enqueued + window)
+                    bucket.requests.append(item)
             if closing:
-                for bucket_key in list(buckets):
-                    self._flush(bucket_key, buckets.pop(bucket_key))
+                for key, bucket in buckets.items():
+                    self._send(key, bucket.requests, self._route(key, bucket.requests))
                 self._pool.stop()
                 return
-            if buckets:
-                now = time.perf_counter()
-                for bucket_key in [k for k, b in buckets.items() if b.deadline <= now]:
-                    self._flush(bucket_key, buckets.pop(bucket_key))
+            timeout = self._send_ready(buckets)
 
-    def _flush(self, key: tuple, bucket: _Bucket) -> None:
-        """Dispatch one micro-batch to the shard owning its fingerprint."""
+    def _send_ready(self, buckets: dict) -> float | None:
+        """Send each held bucket whose shard has room, oldest first.
+
+        A bucket is ready once it holds ``max_batch`` requests or its
+        window has run out, and it goes while its shard has fewer than
+        ``_SHARD_DEPTH`` batches in flight.  A dead shard never holds a
+        bucket back: the liveness check fails whatever reaches it.  Returns
+        how long the dispatcher may sleep before a bucket on a free shard
+        ripens, or ``None`` to sleep until a submission or a finished batch
+        wakes it.
+        """
+        with self._state_lock:
+            loads = Counter(entry[1] for entry in self._inflight.values())
+            dead = set(self._dead_shards)
+        now = time.perf_counter()
+        ripening = []
+        for key in list(buckets):
+            bucket = buckets[key]
+            shard_id = self._route(key, bucket.requests)
+            if loads[shard_id] >= _SHARD_DEPTH and shard_id not in dead:
+                continue
+            if len(bucket.requests) < self.config.max_batch and bucket.deadline > now:
+                ripening.append(bucket.deadline - now)
+                continue
+            del buckets[key]
+            loads[shard_id] += self._send(key, bucket.requests, shard_id)
+        return min(ripening, default=None)
+
+    def _route(self, key: tuple, requests: list[_Request]) -> int:
+        """The shard that owns a bucket's fingerprint, decided at send time."""
+        sigma = requests[0].sigma
+        if isinstance(sigma, SigmaUpdate):
+            return self._route_update(key[0], sigma)
+        return self._pool.route(key[0])
+
+    def _send(self, key: tuple, requests: list[_Request], shard_id: int) -> int:
+        """Send a bucket whole, in chunks of at most ``max_batch``; returns
+        the number of batches sent."""
+        max_batch = self.config.max_batch
+        for start in range(0, len(requests), max_batch):
+            self._flush(key, requests[start:start + max_batch], shard_id)
+        return -(-len(requests) // max_batch)
+
+    def _flush(self, key: tuple, requests: list[_Request], shard_id: int) -> None:
+        """Dispatch one micro-batch to ``shard_id``."""
         (fingerprint, n_samples, qmc, seed, target_error, max_samples, _batch_tag) = key
-        requests = bucket.requests
         sigma_src = requests[0].sigma
         if isinstance(sigma_src, SigmaUpdate):
-            shard_id = self._route_update(fingerprint, sigma_src)
             sigma, lineage = self._update_payload(shard_id, fingerprint, sigma_src)
         else:
-            shard_id = self._pool.route(fingerprint)
             sigma = self._sigma_payload(shard_id, fingerprint, sigma_src)
             lineage = None
         boxes = [(request.a, request.b) for request in requests]
@@ -775,11 +832,16 @@ class QueryBroker:
                 # response: fail its in-flight batches instead of letting the
                 # futures — and their backpressure slots — hang forever
                 if not worker.is_alive():
+                    # once the dispatcher has exited (after close), no batch
+                    # can reach the shard after the failure below
+                    last = self._closed and not self._dispatcher.is_alive()
+                    # marked dead first, so the dispatcher that the failure
+                    # wakes sends every bucket it holds for the shard at once
+                    self._release_dead_shard(shard)
                     self._fail_shard_inflight(
                         shard_id, "shard worker died without responding"
                     )
-                    self._release_dead_shard(shard)
-                    if self._closed:
+                    if last:
                         return
                 continue
             kind = message[0]
@@ -805,6 +867,7 @@ class QueryBroker:
                     MVNResult.from_dict(r) if isinstance(r, dict) else r
                     for r in results
                 ]
+                collected = time.perf_counter()
                 with self._state_lock:
                     entry = self._inflight.pop(batch_id, None)
                     if entry is None:
@@ -819,6 +882,9 @@ class QueryBroker:
                         self._apply_shard_stats(shard_stats)
                     self._stats.completed += len(requests)
                     self._stats.queue_depth -= len(requests)
+                    self._queue_seconds.extend(dispatched_at - r.enqueued for r in requests)
+                    self._service_seconds.extend([collected - dispatched_at] * len(requests))
+                self._wake()  # the shard has room: its next batch may form
                 batch_size = len(requests)
                 for request, result in zip(requests, results):
                     result.details["serve"] = {
@@ -846,6 +912,7 @@ class QueryBroker:
                     requests = entry[0]
                     self._stats.failed += len(requests)
                     self._stats.queue_depth -= len(requests)
+                self._wake()
                 error = ServeError(f"shard {shard_id} failed the batch: {detail}")
                 for request in requests:
                     self._resolve(request.future, error=error)
@@ -859,10 +926,16 @@ class QueryBroker:
             count = sum(len(requests) for requests, *_ in batches)
             self._stats.failed += count
             self._stats.queue_depth -= count
+        if batches:
+            self._wake()
         error = ServeError(f"shard {shard_id} failed the batch: {detail}")
         for requests, *_ in batches:
             for request in requests:
                 self._resolve(request.future, error=error)
+
+    def _wake(self) -> None:
+        """Tell the dispatcher a batch ended, so a held bucket may go."""
+        self._queue.put((None, _WAKE))
 
     def _shard_is_current(self, shard) -> bool:
         """Whether the shard still occupies its routing slot (not retired)."""

@@ -53,9 +53,13 @@ class ServeConfig:
         many boxes.
     batch_window : float
         How long (seconds) an incomplete micro-batch may wait for
-        companions before it is dispatched anyway.  ``0`` disables
-        coalescing delay: every request dispatches as soon as the broker
-        thread sees it (batching then only happens under queueing).
+        companions on an *idle* shard before it is dispatched anyway.  A
+        busy shard's batches form late instead: the broker holds their
+        requests until the shard is free, however long that takes (see
+        :mod:`repro.serve.broker`), so under load the window no longer
+        bounds batch size; at light load it is the only thing that
+        coalesces requests.  ``0`` dispatches a request for an idle shard
+        as soon as the broker thread sees it.
     max_pending : int
         Backpressure limit: the maximum number of submitted-but-unfinished
         requests.  At the limit, :meth:`~repro.serve.broker.QueryBroker.submit`

@@ -1,4 +1,5 @@
-"""Serving statistics: queue depth, batch fill, per-shard cache hit rates.
+"""Serving statistics: queue depth, batch fill, per-shard cache hit rates,
+latency quantiles.
 
 The broker keeps one :class:`ServeStats` ledger (guarded by its own lock)
 and every shard ships a small stats payload back with each batch response,
@@ -13,7 +14,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["ServeStats", "ShardSnapshot"]
+import numpy as np
+
+__all__ = ["LATENCY_WINDOW", "ServeStats", "ShardSnapshot", "latency_quantiles"]
+
+#: the latency quantiles :class:`ServeStats` reports, in percent
+LATENCY_QUANTILES = (50, 95, 99)
+
+#: how many of the latest completed requests the latency quantiles cover
+LATENCY_WINDOW = 4096
+
+
+def latency_quantiles(seconds) -> dict[str, float]:
+    """``{"p50": ..., "p95": ..., "p99": ...}`` of a window of per-request
+    seconds (zeros for an empty window).
+
+    >>> latency_quantiles([0.1, 0.2, 0.3])["p50"]
+    0.2
+    """
+    values = np.percentile(seconds, LATENCY_QUANTILES) if len(seconds) else [0.0] * len(LATENCY_QUANTILES)
+    return {f"p{q}": float(value) for q, value in zip(LATENCY_QUANTILES, values)}
 
 
 @dataclass
@@ -68,8 +88,11 @@ class ServeStats:
     Attributes
     ----------
     submitted, completed, failed, rejected : int
-        Request outcomes; ``rejected`` counts submissions refused by
-        backpressure (:class:`~repro.serve.broker.ServeOverloadedError`).
+        Request outcomes: every submission that passed validation counts in
+        ``submitted`` and ends in exactly one of the other three, so
+        ``submitted == completed + failed + rejected + queue_depth``;
+        ``rejected`` counts submissions refused by backpressure
+        (:class:`~repro.serve.broker.ServeOverloadedError`).
     batches : int
         Micro-batches dispatched to shards.
     queue_depth : int
@@ -106,6 +129,12 @@ class ServeStats:
         to see what the lineage path saves (``n*k`` vs ``n*n`` doubles).
     shards : list of ShardSnapshot
         Per-shard execution counters, in shard order.
+    queue_seconds, service_seconds : dict
+        ``{"p50", "p95", "p99"}`` quantiles, in seconds, over the latest
+        ``LATENCY_WINDOW`` completed requests: the wait from ``submit`` to
+        dispatch (the time a request's bucket was held included), and from
+        dispatch to the shard's result (the batch's queue at the shard and
+        its sweep).  Zeros until a request completes.
     """
 
     submitted: int = 0
@@ -125,6 +154,8 @@ class ServeStats:
     update_sends: int = 0
     update_bytes: int = 0
     shards: list[ShardSnapshot] = field(default_factory=list)
+    queue_seconds: dict = field(default_factory=lambda: latency_quantiles(()))
+    service_seconds: dict = field(default_factory=lambda: latency_quantiles(()))
 
     @property
     def batch_fill_ratio(self) -> float:
@@ -176,6 +207,8 @@ class ServeStats:
                 }
                 for s in self.shards
             ],
+            "queue_seconds": dict(self.queue_seconds),
+            "service_seconds": dict(self.service_seconds),
         }
 
     @classmethod
@@ -207,5 +240,7 @@ class ServeStats:
             )
             for entry in payload.get("shards", [])
         ]
+        quantiles = {name: dict(payload.get(name) or latency_quantiles(()))
+                     for name in ("queue_seconds", "service_seconds")}
         return cls(max_batch=payload.get("max_batch", max_batch),
-                   shards=shards, **counters)
+                   shards=shards, **counters, **quantiles)

@@ -214,3 +214,32 @@ def test_served_box_checks_limits_three_times(sigma, limit_checks):
         for future in futures:
             future.result(timeout=60)
     assert len(limit_checks) <= 3 * len(uppers)
+
+
+@pytest.mark.parametrize("ref_mean", [0.0, 0.25, "vector"])
+def test_pipeline_nodes_check_limits_alike_on_both_executors(sigma, limit_checks, ref_mean):
+    """After ``add_query`` a node runs the same checks on a broker as on a
+    solver: its batch boundary and the sweep.  The broker executor carries
+    the ref's mean without rebuilding (and re-checking) the node's query."""
+    from repro.query import execute_pipeline
+
+    n = sigma.shape[0]
+    mean = np.linspace(-0.2, 0.2, n) if ref_mean == "vector" else ref_mean
+    pipe = QueryPipeline(name="counted")
+    pipe.add_sigma("s", sigma, mean=mean)
+    for i, u in enumerate((0.5, 1.0, 1.5)):
+        pipe.add_query(f"q{i}", MVNQuery(np.full(n, -np.inf), np.full(n, u), rng=0), sigma="s")
+    config = SolverConfig(method="dense", n_samples=64, tile_size=10)
+    counts, answers = {}, {}
+    with MVNSolver(config) as solver:
+        limit_checks.clear()
+        answers["solver"] = execute_pipeline(pipe, solver)
+        counts["solver"] = len(limit_checks)
+    with QueryBroker(ServeConfig(n_shards=1, worker_mode="thread", batch_window=0.05),
+                     config) as broker:
+        limit_checks.clear()
+        answers["broker"] = execute_pipeline(pipe, broker)
+        counts["broker"] = len(limit_checks)
+    assert counts == {"solver": 6, "broker": 6}
+    for name in ("q0", "q1", "q2"):
+        assert answers["broker"][name].probability == answers["solver"][name].probability

@@ -10,7 +10,8 @@ Five properties pin the design:
   covariance *content*, so equal matrices (any dtype/layout/object) warm
   the same shard;
 * **micro-batching** — requests sharing a batch key coalesce into one
-  `probability_batch` sweep; different keys never share a sweep;
+  `probability_batch` sweep, also when they arrive apart while their shard
+  is busy; different keys never share a sweep;
 * **backpressure** — `max_pending` is a hard cap: at the limit, `submit`
   blocks or (with `timeout=0`) raises `ServeOverloadedError`;
 * **lifecycle** — `close()` drains every submitted future, stops the
@@ -20,6 +21,7 @@ Five properties pin the design:
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 import time
 
@@ -280,6 +282,83 @@ class TestMicroBatching:
         assert broker.stats().batches == 1
         assert {result.details["serve"]["batch_size"] for result in results} == {8}
 
+    def test_singles_behind_a_busy_shard_share_one_sweep(self, shard_gate, serve_books):
+        """Requests that arrive while their shard is busy wait for it in
+        one bucket and share its next sweep, however far apart they come.
+        (The dispatcher used to queue each bucket behind the busy shard
+        when its window ran out, so k spaced singles became k batches.)"""
+        sigma = _spd(8, seed=22)
+        boxes = _boxes(8, 4, seed=6)
+        window = 0.01
+        solver_config = SolverConfig(method="dense", n_samples=100)
+        broker = QueryBroker(ServeConfig(n_shards=1, worker_mode="thread", max_batch=16,
+                                         batch_window=window), solver_config)
+        try:
+            # the first blocker runs (held at the gate), the rest wait in the
+            # shard's queue
+            blockers = serve_books.fill(broker, *boxes[0], sigma, rng=shard_gate.seed, n_samples=50)
+            assert shard_gate.entered.wait(30)
+            futures = []
+            for a, b in boxes:
+                futures.append(broker.submit(a, b, sigma, rng=0))
+                time.sleep(3 * window)
+            assert serve_books.held(broker) == len(boxes)
+            shard_gate.release.set()
+            results = [future.result(timeout=60) for future in futures]
+            for blocker in blockers:
+                blocker.result(timeout=60)
+        finally:
+            shard_gate.release.set()
+            broker.close()
+        assert [result.details["serve"]["batch_size"] for result in results] == [len(boxes)] * 4
+        assert broker.stats().batches == len(blockers) + 1
+        with MVNSolver(solver_config) as solver:
+            model = solver.model(sigma)
+            for (a, b), served in zip(boxes, results):
+                direct = model.probability(a, b, rng=0)
+                assert served.probability == direct.probability
+                assert served.error == direct.error
+        serve_books.settled(broker, blockers + futures)
+
+    def test_concurrent_submitters_settle(self, serve_books):
+        """More submitting threads than cores and a tiny switch interval:
+        no wake-up is lost (every future resolves in time), the counters
+        conserve and every answer equals the direct one."""
+        sigmas = [_spd(6, seed=seed) for seed in (70, 71, 72)]
+        boxes = _boxes(6, 4, seed=8)
+        solver_config = SolverConfig(method="dense", n_samples=64)
+        broker = QueryBroker(ServeConfig(n_shards=2, worker_mode="thread", max_batch=4,
+                                         max_pending=16, batch_window=0.0005), solver_config)
+        submitted, lock = [], threading.Lock()
+
+        def submitter(index: int) -> None:
+            for step in range(10):
+                sigma_index, (a, b), seed = (index + step) % 3, boxes[step % 4], step % 2
+                future = broker.submit(a, b, sigmas[sigma_index], rng=seed)
+                with lock:
+                    submitted.append((sigma_index, a, b, seed, future))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submitter, args=(index,)) for index in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+            results = [entry[-1].result(timeout=60) for entry in submitted]
+        finally:
+            sys.setswitchinterval(previous)
+            broker.close()
+        serve_books.settled(broker, [entry[-1] for entry in submitted])
+        assert broker.stats().completed == 60
+        with MVNSolver(solver_config) as solver:
+            models = [solver.model(sigma) for sigma in sigmas]
+            for (sigma_index, a, b, seed, _), served in zip(submitted, results):
+                direct = models[sigma_index].probability(a, b, rng=seed)
+                assert served.probability == direct.probability
+
     def test_serve_details_stamped(self, thread_broker):
         sigma = _spd(5, seed=12)
         a, b = _boxes(5, 1)[0]
@@ -308,8 +387,10 @@ class TestBackpressure:
             assert broker.stats().rejected == 1
         finally:
             broker.close()
-        # the two accepted requests still completed on close
-        assert broker.stats().completed == 2
+        # the two accepted requests still completed on close, and the
+        # rejected one counts as submitted: the counters conserve
+        stats = broker.stats()
+        assert (stats.submitted, stats.completed, stats.rejected) == (3, 2, 1)
 
     def test_blocking_submit_waits_for_capacity(self):
         sigma = _spd(6, seed=14)
@@ -378,27 +459,37 @@ class TestLifecycleAndErrors:
         assert served.error == direct.error
         assert all(not shard.worker.is_alive() for shard in broker._pool.shards)
 
-    def test_dead_worker_fails_futures_instead_of_hanging(self):
+    def test_dead_worker_fails_futures_instead_of_hanging(self, serve_books):
         """A crashed shard process must not wedge the broker: its in-flight
-        futures fail with ServeError and their backpressure slots free up."""
+        futures fail with ServeError, so do the requests held for it, and
+        their backpressure slots free up."""
         sigma = _spd(6, seed=20)
         a, b = _boxes(6, 1)[0]
+        window = 0.01
         broker = QueryBroker(
-            ServeConfig(n_shards=1, worker_mode="process", batch_window=0.01),
+            ServeConfig(n_shards=1, worker_mode="process", batch_window=window),
             SolverConfig(method="dense", n_samples=100),
         )
         try:
-            # warm the shard up, then kill it out from under the broker
+            # warm the shard up, then busy it with slow batches: requests
+            # that arrive now are held for it, in two buckets
             broker.submit(a, b, sigma, rng=0).result(timeout=120)
+            futures = serve_books.fill(broker, a, b, sigma, rng=1, n_samples=1_000_000)
+            futures += [broker.submit(a, b, sigma, rng=seed) for seed in (2, 2, 3)]
+            time.sleep(3 * window)
+            assert serve_books.held(broker) == 3
+            # kill the shard out from under the broker
             broker._pool.shards[0].worker.terminate()
             broker._pool.shards[0].worker.join(10)
-            future = broker.submit(a, b, sigma, rng=1)
-            with pytest.raises(ServeError, match="died"):
-                future.result(timeout=30)
-            assert broker.stats().failed == 1
+            future = broker.submit(a, b, sigma, rng=4)
+            for pending in futures + [future]:
+                with pytest.raises(ServeError, match="died"):
+                    pending.result(timeout=30)
+            assert broker.stats().failed == len(futures) + 1
             assert broker.stats().queue_depth == 0
         finally:
             broker.close(timeout=10)
+        serve_books.settled(broker, futures + [future])
 
     def test_shard_failure_rejects_the_future(self, thread_broker):
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])  # not positive definite
@@ -580,6 +671,31 @@ class TestSigmaAccounting:
         # legacy payloads without the field fall back to the keyword
         legacy = {k: v for k, v in stats.as_dict().items() if k != "max_batch"}
         assert ServeStats.from_dict(legacy, max_batch=5).max_batch == 5
+
+    def test_latency_quantiles_cover_completed_requests(self):
+        from repro.serve.stats import LATENCY_WINDOW, ServeStats
+
+        sigma = _spd(5, seed=45)
+        boxes = _boxes(5, 6, seed=7)
+        zeros = {"p50": 0.0, "p95": 0.0, "p99": 0.0}
+        with QueryBroker(ServeConfig(n_shards=1, worker_mode="thread", batch_window=0.0),
+                         SolverConfig(method="dense", n_samples=200)) as broker:
+            assert broker.stats().queue_seconds == zeros
+            results = [broker.submit(a, b, sigma, rng=seed).result(timeout=60)
+                       for seed, (a, b) in enumerate(boxes)]
+            stats = broker.stats()
+            assert broker._queue_seconds.maxlen == LATENCY_WINDOW
+        waits = [result.details["serve"]["queue_seconds"] for result in results]
+        for q in (50, 95, 99):
+            assert stats.queue_seconds[f"p{q}"] == pytest.approx(np.percentile(waits, q))
+        assert 0.0 < stats.service_seconds["p50"] <= stats.service_seconds["p95"] \
+            <= stats.service_seconds["p99"]
+        restored = ServeStats.from_dict(stats.as_dict())
+        assert restored.queue_seconds == stats.queue_seconds
+        assert restored.service_seconds == stats.service_seconds
+        # payloads written before the quantiles existed read back as zeros
+        legacy = {k: v for k, v in stats.as_dict().items() if not k.endswith("_seconds")}
+        assert ServeStats.from_dict(legacy).service_seconds == zeros
 
 
 class TestLineageRouting:

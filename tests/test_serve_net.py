@@ -24,6 +24,7 @@ import asyncio
 import contextlib
 import json
 import socket
+import threading
 import time
 from multiprocessing import shared_memory
 
@@ -206,27 +207,101 @@ class TestBrokerSegmentLifecycle:
         _assert_unlinked(store.created_names)
 
     @pytest.mark.slow
-    def test_killed_shard_fails_futures_without_leaking(self):
+    def test_killed_shard_fails_futures_without_leaking(self, serve_books):
         config = ServeConfig(n_shards=1, worker_mode="process",
                              sigma_transport="shm", batch_window=0.002)
         broker = QueryBroker(config, SolverConfig(method="dense", n_samples=40000))
         store = broker.sigma_store
-        sigma = _spd(16, seed=3)
+        sigma, other = _spd(16, seed=3), _spd(16, seed=4)
+        box = ([-np.inf] * 16, [0.0] * 16)
         try:
-            future = broker.submit([-np.inf] * 16, [0.0] * 16, sigma, rng=0)
-            time.sleep(0.3)                 # let the batch reach the worker
+            futures = serve_books.fill(broker, *box, sigma, rng=0, n_samples=400_000)
+            # held behind the busy shard: one bucket per covariance
+            futures += [broker.submit(*box, s, rng=1) for s in (sigma, other, other)]
+            time.sleep(0.01)
+            assert serve_books.held(broker) == 3
+            time.sleep(0.25)                # let the batch reach the worker
             broker._pool.shards[0].worker.terminate()
-            with pytest.raises(ServeError):
-                future.result(timeout=30)
-            created = list(store.created_names)
-            assert created
+            for future in futures:
+                with pytest.raises(ServeError):
+                    future.result(timeout=30)
+            # the held buckets shipped after the death: the second covariance
+            # was published then, into a segment of its own
+            assert len(store.created_names) >= 2
         finally:
             broker.close()
-        assert not store.live_names()
-        _assert_unlinked(created)
+        serve_books.settled(broker, futures)
+
+    def test_close_sends_held_buckets(self, shard_gate, serve_books):
+        """close() while buckets are held behind a busy shard: it sends them
+        all, and every one of them is answered."""
+        broker = _shm_thread_broker(n_shards=1, batch_window=0.01)
+        sigmas = [_spd(6, seed=seed) for seed in (5, 6)]
+        box = ([-np.inf] * 6, [0.5] * 6)
+        closer = threading.Thread(target=broker.close)
+        try:
+            futures = serve_books.fill(broker, *box, sigmas[0], rng=shard_gate.seed, n_samples=200)
+            assert shard_gate.entered.wait(30)
+            futures += [broker.submit(*box, sigma, rng=seed)
+                        for sigma in sigmas for seed in (0, 0, 1)]
+            time.sleep(0.03)
+            assert serve_books.held(broker) == 6
+            closer.start()
+            deadline = time.perf_counter() + 30
+            while serve_books.held(broker):
+                assert time.perf_counter() < deadline, "close() never sent the held buckets"
+                time.sleep(0.005)
+            assert not any(future.done() for future in futures)
+            shard_gate.release.set()
+            closer.join(60)
+        finally:
+            shard_gate.release.set()
+            broker.close()
+        assert all(0.0 <= future.result().probability <= 1.0 for future in futures)
+        assert broker.stats().completed == len(futures)
+        serve_books.settled(broker, futures)
 
 
 class TestResize:
+    def test_shrink_reroutes_held_buckets(self, shard_gate, serve_books):
+        """Held buckets route when they are sent: shrinking away their busy
+        shard sends them to a free one at once, bit-identically."""
+        for seed in range(64):
+            sigma = _spd(6, seed=seed)
+            if shard_for_fingerprint(sigma_fingerprint(sigma), 2) == 1:
+                break
+        else:  # pragma: no cover - 2^-64 chance
+            pytest.fail("no fingerprint routed to shard 1")
+        box = ([-np.inf] * 6, [0.5] * 6)
+        with QueryBroker(ServeConfig(n_shards=1, worker_mode="thread"),
+                         SolverConfig(method="dense", n_samples=200)) as direct:
+            expected = direct.submit(*box, sigma, rng=7).result()
+
+        broker = _shm_thread_broker(n_shards=2, batch_window=0.01)
+        try:
+            blockers = serve_books.fill(broker, *box, sigma, rng=shard_gate.seed, n_samples=200)
+            assert shard_gate.entered.wait(30)
+            futures = [broker.submit(*box, sigma, rng=7) for _ in range(3)]
+            time.sleep(0.03)
+            assert serve_books.held(broker) == 3
+            assert broker.resize(1) == 1
+            # shard 1 retires behind its blocked batch; the held bucket went
+            # to shard 0 and is answered while the gate is still shut
+            results = [future.result(timeout=30) for future in futures]
+            assert not any(blocker.done() for blocker in blockers)
+            shard_gate.release.set()
+            for blocker in blockers:
+                blocker.result(timeout=30)
+        finally:
+            shard_gate.release.set()
+            broker.close()
+        for result in results:
+            assert result.details["serve"]["shard"] == 0
+            assert result.details["serve"]["batch_size"] == 3
+            assert result.probability == expected.probability
+            assert result.error == expected.error
+        serve_books.settled(broker, blockers + futures)
+
     def test_grow_and_shrink_keep_serving_bit_identically(self):
         sigma = _spd(6, seed=9)
         box = ([-np.inf] * 6, [0.5] * 6)
@@ -571,6 +646,16 @@ class TestGatewayServing:
         assert isinstance(stats, ServeStats)
         assert stats.max_batch == broker.config.max_batch
         assert stats.completed >= 1
+
+    def test_stats_op_reports_latency_quantiles(self, gateway_endpoint):
+        with ServeClient(*gateway_endpoint.address) as client:
+            client.query(MVNQuery([-np.inf] * 3, [0.5] * 3, n_samples=100, rng=1),
+                         sigma=_spd(3, seed=12))
+            stats = client.stats()
+        for quantiles in (stats.queue_seconds, stats.service_seconds):
+            assert set(quantiles) == {"p50", "p95", "p99"}
+            assert 0.0 <= quantiles["p50"] <= quantiles["p95"] <= quantiles["p99"]
+        assert stats.service_seconds["p99"] > 0.0
 
     def test_concurrent_clients_multiplex(self, gateway_endpoint):
         sigma = _spd(4, seed=5)
