@@ -3,10 +3,9 @@
 The integration sweep works on four conceptual ``n x N`` matrices — the
 replicated limits ``A`` and ``B``, the uniform variates ``R`` and the
 transformed samples ``Y`` — partitioned into row blocks matching the factor's
-tile rows and into column blocks of ``chain_block`` MC chains.  Per the
-paper:
+tile rows and into column tiles of MC chains.  Per the paper:
 
-* step (b)/(d): a QMC kernel task per (row block, chain block) pair,
+* step (b)/(d): a QMC kernel task per (row block, column tile) pair,
 * step (c): GEMM tasks propagating ``L[j, r] @ Y[r]`` into the limit blocks
   of every remaining row block,
 
@@ -29,21 +28,28 @@ is drawn once per sweep and shared read-only; a ``Generator`` (or ``None``)
 draws once per box, in box order, so the batch consumes it exactly like the
 loop.  Either way the results are unchanged.
 
-How a wave's chains are cut into column tiles is one rule
-(:func:`_wave_tiles`).  By default every box contributes its own chunks of
-``chain_block`` chains, same-position chunks of different boxes adjacent in
-the submission order so worker threads stay saturated across box
-boundaries.  When a batch holds at least two boxes, requests no prefix sums,
-and ``n_samples`` and the chain block are both multiples of
-:data:`_COLUMN_LANE`, the wave's boxes are instead laid side by side along
-the chain dimension and cut into cache-sized tiles that may span box
-boundaries, so a serving micro-batch pays the per-tile Python and
-BLAS-dispatch overhead once rather than once per box.  That is legal because
-the QMC kernel is exact for heterogeneous per-column limits (each chain only
-reads its own column), and bitwise identical because lane-aligned cuts keep
-every column at the same SIMD-lane position in its BLAS calls.  Prefix sums
-accumulate per tile, so they need per-box tiles.  ``details["fusion"]``
-records which layout ran (``"fused"`` or ``"interleaved"``).
+How the chains are cut is one rule (:func:`sweep_tiles`): waves of whole
+boxes, each cut into one tile per runtime worker unless that would pass
+:data:`WORKER_TILE_COLS` chains, so one worker sweeps a serving micro-batch
+as one wide tile.  Each kernel row costs about ten NumPy calls whatever the
+tile width, so only the width amortizes them.  When a batch holds at least
+two boxes, requests no prefix sums, and ``n_samples`` is a multiple of
+:data:`_COLUMN_LANE`, a wave's boxes are laid side by side along the chain
+dimension and its tiles may span box boundaries; otherwise each box is cut
+into its own chunks.
+That is legal because the QMC kernel is exact for heterogeneous per-column
+limits (each chain only reads its own column), and bitwise identical
+because lane-aligned cuts keep every column at the same SIMD-lane position
+in its BLAS calls.  Prefix sums accumulate per tile, so a prefix sweep keeps
+per-box tiles of :data:`BATCH_CHAIN_BLOCK` chains, which fix their
+summation order.  ``details["fusion"]`` records which layout ran
+(``"fused"`` or ``"interleaved"``).
+
+A wider tile must not grow the working set, so the sweep materializes only
+what it reads: a row block whose limits on one side are all infinite gets a
+read-only broadcast view for that side (the kernel reads only its sign, and
+the GEMM propagation skips it), and ``Y`` is never cleared, because the
+kernel writes each row before anything reads it.
 """
 
 from __future__ import annotations
@@ -68,11 +74,20 @@ __all__ = [
     "SweepWorkspace",
     "pmvn_integrate",
     "pmvn_integrate_batch",
+    "sweep_tiles",
 ]
 
-#: default chain-block width of the batched sweep (wider blocks amortize the
-#: per-row Python overhead of the QMC kernel across more chains)
+#: chains per tile of a prefix sweep.  Its prefix sums accumulate per tile,
+#: so a wider tile would reorder their summation and move the prefix
+#: probabilities in the last bits; every other sweep cuts its tiles by
+#: :data:`WORKER_TILE_COLS`
 BATCH_CHAIN_BLOCK = 512
+
+#: chains one runtime worker sweeps as one tile (``C`` of the layout rule,
+#: :func:`sweep_tiles`).  Fixed per-row kernel overhead favours wide tiles,
+#: the cache narrow ones; 1536 swept a serving micro-batch (n = 256) fastest
+#: of 1024 / 1536 / 2048 on a 2-core x86 box
+WORKER_TILE_COLS = 1536
 
 #: hard cap on the total workspace columns (chains) materialized at once by
 #: the batched sweep.  The four ``n x cols`` work matrices plus the variates
@@ -96,11 +111,13 @@ class PMVNOptions:
     n_samples : int
         QMC sample size ``N`` (the paper uses 100 / 1,000 / 10,000).
     chain_block : int, optional
-        Number of MC chains per column block.  Every sweep, single-box or
-        batched, defaults to ``max(tile_size, min(BATCH_CHAIN_BLOCK,
-        n_samples))``: at least the factor's square tiles, wider when the
-        sample size allows.  Cross-box tiles (see the module docs) are at
-        least this wide.  Results do not depend on this knob.
+        Number of MC chains per column tile.  By default the layout rule
+        (:func:`sweep_tiles`) sizes the tiles from the worker count and
+        :data:`WORKER_TILE_COLS`, and a prefix sweep uses
+        ``max(tile_size, min(BATCH_CHAIN_BLOCK, n_samples))``.  An explicit
+        value fixes every tile's width, cross-box tiles included, and sizes
+        the waves in its place.  Results do not depend on this knob beyond
+        BLAS rounding (none at all for multiples of the column lane, 8).
     qmc : str
         QMC sequence name (``"richtmyer"``, ``"halton"``, ``"sobol"``,
         ``"random"``).
@@ -273,30 +290,11 @@ def pmvn_integrate_batch(
     limits = [(a - mu, b - mu) for (a, b), mu in zip(_check_boxes(boxes, n), mus)]
 
     n_samples = check_positive_int(options.n_samples, "n_samples")
-    if options.chain_block is not None:
-        chain_block = options.chain_block
-    else:
-        chain_block = max(factor.tile_size, min(BATCH_CHAIN_BLOCK, n_samples))
-    chain_block = check_positive_int(min(chain_block, n_samples), "chain_block")
-    # the layout rule (module docs): cross-box tiles need several boxes, no
-    # prefix sums (they accumulate per tile) and lane-aligned cuts (bitwise
-    # parity with per-box chunks)
-    fused = (
-        n_boxes > 1 and not options.return_prefix
-        and n_samples % _COLUMN_LANE == 0 and chain_block % _COLUMN_LANE == 0
+    fused, waves = sweep_tiles(
+        n_boxes, n, n_samples, rt.n_workers, factor.tile_size,
+        prefix=options.return_prefix, chain_block=options.chain_block,
+        max_cols=options.max_workspace_cols,
     )
-
-    # Memory governor: sweep ``boxes_per_wave`` boxes concurrently through the
-    # runtime, just enough chain blocks in flight to keep the workers
-    # saturated.  The workspace buffers are pooled and rewritten in place
-    # across waves, so the working set stays wave-sized (close to a single-box
-    # sweep) no matter how many boxes are queued — crucial because touching
-    # fresh pages is far slower than recycling warm ones.
-    chunks_per_box = -(-n_samples // chain_block)
-    target_blocks = max(4, 2 * rt.n_workers)
-    boxes_per_wave = max(1, -(-target_blocks // chunks_per_box))
-    max_cols = options.max_workspace_cols or max(n_samples, BATCH_WORKSPACE_COLS // max(n, 1))
-    boxes_per_wave = min(boxes_per_wave, max(1, int(max_cols) // n_samples), n_boxes)
 
     # Uniform variates: the SOV recursion consumes one row per dimension
     # (the last dimension's draw is unused).  Every box's default_rng(seed)
@@ -322,14 +320,13 @@ def pmvn_integrate_batch(
     clock = _PhaseClock()
     results: list[MVNResult | None] = [None] * n_boxes
     try:
-        for wave_start in range(0, n_boxes, boxes_per_wave):
-            wave = list(range(wave_start, min(wave_start + boxes_per_wave, n_boxes)))
+        for wave, tiles in waves:
             if shared is None:
                 with timed("qmc_generation"):
                     variates = {box: draw() for box in wave}
             else:
                 variates = dict.fromkeys(wave, shared)
-            _sweep_wave(wave, variates, limits, factor, options, rt, n_samples, chain_block,
+            _sweep_wave(wave, tiles, variates, limits, factor, options, rt, n_samples,
                         fused, results, workspace, backend, clock)
             del variates  # free this wave's draws before the next wave's
     finally:
@@ -463,47 +460,89 @@ class _PhaseClock:
             self.gemm += seconds
 
 
-def _wave_tiles(
-    wave: list[int], n_samples: int, chain_block: int, fused: bool
-) -> list[list[tuple[int, int, int, int]]]:
-    """Cut one wave's chains into column tiles (the sweep's one layout function).
+def sweep_tiles(
+    n_boxes: int,
+    n: int,
+    n_samples: int,
+    n_workers: int,
+    tile_size: int,
+    *,
+    prefix: bool = False,
+    chain_block: int | None = None,
+    max_cols: int | None = None,
+) -> tuple[bool, list[tuple[list[int], list[list[tuple[int, int, int, int]]]]]]:
+    """The sweep's layout rule: ``(fused, [(wave, tiles), ...])``.
 
-    Each tile is a list of ``(box, lo, hi, offset)`` segments: chains
-    ``[lo, hi)`` of ``box`` fill the tile's columns from ``offset`` on.
-    Per-box tiles are ``chain_block``-wide chunks in chunk-major order (the
-    same chunk of every box of the wave, then the next chunk).  ``fused``
-    tiles instead cut the wave's boxes laid side by side — box ``w`` of the
-    wave owns virtual columns ``[w * n_samples, (w+1) * n_samples)`` — into
-    tiles of ``max(chain_block, min(BATCH_CHAIN_BLOCK, total))`` columns; the
-    caller only fuses lane-aligned ``n_samples`` and ``chain_block``, so
-    every cut and box offset is a multiple of :data:`_COLUMN_LANE`.
+    A sweep of ``n_boxes`` boxes of ``n_samples`` chains on ``n_workers``
+    runtime workers runs in waves of whole boxes; each wave is cut into
+    column tiles, one kernel task per (row block, tile).  Each tile is a
+    list of ``(box, lo, hi, offset)`` segments: chains ``[lo, hi)`` of
+    ``box`` fill the tile's columns from ``offset`` on.
+
+    * A wave holds up to ``n_workers * C`` chains, at least one box and at
+      most ``max_cols`` (:data:`BATCH_WORKSPACE_COLS` scaled by the
+      dimension ``n``), so the pooled working set stays wave-sized however
+      many boxes are queued.
+    * By default ``C`` is :data:`WORKER_TILE_COLS` and a wave of ``cols``
+      chains is cut into ``max(n_workers, ceil(cols / C))`` tiles, their
+      width rounded up to the column lane: one tile per worker at least,
+      none wider than ``C`` but for the lane.
+    * A prefix sweep cuts ``max(tile_size, min(BATCH_CHAIN_BLOCK,
+      n_samples))``-chain tiles, and an explicit ``chain_block`` fixes the
+      width (and ``C``).
+
+    ``fused`` waves lay their boxes side by side — box ``w`` of the wave owns
+    virtual columns ``[w * n_samples, (w+1) * n_samples)`` — and cut tiles
+    across box boundaries; that needs several boxes, no prefix sums (they
+    accumulate per tile) and lane-aligned ``n_samples`` and width, so every
+    cut and box offset is a multiple of :data:`_COLUMN_LANE`.  Other waves
+    cut each box into chunks of the width, in chunk-major order (the same
+    chunk of every box of the wave, then the next chunk).
     """
-    if not fused:
-        chunks = [(c0, min(c0 + chain_block, n_samples)) for c0 in range(0, n_samples, chain_block)]
-        return [[(box, c0, c1, 0)] for (c0, c1) in chunks for box in wave]
-    total = len(wave) * n_samples
-    width = max(chain_block, min(BATCH_CHAIN_BLOCK, total))
-    tiles = []
-    for c0 in range(0, total, width):
-        c1 = min(c0 + width, total)
-        segments = []
-        for w_idx in range(c0 // n_samples, (c1 - 1) // n_samples + 1):
-            lo = max(c0, w_idx * n_samples)
-            hi = min(c1, (w_idx + 1) * n_samples)
-            segments.append((wave[w_idx], lo - w_idx * n_samples, hi - w_idx * n_samples, lo - c0))
-        tiles.append(segments)
-    return tiles
+    if chain_block is None and prefix:
+        chain_block = max(tile_size, min(BATCH_CHAIN_BLOCK, n_samples))
+    if chain_block is not None:
+        chain_block = check_positive_int(min(chain_block, n_samples), "chain_block")
+    fused = (
+        n_boxes > 1 and not prefix and n_samples % _COLUMN_LANE == 0
+        and (chain_block is None or chain_block % _COLUMN_LANE == 0)
+    )
+    max_cols = int(max_cols or max(n_samples, BATCH_WORKSPACE_COLS // max(n, 1)))
+    wave_cols = min(n_workers * (chain_block or WORKER_TILE_COLS), max_cols)
+    per_wave = min(n_boxes, max(1, wave_cols // n_samples))
+    waves = []
+    for start in range(0, n_boxes, per_wave):
+        wave = list(range(start, min(start + per_wave, n_boxes)))
+        total = len(wave) * n_samples
+        width = chain_block
+        if width is None:
+            width = -(-total // max(n_workers, -(-total // WORKER_TILE_COLS)))
+            width += -width % _COLUMN_LANE
+        if fused:
+            tiles = []
+            for c0 in range(0, total, width):
+                c1 = min(c0 + width, total)
+                segments = []
+                for w in range(c0 // n_samples, (c1 - 1) // n_samples + 1):
+                    lo, hi = max(c0, w * n_samples), min(c1, (w + 1) * n_samples)
+                    segments.append((wave[w], lo - w * n_samples, hi - w * n_samples, lo - c0))
+                tiles.append(segments)
+        else:
+            tiles = [[(box, c0, min(c0 + width, n_samples), 0)]
+                     for c0 in range(0, n_samples, width) for box in wave]
+        waves.append((wave, tiles))
+    return fused, waves
 
 
 def _sweep_wave(
     wave: list[int],
+    tiles: list[list[tuple[int, int, int, int]]],
     variates: dict[int, np.ndarray],
     limits: list[tuple[np.ndarray, np.ndarray]],
     factor: CholeskyFactor,
     options: PMVNOptions,
     rt: Runtime,
     n_samples: int,
-    chain_block: int,
     fused: bool,
     results: list,
     workspace: SweepWorkspace,
@@ -513,15 +552,13 @@ def _sweep_wave(
     """Run one wave of boxes through the runtime and fill ``results``.
 
     ``variates[box]`` is the ``(n, n_samples)`` uniform matrix of each box
-    of the wave.  The wave's chains are cut into column tiles by
-    :func:`_wave_tiles`.  Every column carries its own box's limits and
-    variates, so the task graph of steps (b)-(d) is the same however the
-    tiles were cut.
+    of the wave, and ``tiles`` its column tiles (:func:`sweep_tiles`).
+    Every column carries its own box's limits and variates, so the task
+    graph of steps (b)-(d) is the same however the tiles were cut.
     """
     n = factor.n
     row_ranges = factor.row_ranges
     n_row_blocks = len(row_ranges)
-    tiles = _wave_tiles(wave, n_samples, chain_block, fused)
     n_tiles = len(tiles)
     widths = [sum(hi - lo for (_box, lo, hi, _off) in tile) for tile in tiles]
 
@@ -539,10 +576,20 @@ def _sweep_wave(
             for tile in tiles
         ]
 
-    skip_a = infinite_blocks(0, np.isneginf)
-    skip_b = infinite_blocks(1, np.isposinf)
+    skip = (infinite_blocks(0, np.isneginf), infinite_blocks(1, np.isposinf))
     prefix_sums = [np.zeros(n) for _ in range(n_tiles)] if options.return_prefix else None
     prefix_sumsqs = [np.zeros(n) for _ in range(n_tiles)] if options.return_prefix else None
+
+    def limit_tile(side: int, slot: int, r_idx: int, shape: tuple[int, int]) -> np.ndarray:
+        if skip[side][slot][r_idx]:
+            # all infinite: the kernel reads only the sign and the GEMM
+            # skips the side, so a read-only view stands in for a buffer
+            return np.broadcast_to(np.inf if side else -np.inf, shape)
+        out = workspace.get(("ab"[side], slot, r_idx), shape)
+        r0, r1 = row_ranges[r_idx]
+        for box, lo, hi, off in tiles[slot]:
+            out[:, off:off + (hi - lo)] = limits[box][side][r0:r1, None]
+        return out
 
     a_blocks: list[list[np.ndarray]] = []
     b_blocks: list[list[np.ndarray]] = []
@@ -556,28 +603,21 @@ def _sweep_wave(
             y_col = []
             r_col = []
             for r_idx, (r0, r1) in enumerate(row_ranges):
-                rows = r1 - r0
-                a_tile = workspace.get(("a", slot, r_idx), (rows, width))
-                b_tile = workspace.get(("b", slot, r_idx), (rows, width))
-                y_tile = workspace.get(("y", slot, r_idx), (rows, width))
-                y_tile[...] = 0.0
+                shape = (r1 - r0, width)
+                a_col.append(limit_tile(0, slot, r_idx, shape))
+                b_col.append(limit_tile(1, slot, r_idx, shape))
+                # never cleared: the kernel writes each row of Y before
+                # anything reads it
+                y_col.append(workspace.get(("y", slot, r_idx), shape))
                 if len(tile) == 1:
                     # a one-box tile reads its variates in place: the
                     # kernel only reads them, row by row
                     box, lo, hi, _off = tile[0]
                     r_tile = variates[box][r0:r1, lo:hi]
                 else:
-                    r_tile = workspace.get(("r", slot, r_idx), (rows, width))
+                    r_tile = workspace.get(("r", slot, r_idx), shape)
                     for box, lo, hi, off in tile:
                         np.copyto(r_tile[:, off:off + (hi - lo)], variates[box][r0:r1, lo:hi])
-                for box, lo, hi, off in tile:
-                    a_vec, b_vec = limits[box]
-                    seg = slice(off, off + (hi - lo))
-                    a_tile[:, seg] = a_vec[r0:r1, None]
-                    b_tile[:, seg] = b_vec[r0:r1, None]
-                a_col.append(a_tile)
-                b_col.append(b_tile)
-                y_col.append(y_tile)
                 r_col.append(r_tile)
             a_blocks.append(a_col)
             b_blocks.append(b_col)
@@ -645,8 +685,8 @@ def _sweep_wave(
                         kwargs={
                             "factor": factor, "j": j, "r": r - 1,
                             "workspace": workspace,
-                            "skip_a": skip_a[k][j],
-                            "skip_b": skip_b[k][j],
+                            "skip_a": skip[0][k][j],
+                            "skip_b": skip[1][k][j],
                             "clock": clock,
                         },
                         name=f"gemm({j},{k},{r - 1})",

@@ -53,7 +53,7 @@ import numpy as np
 from repro.core.factor import CholeskyFactor, default_tile_size
 from repro.core.kernel_backend import get_backend
 from repro.core.methods import AUTO_METHOD, PARALLEL_METHODS, check_factor_args
-from repro.core.pmvn import BATCH_CHAIN_BLOCK
+from repro.core.pmvn import sweep_tiles
 from repro.distributed.pmvn_model import KernelRates
 from repro.query.spec import MVNQuery
 from repro.runtime.estimates import ModelEstimator
@@ -373,13 +373,14 @@ class QueryPlanner:
         nt = max(1, math.ceil(n / nb))
         pairs = nt * (nt - 1) / 2.0
         triples = nt * (nt - 1) * (nt - 2) / 6.0
-        chain_blocks = math.ceil(n_samples / max(nb, min(BATCH_CHAIN_BLOCK, n_samples)))
+        # the tiles the sweep itself cuts for one box on one worker
+        _fused, [(_box, tiles)] = sweep_tiles(1, n, n_samples, 1, nb)
         cholesky_tasks = (nt + 2.0 * pairs + triples) * task
         potrf = nt * blas("potrf")
         # Phi/Phi^{-1} work per sweep element; infinite sides are skipped by
         # the fused kernel (roughly half the row work per one-sided entry)
         kernel = blas_rates.qmc_seconds(n, n_samples) * (1.0 - 0.5 * one_sided_fraction)
-        tasks = (nt + pairs) * chain_blocks * task
+        tasks = (nt + pairs) * len(tiles) * task
         dense = {
             "factorization": potrf + pairs * (blas("trsm") + blas("syrk"))
             + triples * blas("gemm") + cholesky_tasks,

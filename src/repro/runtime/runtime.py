@@ -14,8 +14,12 @@ Mirrors the StarPU usage pattern of the paper's code:
 Tasks accumulate in a :class:`~repro.runtime.graph.TaskGraph`;
 :meth:`Runtime.wait_all` executes the DAG with a pool of worker threads that
 pop ready tasks from the configured scheduler.  NumPy/BLAS tile kernels
-release the GIL, so threads provide genuine parallelism for the linear
-algebra workload of the paper.
+release the GIL, but the QMC kernel issues about ten NumPy calls per row of
+a few hundred to a few thousand chains, and the interpreter holds the GIL
+between them, so a second worker buys little on the sweep: on a 2-core x86
+box, with one BLAS thread, a serving micro-batch of 6 one-sided boxes
+(n = 256, N = 256) took a median 36.5-37.3 ms on one worker and
+36.7-37.0 ms on two (two runs of 30 interleaved repeats each).
 """
 
 from __future__ import annotations

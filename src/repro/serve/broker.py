@@ -582,11 +582,12 @@ class QueryBroker:
 
         A bucket is ready once it holds ``max_batch`` requests or its
         window has run out, and it goes while its shard has fewer than
-        ``_SHARD_DEPTH`` batches in flight.  A dead shard never holds a
-        bucket back: the liveness check fails whatever reaches it.  Returns
-        how long the dispatcher may sleep before a bucket on a free shard
-        ripens, or ``None`` to sleep until a submission or a finished batch
-        wakes it.
+        ``_SHARD_DEPTH`` batches in flight.  A dead shard's buckets route
+        to a live shard (:meth:`_route`); with none left, a dead shard never
+        holds a bucket back: the liveness check fails whatever reaches it.
+        Returns how long the dispatcher may sleep before a bucket on a free
+        shard ripens, or ``None`` to sleep until a submission or a finished
+        batch wakes it.
         """
         with self._state_lock:
             loads = Counter(entry[1] for entry in self._inflight.values())
@@ -606,11 +607,28 @@ class QueryBroker:
         return min(ripening, default=None)
 
     def _route(self, key: tuple, requests: list[_Request]) -> int:
-        """The shard that owns a bucket's fingerprint, decided at send time."""
+        """The shard a bucket goes to, decided at send time.
+
+        A covariance's home is its fingerprint's hash route; an updated
+        model's is its root ancestor's, which colocates a whole update chain
+        with the factor it descends from, so every step ships only the
+        rank-k payload.  A dead home's buckets go to a live shard by the
+        same hash over the live shards, so they land cold there (an update
+        refactorizes from its assembled covariance) and stay together.
+        With no live shard left they go home, and the liveness check fails
+        them.
+        """
         sigma = requests[0].sigma
+        fingerprint = key[0]
         if isinstance(sigma, SigmaUpdate):
-            return self._route_update(key[0], sigma)
-        return self._pool.route(key[0])
+            fingerprint = self._update_fingerprints(sigma)[2]
+        home = self._pool.route(fingerprint)
+        with self._state_lock:
+            dead = set(self._dead_shards)
+        if home not in dead:
+            return home
+        live = [shard_id for shard_id in range(len(self._pool.shards)) if shard_id not in dead]
+        return live[shard_for_fingerprint(fingerprint, len(live))] if live else home
 
     def _send(self, key: tuple, requests: list[_Request], shard_id: int) -> int:
         """Send a bucket whole, in chunks of at most ``max_batch``; returns
@@ -697,23 +715,6 @@ class QueryBroker:
             root_fp = parent_fp
         child_fp = lineage_fingerprint(parent_fp, update.u, update.downdate)
         return child_fp, parent_fp, root_fp
-
-    def _route_update(self, fingerprint: str, update: "SigmaUpdate") -> int:
-        """Updated models follow their root ancestor's shard.
-
-        Routing by the *root* fingerprint colocates a whole update chain
-        with the factor it descends from, so every step ships only the
-        rank-k payload.  If that shard has died, fall back to the child's
-        own hash route — the batch lands cold and refactorizes from the
-        assembled covariance instead of wedging on a dead slot.
-        """
-        _, _, root_fp = self._update_fingerprints(update)
-        home = self._pool.route(root_fp)
-        with self._state_lock:
-            dead = home in self._dead_shards
-        if dead:
-            return self._pool.route(fingerprint)
-        return home
 
     def _update_payload(self, shard_id: int, fingerprint: str,
                         update: "SigmaUpdate"):
@@ -948,8 +949,9 @@ class QueryBroker:
         The worker can no longer evict its models, so the broker releases
         every fingerprint its roster mirror holds — without this, a killed
         shard would pin its shared-memory segments until ``close()``.  The
-        mirror is reset so later batches routed to the (dead) slot ship the
-        covariance again rather than assume residency.
+        mirror is reset, so batches that still reach the dead slot (when no
+        live shard is left) ship the covariance again rather than assume
+        residency.
         """
         with self._state_lock:
             if shard.shard_id in self._dead_shards:

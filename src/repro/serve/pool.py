@@ -385,10 +385,6 @@ class ShardPool:
         """Enqueue one protocol message on a shard's request queue."""
         self.shards[shard_id].request_q.put(message)
 
-    def response_queue(self, shard_id: int):
-        """The queue a shard's responses arrive on (one consumer expected)."""
-        return self.shards[shard_id].response_q
-
     def stop(self) -> None:
         """Ask every shard to shut down (does not wait; see :meth:`join`)."""
         for shard in self.shards:

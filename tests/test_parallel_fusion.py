@@ -1,7 +1,7 @@
 """Tests for the parallel-sweep round: backend names and cross-box vs
 per-box sweep layout bit-parity.
 
-Two contracts:
+Three contracts:
 
 * **backend names** — ``"cupy"`` is not a backend at all (an explicit
   request raises the unknown-name error, which lists what this install can
@@ -10,10 +10,16 @@ Two contracts:
   bitwise identical to a loop of single-box sweeps in per-box tiles, across
   seeds, methods, limit kinds (``+inf`` upper rows included, which skip the
   B-side propagation), prefix output and worker counts, and the layout rule
-  only fuses lane-aligned, prefix-free batches of several boxes.
+  only fuses lane-aligned, prefix-free batches of several boxes;
+* **tile rule** — one worker sweeps a micro-batch as one wide tile with the
+  same bits as any other cut, an all-infinite side is never materialized,
+  no pooled buffer is read before it is written, and prefix sweeps keep
+  their 512-chain tiles.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +34,7 @@ from repro.core.kernel_backend import (
 )
 from repro.core.pmvn import PMVNOptions, pmvn_integrate_batch
 from repro.runtime import Runtime
-from repro.solver import SolverConfig
+from repro.solver import MVNSolver, SolverConfig
 
 
 @pytest.fixture
@@ -170,6 +176,92 @@ class TestFusionParity:
         assert fused[0].details["fusion"] == "fused"
         assert fused[0].details["fused_cols"] == 96 * len(boxes)
         assert fused[0].details["chain_block"] > 96
+
+
+class TestTileRule:
+    """One worker sweeps a micro-batch as one wide tile; wider tiles
+    materialize nothing they do not read; prefix sweeps keep their tiles."""
+
+    @pytest.mark.parametrize("method", ["dense", "tlr"])
+    def test_one_worker_sweeps_a_batch_as_one_tile(self, spd36, rng, method):
+        """12 boxes x 96 chains is one 1152-column tile on one worker, and
+        the answers equal a loop of single-box sweeps and the same batch on
+        2 and 3 workers (one tile each), bit for bit."""
+        boxes = _boxes(spd36.shape[0], rng, ("one-sided", "two-sided", "mixed") * 4)
+        factor = factorize(spd36, method=method, tile_size=12, accuracy=1e-5)
+
+        def sweep(box_list, workers):
+            with Runtime(n_workers=workers) as rt:
+                return pmvn_integrate_batch(box_list, factor, PMVNOptions(n_samples=96, rng=7),
+                                            runtime=rt)
+
+        batch = sweep(boxes, 1)
+        assert [r.details["chain_block"] for r in batch] == [1152] * len(boxes)
+        singles = [sweep([box], 1)[0] for box in boxes]
+        for workers in (2, 3):
+            spread = sweep(boxes, workers)
+            assert spread[0].details["chain_block"] == 1152 // workers
+            for got, want in zip(spread, batch):
+                assert (got.probability, got.error) == (want.probability, want.error)
+        for got, want in zip(batch, singles):
+            assert (got.probability, got.error) == (want.probability, want.error)
+
+    def test_infinite_sides_are_never_materialized(self, spd36):
+        """An all-infinite side costs no pooled buffer: a one-sided batch
+        holds no lower-limit buffer, a detection no upper-limit one."""
+        n = spd36.shape[0]
+        boxes = [(np.full(n, -np.inf), np.full(n, 0.5 + 0.1 * i)) for i in range(4)]
+        config = SolverConfig(method="dense", n_samples=96, tile_size=12)
+        with MVNSolver(config) as solver:
+            solver.model(spd36).probability_batch(boxes, rng=1)
+            roles = {key[0] for key in solver._sweep_workspace._buffers}
+        assert "a" not in roles and "b" in roles
+        with MVNSolver(config) as solver:
+            solver.model(spd36, mean=np.linspace(-0.5, 0.5, n)).confidence_region(0.0, rng=1)
+            roles = {key[0] for key in solver._sweep_workspace._buffers}
+        assert "b" not in roles and "a" in roles
+
+    def test_no_buffer_is_read_before_it_is_written(self, spd36, rng):
+        """Poisoning every pooled buffer with NaN between two identical
+        batches changes no answer: Y and the limit tiles are written before
+        anything reads them."""
+        n = spd36.shape[0]
+        boxes = _boxes(n, rng, ("one-sided", "two-sided", "mixed") + UPPER_INF)
+        config = SolverConfig(method="tlr", n_samples=96, tile_size=12, accuracy=1e-5)
+        with MVNSolver(config) as solver:
+            model = solver.model(spd36)
+            first = model.probability_batch(boxes, rng=3)
+            pool = solver._sweep_workspace
+            scratch = [vars(ws)[name] for ws in pool._kernel_pool
+                       for name in ("shift", "lohi", "phi", "width", "diag")]
+            for buf in [*pool._buffers.values(), *pool._gemm_pool, *scratch]:
+                buf.fill(np.nan)
+            second = model.probability_batch(boxes, rng=3)
+        assert [(r.probability, r.error) for r in second] == [(r.probability, r.error) for r in first]
+
+    def test_prefix_sweeps_keep_their_tiles(self, spd36, monkeypatch):
+        """A detection on one worker sweeps 512-chain tiles and gets the
+        same prefix arrays as an explicit ``chain_block=512`` sweep."""
+        import repro.core.crd as crd_mod
+
+        n = spd36.shape[0]
+        original = crd_mod.pmvn_integrate
+        seen = []
+
+        def spy(a, b, factor, options, runtime=None):
+            result = original(a, b, factor, options, runtime=runtime)
+            pinned = original(a, b, factor, replace(options, chain_block=512), runtime=runtime)
+            seen.append((result, pinned))
+            return result
+
+        monkeypatch.setattr(crd_mod, "pmvn_integrate", spy)
+        config = SolverConfig(method="dense", n_samples=1000, tile_size=12)
+        with MVNSolver(config) as solver:
+            solver.model(spd36, mean=np.linspace(-0.5, 0.5, n)).confidence_region(0.0, rng=1)
+        [(result, pinned)] = seen
+        assert result.details["chain_block"] == pinned.details["chain_block"] == 512
+        for key in ("prefix_probabilities", "prefix_errors"):
+            np.testing.assert_array_equal(result.details[key], pinned.details[key])
 
 
 class TestCalibrationPerBackend:

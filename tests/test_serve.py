@@ -811,25 +811,14 @@ class TestLineageRouting:
     def test_dead_parent_shard_fails_over_to_refactorization(self):
         """Killing the shard that holds a lineage chain must not wedge
         updated-model queries: they fail over to a cold refactorization on
-        the child's own hash route."""
-        from repro import lineage_fingerprint
+        a live shard."""
         from repro.serve import SigmaUpdate
 
         n = 8
         sigma = _spd(n, seed=58)
         a, b = _boxes(n, 1)[0]
-        root_fp = sigma_fingerprint(sigma)
-        home = shard_for_fingerprint(root_fp, 2)
-        # pick an update whose *own* fingerprint routes to the other shard,
-        # so the failover lands somewhere alive deterministically
-        rng = np.random.default_rng(59)
-        for _ in range(64):
-            u = 0.1 * rng.standard_normal((n, 2))
-            child_fp = lineage_fingerprint(root_fp, u)
-            if shard_for_fingerprint(child_fp, 2) != home:
-                break
-        else:  # pragma: no cover - 2^-64
-            pytest.fail("no update matrix routed away from the root shard")
+        home = shard_for_fingerprint(sigma_fingerprint(sigma), 2)
+        u = 0.1 * np.random.default_rng(59).standard_normal((n, 2))
 
         broker = QueryBroker(
             ServeConfig(n_shards=2, worker_mode="process", batch_window=0.01),

@@ -232,6 +232,42 @@ class TestBrokerSegmentLifecycle:
             broker.close()
         serve_books.settled(broker, futures)
 
+    @pytest.mark.slow
+    def test_dead_home_routes_to_a_live_shard(self, serve_books):
+        """After the shard that owns a covariance dies, a request on that
+        covariance goes to the live shard and is answered bit-identically
+        to a direct model, and the broker's books settle."""
+        from repro import MVNSolver
+
+        solver_config = SolverConfig(method="dense", n_samples=200)
+        broker = QueryBroker(
+            ServeConfig(n_shards=2, worker_mode="process", sigma_transport="shm",
+                        batch_window=0.002),
+            solver_config,
+        )
+        sigma = _spd(8, seed=11)
+        box = ([-np.inf] * 8, [0.5] * 8)
+        home = shard_for_fingerprint(sigma_fingerprint(sigma), 2)
+        futures = []
+        try:
+            futures.append(broker.submit(*box, sigma, rng=0))
+            assert futures[0].result(timeout=120).details["serve"]["shard"] == home
+            broker._pool.shards[home].worker.terminate()
+            broker._pool.shards[home].worker.join(10)
+            deadline = time.perf_counter() + 30
+            while home not in broker._dead_shards:
+                assert time.perf_counter() < deadline, "broker never noticed the dead shard"
+                time.sleep(0.05)
+            futures.append(broker.submit(*box, sigma, rng=1))
+            served = futures[1].result(timeout=120)
+        finally:
+            broker.close(timeout=10)
+        assert served.details["serve"]["shard"] == 1 - home
+        with MVNSolver(solver_config) as solver:
+            direct = solver.model(sigma).probability(*box, rng=1)
+        assert (served.probability, served.error) == (direct.probability, direct.error)
+        serve_books.settled(broker, futures)
+
     def test_close_sends_held_buckets(self, shard_gate, serve_books):
         """close() while buckets are held behind a busy shard: it sends them
         all, and every one of them is answered."""

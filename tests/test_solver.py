@@ -303,14 +303,14 @@ class TestSweepPool:
             used = {}
             original = pmvn_mod._sweep_wave
 
-            def sweep_wave(wave, variates, limits, factor, options, rt, n_samples, chain_block,
+            def sweep_wave(wave, tiles, variates, limits, factor, options, rt, n_samples,
                            fused, results, workspace, backend, clock):
                 name = threading.current_thread().name
                 used.setdefault(name, workspace)
                 if name == "a" and not a_holds_pool.is_set():
                     a_holds_pool.set()
                     assert b_done.wait(timeout=30)
-                original(wave, variates, limits, factor, options, rt, n_samples, chain_block,
+                original(wave, tiles, variates, limits, factor, options, rt, n_samples,
                          fused, results, workspace, backend, clock)
 
             monkeypatch.setattr(pmvn_mod, "_sweep_wave", sweep_wave)
