@@ -205,25 +205,21 @@ def factorize(
     sigma = _apply_precision(sigma, precision)
     tile_size = check_positive_int(default_tile_size(sigma.shape[0], tile_size), "tile_size")
     method = method.lower()
+    if method not in ("dense", "tlr"):
+        raise ValueError(f"unknown factorization method {method!r}; use 'dense' or 'tlr'")
+    tiles = TileMatrix.from_dense(sigma, tile_size, lower_only=True)
     if method == "dense":
-        tiles = TileMatrix.from_dense(sigma, tile_size, lower_only=True)
         with timed("factorization"):
             factor = tiled_cholesky(tiles, runtime=runtime, overwrite=True)
         if precision != "double":
             for i, j, tile in factor.tiles():
                 factor.set_tile(i, j, _apply_precision(tile, precision))
         return DenseTileFactor(factor)
-    if method == "tlr":
-        with timed("compression"):
-            tlr = TLRMatrix.from_dense(sigma, tile_size, accuracy=accuracy, max_rank=max_rank)
-        with timed("factorization"):
-            factor = tlr_cholesky(tlr, runtime=runtime, overwrite=True)
-        if precision != "double":
-            for i in list(factor.diagonal):
-                factor.diagonal[i] = _apply_precision(factor.diagonal[i], precision)
-            for key, tile in list(factor.offdiag.items()):
-                factor.offdiag[key] = type(tile)(
-                    _apply_precision(tile.u, precision), _apply_precision(tile.v, precision)
-                )
-        return TLRFactor(factor)
-    raise ValueError(f"unknown factorization method {method!r}; use 'dense' or 'tlr'")
+    with timed("factorization"):
+        tlr = tlr_cholesky(tiles, runtime=runtime, overwrite=True, accuracy=accuracy, max_rank=max_rank)
+    if precision != "double":
+        for i in list(tlr.diagonal):
+            tlr.diagonal[i] = _apply_precision(tlr.diagonal[i], precision)
+        for key, tile in list(tlr.offdiag.items()):
+            tlr.offdiag[key] = type(tile)(_apply_precision(tile.u, precision), _apply_precision(tile.v, precision))
+    return TLRFactor(tlr)

@@ -6,9 +6,9 @@ call spends most of its time inside :func:`repro.core.qmc_kernel.qmc_kernel_tile
 makes that inner loop allocation-free and swappable:
 
 * :class:`KernelWorkspace` owns the per-row scratch vectors (``shift``, the
-  standardized-limit buffers, ``phi``, ``width``) plus the per-tile diagonal,
-  so a worker thread validates and allocates once per tile instead of once
-  per row.
+  standardized-limit buffers, ``phi``, ``width``), the per-tile diagonal and,
+  for prefix sweeps, the ``rows x chains`` running products, so a worker
+  thread validates and allocates once per tile instead of once per row.
 * ``"reference"`` is the original (pre-optimization) row loop, kept verbatim
   as the parity and benchmark baseline.
 * ``"numpy"`` (the default) is a fused rewrite: every row update writes into
@@ -75,6 +75,7 @@ class KernelWorkspace:
         self.phi = np.empty(0)    # Phi(a') / Phi(b'), adjacent halves
         self.width = np.empty(0)
         self.diag = np.empty(0)
+        self.products = np.empty((0, 0))  # running product after each row
 
     def ensure(self, rows: int, chains: int) -> None:
         """Grow the buffers to cover an ``(rows, chains)`` tile."""
@@ -87,6 +88,16 @@ class KernelWorkspace:
         if rows > self._rows:
             self._rows = rows
             self.diag = np.empty(rows)
+
+    def row_products(self, rows: int, chains: int) -> np.ndarray:
+        """An ``(rows, chains)`` scratch for the running product after each row.
+
+        Only prefix sweeps ask for it; it grows like the other buffers.
+        """
+        have_rows, have_chains = self.products.shape
+        if rows > have_rows or chains > have_chains:
+            self.products = np.empty((max(rows, have_rows), max(chains, have_chains)))
+        return self.products[:rows, :chains]
 
     def bind_tile(self, l_tile: np.ndarray) -> np.ndarray:
         """Validate the tile diagonal once and cache it.
@@ -111,9 +122,10 @@ class KernelBackend:
     """A named implementation of the QMC tile row recursion.
 
     ``run`` has the signature
-    ``run(l_tile, r_tile, a_tile, b_tile, p_seg, y_tile, prefix_sum,
-    prefix_sumsq, workspace)`` and must update ``p_seg`` / ``y_tile`` (and the
-    prefix accumulators when given) in place.  The workspace arrives sized
+    ``run(l_tile, r_tile, a_tile, b_tile, p_seg, y_tile, products,
+    workspace)`` and must update ``p_seg`` / ``y_tile`` in place; when
+    ``products`` (``rows x chains``) is given, row ``i`` of it receives
+    ``p_seg`` as it stands after row ``i``.  The workspace arrives sized
     (``ensure``) and bound to the tile (``bind_tile``) by the dispatcher
     (:func:`repro.core.qmc_kernel.qmc_kernel_tile`), so backends read
     ``workspace.diag`` without re-validating.
@@ -129,7 +141,7 @@ class KernelBackend:
 # ---------------------------------------------------------------------------
 
 def _reference_kernel(l_tile, r_tile, a_tile, b_tile, p_seg, y_tile,
-                      prefix_sum, prefix_sumsq, workspace) -> None:
+                      products, workspace) -> None:
     m = l_tile.shape[0]
     for i in range(m):
         diag = l_tile[i, i]
@@ -149,10 +161,8 @@ def _reference_kernel(l_tile, r_tile, a_tile, b_tile, p_seg, y_tile,
         width = np.maximum(phi_b - phi_a, 0.0)
         p_seg *= width
         y_tile[i] = norm_ppf(phi_a + r_tile[i] * width)
-        if prefix_sum is not None:
-            prefix_sum[i] += float(p_seg.sum())
-        if prefix_sumsq is not None:
-            prefix_sumsq[i] += float(np.dot(p_seg, p_seg))
+        if products is not None:
+            products[i] = p_seg
     return None
 
 
@@ -160,8 +170,19 @@ def _reference_kernel(l_tile, r_tile, a_tile, b_tile, p_seg, y_tile,
 # numpy backend: fused, allocation-free, bit-identical to the reference
 # ---------------------------------------------------------------------------
 
+def _row_extreme(tile: np.ndarray, reduce) -> np.ndarray:
+    """``reduce(tile, axis=1)``; a broadcast row (zero column stride) is its first column.
+
+    The sweep passes a read-only broadcast view for an all-infinite side,
+    and reducing one costs about four times reducing a buffer.
+    """
+    if tile.strides[1] == 0:
+        return tile[:, 0]
+    return reduce(tile, axis=1)
+
+
 def _numpy_kernel(l_tile, r_tile, a_tile, b_tile, p_seg, y_tile,
-                  prefix_sum, prefix_sumsq, workspace) -> None:
+                  products, workspace) -> None:
     """Fused row recursion writing only into workspace buffers.
 
     Bit-identity notes (each special case removes work without changing any
@@ -196,8 +217,8 @@ def _numpy_kernel(l_tile, r_tile, a_tile, b_tile, p_seg, y_tile,
     # kernel is public API and must stay correct for heterogeneous columns —
     # mixed rows fall through to the general path, whose elementwise ops
     # handle infinities exactly like the reference loop.
-    lo_inf = np.isneginf(a_tile.max(axis=1)).tolist()
-    hi_inf = np.isposinf(b_tile.min(axis=1)).tolist()
+    lo_inf = np.isneginf(_row_extreme(a_tile, np.max)).tolist()
+    hi_inf = np.isposinf(_row_extreme(b_tile, np.min)).tolist()
     for i in range(m):
         d = diag[i]
         np.dot(l_tile[i, :i], y_tile[:i, :], out=shift)
@@ -238,10 +259,8 @@ def _numpy_kernel(l_tile, r_tile, a_tile, b_tile, p_seg, y_tile,
             np.multiply(r_tile[i], width, out=yr)
             yr += phi_a
         norm_ppf(yr, out=yr)
-        if prefix_sum is not None:
-            prefix_sum[i] += float(p_seg.sum())
-        if prefix_sumsq is not None:
-            prefix_sumsq[i] += float(np.dot(p_seg, p_seg))
+        if products is not None:
+            np.copyto(products[i], p_seg)
     return None
 
 

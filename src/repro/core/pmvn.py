@@ -40,10 +40,13 @@ into its own chunks.
 That is legal because the QMC kernel is exact for heterogeneous per-column
 limits (each chain only reads its own column), and bitwise identical
 because lane-aligned cuts keep every column at the same SIMD-lane position
-in its BLAS calls.  Prefix sums accumulate per tile, so a prefix sweep keeps
-per-box tiles of :data:`BATCH_CHAIN_BLOCK` chains, which fix their
-summation order.  ``details["fusion"]`` records which layout ran
-(``"fused"`` or ``"interleaved"``).
+in its BLAS calls.  A prefix sweep is cut by the same rule, in whole
+accumulation segments of :data:`BATCH_CHAIN_BLOCK` chains: the kernel keeps
+each row's running product and sums every segment after its row loop, and
+the segment sums are added in chain order, so the prefix arrays do not
+depend on how many segments a tile holds (nor on the worker count).
+``details["fusion"]`` records which layout ran (``"fused"`` or
+``"interleaved"``).
 
 A wider tile must not grow the working set, so the sweep materializes only
 what it reads: a row block whose limits on one side are all infinite gets a
@@ -77,10 +80,10 @@ __all__ = [
     "sweep_tiles",
 ]
 
-#: chains per tile of a prefix sweep.  Its prefix sums accumulate per tile,
-#: so a wider tile would reorder their summation and move the prefix
-#: probabilities in the last bits; every other sweep cuts its tiles by
-#: :data:`WORKER_TILE_COLS`
+#: chains per accumulation segment of a prefix sweep.  Its prefix sums are
+#: taken per segment and then added across segments in chain order, which
+#: fixes their summation order; a prefix sweep's tiles are cut by the same
+#: rule as every other sweep's, in whole segments
 BATCH_CHAIN_BLOCK = 512
 
 #: chains one runtime worker sweeps as one tile (``C`` of the layout rule,
@@ -113,9 +116,10 @@ class PMVNOptions:
     chain_block : int, optional
         Number of MC chains per column tile.  By default the layout rule
         (:func:`sweep_tiles`) sizes the tiles from the worker count and
-        :data:`WORKER_TILE_COLS`, and a prefix sweep uses
-        ``max(tile_size, min(BATCH_CHAIN_BLOCK, n_samples))``.  An explicit
-        value fixes every tile's width, cross-box tiles included, and sizes
+        :data:`WORKER_TILE_COLS`, a prefix sweep in whole
+        ``max(tile_size, min(BATCH_CHAIN_BLOCK, n_samples))``-chain
+        accumulation segments.  An explicit value fixes every tile's width
+        (and a prefix sweep's segment), cross-box tiles included, and sizes
         the waves in its place.  Results do not depend on this knob beyond
         BLAS rounding (none at all for multiples of the column lane, 8).
     qmc : str
@@ -477,7 +481,8 @@ def sweep_tiles(
     runtime workers runs in waves of whole boxes; each wave is cut into
     column tiles, one kernel task per (row block, tile).  Each tile is a
     list of ``(box, lo, hi, offset)`` segments: chains ``[lo, hi)`` of
-    ``box`` fill the tile's columns from ``offset`` on.
+    ``box`` fill the tile's columns from ``offset`` on.  In a prefix sweep
+    each segment is also one accumulation segment of the prefix sums.
 
     * A wave holds up to ``n_workers * C`` chains, at least one box and at
       most ``max_cols`` (:data:`BATCH_WORKSPACE_COLS` scaled by the
@@ -487,22 +492,24 @@ def sweep_tiles(
       chains is cut into ``max(n_workers, ceil(cols / C))`` tiles, their
       width rounded up to the column lane: one tile per worker at least,
       none wider than ``C`` but for the lane.
-    * A prefix sweep cuts ``max(tile_size, min(BATCH_CHAIN_BLOCK,
-      n_samples))``-chain tiles, and an explicit ``chain_block`` fixes the
-      width (and ``C``).
+    * A prefix sweep rounds the width up to whole segments of
+      ``max(tile_size, min(BATCH_CHAIN_BLOCK, n_samples))`` chains and
+      lists each segment on its own.  An explicit ``chain_block`` fixes the
+      width (and ``C``, and a prefix sweep's segment).
 
     ``fused`` waves lay their boxes side by side — box ``w`` of the wave owns
     virtual columns ``[w * n_samples, (w+1) * n_samples)`` — and cut tiles
     across box boundaries; that needs several boxes, no prefix sums (they
-    accumulate per tile) and lane-aligned ``n_samples`` and width, so every
+    accumulate per segment) and lane-aligned ``n_samples`` and width, so every
     cut and box offset is a multiple of :data:`_COLUMN_LANE`.  Other waves
     cut each box into chunks of the width, in chunk-major order (the same
     chunk of every box of the wave, then the next chunk).
     """
-    if chain_block is None and prefix:
-        chain_block = max(tile_size, min(BATCH_CHAIN_BLOCK, n_samples))
     if chain_block is not None:
         chain_block = check_positive_int(min(chain_block, n_samples), "chain_block")
+    segment = None
+    if prefix:
+        segment = chain_block or min(max(tile_size, BATCH_CHAIN_BLOCK), n_samples)
     fused = (
         n_boxes > 1 and not prefix and n_samples % _COLUMN_LANE == 0
         and (chain_block is None or chain_block % _COLUMN_LANE == 0)
@@ -517,7 +524,7 @@ def sweep_tiles(
         width = chain_block
         if width is None:
             width = -(-total // max(n_workers, -(-total // WORKER_TILE_COLS)))
-            width += -width % _COLUMN_LANE
+            width += -width % (segment or _COLUMN_LANE)
         if fused:
             tiles = []
             for c0 in range(0, total, width):
@@ -528,7 +535,9 @@ def sweep_tiles(
                     segments.append((wave[w], lo - w * n_samples, hi - w * n_samples, lo - c0))
                 tiles.append(segments)
         else:
-            tiles = [[(box, c0, min(c0 + width, n_samples), 0)]
+            step = segment or width
+            tiles = [[(box, lo, min(lo + step, c0 + width, n_samples), lo - c0)
+                      for lo in range(c0, min(c0 + width, n_samples), step)]
                      for c0 in range(0, n_samples, width) for box in wave]
         waves.append((wave, tiles))
     return fused, waves
@@ -561,6 +570,7 @@ def _sweep_wave(
     n_row_blocks = len(row_ranges)
     n_tiles = len(tiles)
     widths = [sum(hi - lo for (_box, lo, hi, _off) in tile) for tile in tiles]
+    segments = [[(off, off + hi - lo) for (_box, lo, hi, off) in tile] for tile in tiles]
 
     # row blocks whose lower limits are all -inf (upper limits all +inf)
     # never change under the GEMM propagation (an infinity minus a finite
@@ -577,8 +587,9 @@ def _sweep_wave(
         ]
 
     skip = (infinite_blocks(0, np.isneginf), infinite_blocks(1, np.isposinf))
-    prefix_sums = [np.zeros(n) for _ in range(n_tiles)] if options.return_prefix else None
-    prefix_sumsqs = [np.zeros(n) for _ in range(n_tiles)] if options.return_prefix else None
+    # prefix sums: one row per accumulation segment of each tile
+    prefix_sums = [np.zeros((len(tile), n)) for tile in tiles] if options.return_prefix else None
+    prefix_sumsqs = [np.zeros((len(tile), n)) for tile in tiles] if options.return_prefix else None
 
     def limit_tile(side: int, slot: int, r_idx: int, shape: tuple[int, int]) -> np.ndarray:
         if skip[side][slot][r_idx]:
@@ -609,11 +620,10 @@ def _sweep_wave(
                 # never cleared: the kernel writes each row of Y before
                 # anything reads it
                 y_col.append(workspace.get(("y", slot, r_idx), shape))
-                if len(tile) == 1:
+                if len({box for (box, _lo, _hi, _off) in tile}) == 1:
                     # a one-box tile reads its variates in place: the
                     # kernel only reads them, row by row
-                    box, lo, hi, _off = tile[0]
-                    r_tile = variates[box][r0:r1, lo:hi]
+                    r_tile = variates[tile[0][0]][r0:r1, tile[0][1]:tile[-1][2]]
                 else:
                     r_tile = workspace.get(("r", slot, r_idx), shape)
                     for box, lo, hi, off in tile:
@@ -644,13 +654,13 @@ def _sweep_wave(
     def qmc_task(l_tile, r_tile, a_tile, b_tile, p_seg, y_tile, row_block: int, block_idx: int) -> None:
         start = time.perf_counter()
         r0, r1 = row_ranges[row_block]
-        prefix = prefix_sums[block_idx][r0:r1] if prefix_sums is not None else None
-        prefix_sq = prefix_sumsqs[block_idx][r0:r1] if prefix_sumsqs is not None else None
+        prefix = prefix_sums[block_idx][:, r0:r1] if prefix_sums is not None else None
+        prefix_sq = prefix_sumsqs[block_idx][:, r0:r1] if prefix_sumsqs is not None else None
         kernel_ws = workspace.acquire_kernel_workspace()
         try:
             qmc_kernel_tile(
                 l_tile, r_tile, a_tile, b_tile, p_seg, y_tile,
-                prefix_sum=prefix, prefix_sumsq=prefix_sq,
+                prefix_sum=prefix, prefix_sumsq=prefix_sq, segments=segments[block_idx],
                 workspace=kernel_ws, backend=backend,
             )
         finally:
@@ -709,22 +719,23 @@ def _sweep_wave(
                 )
         rt.wait_all()
 
-    # each box's chains, in sample order, as (tile, column view) pairs
-    owned: dict[int, list[tuple[int, np.ndarray]]] = {box: [] for box in wave}
+    # each box's chains, in sample order, as (tile, segment, column view)
+    owned: dict[int, list[tuple[int, int, np.ndarray]]] = {box: [] for box in wave}
     for k, tile in enumerate(tiles):
-        for box, lo, hi, off in tile:
-            owned[box].append((k, p_segments[k][off:off + (hi - lo)]))
+        for s, (box, lo, hi, off) in enumerate(tile):
+            owned[box].append((k, s, p_segments[k][off:off + (hi - lo)]))
     for box in wave:
-        chain_values = np.concatenate([values for (_k, values) in owned[box]])
+        chain_values = np.concatenate([values for (_k, _s, values) in owned[box]])
         estimate = float(chain_values.mean())
         std_err = float(chain_values.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
         details: dict = {"chain_block": widths[0], "n_row_blocks": n_row_blocks}
         if fused:
             details["fused_cols"] = len(wave) * n_samples
         if options.return_prefix:
-            # prefix sums never fuse, so each of the box's tiles is its own
-            total_sum = np.sum([prefix_sums[k] for (k, _values) in owned[box]], axis=0)
-            total_sumsq = np.sum([prefix_sumsqs[k] for (k, _values) in owned[box]], axis=0)
+            # prefix sums never fuse: every segment of the box's tiles is
+            # its own, added in chain order
+            total_sum = np.sum([prefix_sums[k][s] for (k, s, _values) in owned[box]], axis=0)
+            total_sumsq = np.sum([prefix_sumsqs[k][s] for (k, s, _values) in owned[box]], axis=0)
             prefix_mean = total_sum / n_samples
             prefix_var = np.maximum(total_sumsq / n_samples - prefix_mean**2, 0.0)
             details["prefix_probabilities"] = prefix_mean

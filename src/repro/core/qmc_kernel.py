@@ -46,6 +46,7 @@ def qmc_kernel_tile(
     prefix_sum: np.ndarray | None = None,
     prefix_sumsq: np.ndarray | None = None,
     *,
+    segments: list[tuple[int, int]] | None = None,
     workspace: KernelWorkspace | None = None,
     backend: KernelBackend | str | None = None,
 ) -> None:
@@ -67,12 +68,18 @@ def qmc_kernel_tile(
         Running per-chain probability product, updated in place.
     y_tile : ndarray (m, c)
         Output block of transformed samples, written in place.
-    prefix_sum, prefix_sumsq : ndarray (m,), optional
+    prefix_sum, prefix_sumsq : ndarray (m,) or (s, m), optional
         When provided, row ``i`` receives the sum (and sum of squares) over
         the block's chains of the running product after processing row ``i``.
         This is what turns one PMVN sweep into the whole confidence function
         of Algorithm 1 (joint probabilities of every prefix of the ordered
-        locations).
+        locations).  The kernel keeps each row's running product in the
+        workspace and takes the sums after the row loop, one row of the
+        accumulator per column segment.
+    segments : list of (c0, c1), optional
+        Column ranges summed separately, one per accumulator row (shape
+        ``(len(segments), m)``); by default one ``(m,)`` accumulator sums
+        every chain of the block.
     workspace : KernelWorkspace, optional
         Reusable scratch buffers; pass one per worker thread to make the
         sweep allocation-free.  A transient workspace is created when omitted.
@@ -93,6 +100,15 @@ def qmc_kernel_tile(
     if p_seg.shape != (n_chains,):
         raise ValueError(f"probability segment must have shape ({n_chains},)")
 
+    if segments is None:
+        segments = [(0, n_chains)]
+        prefix_sum = None if prefix_sum is None else prefix_sum[None, :]
+        prefix_sumsq = None if prefix_sumsq is None else prefix_sumsq[None, :]
+    prefix = prefix_sum is not None or prefix_sumsq is not None
+    for acc in (prefix_sum, prefix_sumsq):
+        if acc is not None and acc.shape != (len(segments), m):
+            raise ValueError(f"prefix accumulators must have shape {(len(segments), m)}, got {acc.shape}")
+
     if workspace is None:
         workspace = KernelWorkspace()
     workspace.ensure(m, n_chains)
@@ -100,6 +116,16 @@ def qmc_kernel_tile(
     workspace.bind_tile(l_tile)
     if not isinstance(backend, KernelBackend):
         backend = get_backend(backend)
-    backend.run(l_tile, r_tile, a_tile, b_tile, p_seg, y_tile,
-                prefix_sum, prefix_sumsq, workspace)
+    products = workspace.row_products(m, n_chains) if prefix else None
+    backend.run(l_tile, r_tile, a_tile, b_tile, p_seg, y_tile, products, workspace)
+    if not prefix:
+        return None
+    # per row the same pairwise sum and BLAS dot as ``p.sum()`` and
+    # ``np.dot(p, p)`` over that row's segment, bit for bit
+    for s, (c0, c1) in enumerate(segments):
+        seg = products[:, c0:c1]
+        if prefix_sum is not None:
+            prefix_sum[s] += seg.sum(axis=1)
+        if prefix_sumsq is not None:
+            prefix_sumsq[s] += np.vecdot(seg, seg)
     return None

@@ -118,24 +118,31 @@ class PlannerRates:
 #: totals in ms.  Fields: ``crd`` is the exponential field of range 0.234
 #: on a square grid, ``gateway`` range 0.05, ``dist`` the distributed
 #: serving gate's fields, the other three the planner gate's scenarios.
+#: The measured columns were re-timed in one session once the TLR Cholesky
+#: compressed each tile once, after its last update (the dense code did not
+#: change; its column moved with the box); the model columns are the
+#: current model's, priced for these one-sided boxes.
 #:
 #: ============  ====  ====  ==  ===========  =========  ===========  =========
 #: point         n     N     k   dense meas.  tlr meas.  dense model  tlr model
 #: ============  ====  ====  ==  ===========  =========  ===========  =========
-#: gateway        256   256  23          6.8       10.5          6.4        7.7
-#: small_dense    196  1000  20         15.1       16.5         16.3       17.2
-#: dist small     100   200  14          2.2        2.7          1.8        1.9
-#: banded_tile    784  2000   1        142.0      134.8        141.4      124.5
-#: crd           1024  1000  24         98.9      107.3        102.3      111.4
-#: crd           1024  4000  24        360.7      338.7        368.0      346.9
-#: dist large    1024   200  16         40.3       49.4         32.7       41.7
-#: lowrank_tlr   1600  4000  22        692.3      590.5        635.7      539.1
-#: crd           2025  1000  27        306.9      245.7        309.5      296.8
+#: gateway        256   256  23          8.9       11.8          6.4        7.7
+#: small_dense    196  1000  20         15.7       16.5         15.7       16.7
+#: dist small     100   200  14          3.2        3.4          1.8        1.9
+#: banded_tile    784  2000   1        149.8      129.4        137.5      120.6
+#: crd           1024  1000  24        112.2      112.3        100.4      109.4
+#: crd           1024  4000  24        352.4      317.2        358.3      337.2
+#: dist large    1024   200  16         50.1       57.0         32.7       41.7
+#: lowrank_tlr   1600  4000  22        727.7      585.0        626.0      529.3
+#: crd           2025  1000  27        342.8      263.3        307.1      294.4
 #: ============  ====  ====  ==  ===========  =========  ===========  =========
 #:
-#: The argmin picks the faster method at every point.  With several BLAS
-#: threads per worker the TLR kernels slow down (about 2x on that box), so
-#: the rates assume one BLAS thread per runtime worker.
+#: The argmin picks the faster method at every point, so the rates were not
+#: refit.  The closest is ``crd`` at N = 1000: over three rounds of 7
+#: interleaved repeats dense took 113.8-119.7 ms and TLR 116.2-126.2 ms
+#: (TLR won 2 of 21).  With several BLAS threads per worker the TLR kernels
+#: slow down (about 2x on that box), so the rates assume one BLAS thread
+#: per runtime worker.
 PLANNER_RATES = PlannerRates(
     kernels=KernelRates(core_gflops=57.0, qmc_rows_per_second=11.2e6),
     lowrank_gflops=5.9,

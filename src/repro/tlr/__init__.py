@@ -8,18 +8,18 @@ experiments), while diagonal tiles stay dense.  This subpackage implements:
 * :class:`~repro.tlr.compression.LowRankTile` and rank-adaptive tile
   compression (randomized QB with an exact error indicator, then a small
   SVD) with accuracy-driven rank truncation,
-* low-rank arithmetic (addition with recompression/rounding, products),
+* low-rank arithmetic (rounding by recompression, products),
 * :class:`~repro.tlr.matrix.TLRMatrix` — the compressed matrix container
   with rank statistics and memory accounting,
 * :func:`~repro.tlr.cholesky.tlr_cholesky` — the TLR Cholesky factorization
-  expressed as runtime tasks,
+  expressed as runtime tasks, compressing each tile once, after its last
+  trailing update,
 * :mod:`~repro.tlr.ranks` — rank-distribution analysis reproducing Figure 5.
 """
 
 from repro.tlr.compression import (
     LowRankTile,
     compress_tile,
-    lowrank_add,
     lowrank_matmul_dense,
     recompress,
 )
@@ -35,7 +35,6 @@ __all__ = [
     "tlr_quadratic_form",
     "LowRankTile",
     "compress_tile",
-    "lowrank_add",
     "lowrank_matmul_dense",
     "recompress",
     "TLRMatrix",

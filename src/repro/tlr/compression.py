@@ -11,11 +11,11 @@ rank: a randomized QB factorization with an exact error indicator (Yu, Gu &
 Li 2018) finds the range in :data:`QB_BLOCK`-column steps, and only the
 small projected matrix gets an exact SVD.
 
-Low-rank addition concatenates factors and *recompresses* (rounds) the result
-back to the target accuracy through Householder QRs of the stacked factors
-and a small SVD, applying the reflectors only to the kept columns — the
-standard rounding procedure that keeps ranks bounded during the TLR Cholesky
-trailing updates.
+:func:`recompress` rounds a low-rank tile back to the target accuracy through
+Householder QRs of its factors and a small SVD, applying the reflectors only
+to the kept columns — the standard rounding procedure; the online rank-k
+updates of a TLR factor (:mod:`repro.core.update`) use it to keep ranks
+bounded.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "LowRankTile",
     "compress_tile",
     "recompress",
-    "lowrank_add",
     "lowrank_matmul_dense",
 ]
 
@@ -92,9 +91,6 @@ class LowRankTile:
 
     def memory_bytes(self) -> int:
         return self.u.nbytes + self.v.nbytes
-
-    def scale(self, alpha: float) -> "LowRankTile":
-        return LowRankTile(alpha * self.u, self.v.copy())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LowRankTile(shape={self.shape}, rank={self.rank})"
@@ -223,8 +219,8 @@ def _apply_reflectors(qr: np.ndarray, tau: np.ndarray, top: np.ndarray) -> np.nd
 def recompress(tile: LowRankTile, accuracy: float, max_rank: int | None = None) -> LowRankTile:
     """Round a low-rank tile back to ``accuracy`` (QR + small SVD).
 
-    This is the rounding step applied after low-rank additions so ranks do
-    not grow unboundedly during the TLR Cholesky trailing updates.  The
+    This is the rounding step applied after a low-rank addition, so ranks do
+    not grow unboundedly across rank-k updates of a TLR factor.  The
     Householder QRs of ``U`` and ``V`` never form their ``Q``: the reflectors
     are applied only to the ``r`` columns the truncation keeps.
     """
@@ -239,26 +235,6 @@ def recompress(tile: LowRankTile, accuracy: float, max_rank: int | None = None) 
     if core.rank == 0:
         return LowRankTile(np.zeros((tile.shape[0], 0)), np.zeros((tile.shape[1], 0)))
     return LowRankTile(_apply_reflectors(qu, tau_u, core.u), _apply_reflectors(qv, tau_v, core.v))
-
-
-def lowrank_add(
-    a: LowRankTile,
-    b: LowRankTile,
-    alpha: float = 1.0,
-    accuracy: float = 1e-3,
-    max_rank: int | None = None,
-) -> LowRankTile:
-    """Compute ``a + alpha * b`` in low-rank form with recompression."""
-    if a.shape != b.shape:
-        raise ValueError(f"tile shapes do not match: {a.shape} vs {b.shape}")
-    if b.rank == 0:
-        return a
-    if a.rank == 0:
-        scaled = b.scale(alpha)
-        return recompress(scaled, accuracy, max_rank)
-    u = np.hstack([a.u, alpha * b.u])
-    v = np.hstack([a.v, b.v])
-    return recompress(LowRankTile(u, v), accuracy, max_rank)
 
 
 def lowrank_matmul_dense(tile: LowRankTile, dense: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -93,6 +93,28 @@ class TestBitParity:
                             prefix_sumsq=sumsq, backend=backend)
             assert np.all(sumsq > 0.0), backend
 
+    @pytest.mark.parametrize("backend", ["reference", "numpy"])
+    def test_segment_sums_equal_per_row_reductions(self, small_spd, backend):
+        """The sums taken after the row loop equal ``p.sum()`` and
+        ``np.dot(p, p)`` over each segment of the running product after
+        each row, bit for bit."""
+        n, c = small_spd.shape[0], 600
+        l_tile = np.linalg.cholesky(small_spd)
+        r_tile = qmc_samples(n, c, rng=2)
+        a_tile, b_tile = np.full((n, c), -1.0), np.full((n, c), 1.5)
+        segments = [(0, 512), (512, c)]
+        sums, sumsqs = np.zeros((2, n)), np.zeros((2, n))
+        qmc_kernel_tile(l_tile, r_tile, a_tile, b_tile, np.ones(c), np.empty((n, c)),
+                        prefix_sum=sums, prefix_sumsq=sumsqs, segments=segments, backend=backend)
+        for i in range(n):
+            # the running product after row i: the kernel over rows 0..i
+            p = np.ones(c)
+            qmc_kernel_tile(l_tile[:i + 1, :i + 1], r_tile[:i + 1], a_tile[:i + 1], b_tile[:i + 1],
+                            p, np.empty((i + 1, c)), backend=backend)
+            for s, (c0, c1) in enumerate(segments):
+                assert sums[s, i] == float(p[c0:c1].sum())
+                assert sumsqs[s, i] == float(np.dot(p[c0:c1], p[c0:c1]))
+
     def test_prefix_accumulators_bit_identical(self, spd36):
         from repro.core import PMVNOptions, pmvn_integrate
 

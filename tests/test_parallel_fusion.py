@@ -11,10 +11,10 @@ Three contracts:
   seeds, methods, limit kinds (``+inf`` upper rows included, which skip the
   B-side propagation), prefix output and worker counts, and the layout rule
   only fuses lane-aligned, prefix-free batches of several boxes;
-* **tile rule** — one worker sweeps a micro-batch as one wide tile with the
-  same bits as any other cut, an all-infinite side is never materialized,
-  no pooled buffer is read before it is written, and prefix sweeps keep
-  their 512-chain tiles.
+* **tile rule** — one worker sweeps a micro-batch, or a detection's
+  prefix sweep, as one wide tile with the same bits as any other cut, an
+  all-infinite side is never materialized, and no pooled buffer is read
+  before it is written.
 """
 
 from __future__ import annotations
@@ -179,8 +179,8 @@ class TestFusionParity:
 
 
 class TestTileRule:
-    """One worker sweeps a micro-batch as one wide tile; wider tiles
-    materialize nothing they do not read; prefix sweeps keep their tiles."""
+    """One worker sweeps a micro-batch or a prefix sweep as one wide tile;
+    wider tiles materialize nothing they do not read."""
 
     @pytest.mark.parametrize("method", ["dense", "tlr"])
     def test_one_worker_sweeps_a_batch_as_one_tile(self, spd36, rng, method):
@@ -240,8 +240,9 @@ class TestTileRule:
         assert [(r.probability, r.error) for r in second] == [(r.probability, r.error) for r in first]
 
     def test_prefix_sweeps_keep_their_tiles(self, spd36, monkeypatch):
-        """A detection on one worker sweeps 512-chain tiles and gets the
-        same prefix arrays as an explicit ``chain_block=512`` sweep."""
+        """A detection on one worker sweeps one 1000-chain tile (two
+        512-chain accumulation segments) and gets the same prefix arrays as
+        an explicit ``chain_block=512`` sweep."""
         import repro.core.crd as crd_mod
 
         n = spd36.shape[0]
@@ -259,9 +260,32 @@ class TestTileRule:
         with MVNSolver(config) as solver:
             solver.model(spd36, mean=np.linspace(-0.5, 0.5, n)).confidence_region(0.0, rng=1)
         [(result, pinned)] = seen
-        assert result.details["chain_block"] == pinned.details["chain_block"] == 512
+        assert (result.details["chain_block"], pinned.details["chain_block"]) == (1000, 512)
         for key in ("prefix_probabilities", "prefix_errors"):
             np.testing.assert_array_equal(result.details[key], pinned.details[key])
+
+    @pytest.mark.parametrize("method", ["dense", "tlr"])
+    def test_prefix_sweep_is_one_tile_per_worker(self, spd36, method):
+        """A prefix sweep at N = 1000 is one 1000-chain tile on one worker;
+        2 and 3 workers (two 512-chain tiles) and an explicit
+        ``chain_block=512`` return the same prefix arrays, bit for bit."""
+        n = spd36.shape[0]
+        factor = factorize(spd36, method=method, tile_size=12, accuracy=1e-5)
+        box = (np.linspace(-1.5, 0.5, n), np.full(n, np.inf))
+
+        def sweep(workers, **knobs):
+            options = PMVNOptions(n_samples=1000, rng=5, return_prefix=True, **knobs)
+            with Runtime(n_workers=workers) as rt:
+                return pmvn_integrate_batch([box], factor, options, runtime=rt)[0]
+
+        one = sweep(1)
+        assert one.details["chain_block"] == 1000
+        others = [sweep(2), sweep(3), sweep(1, chain_block=512)]
+        assert [other.details["chain_block"] for other in others] == [512] * 3
+        for other in others:
+            assert (other.probability, other.error) == (one.probability, one.error)
+            for key in ("prefix_probabilities", "prefix_errors"):
+                np.testing.assert_array_equal(other.details[key], one.details[key])
 
 
 class TestCalibrationPerBackend:

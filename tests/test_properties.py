@@ -10,7 +10,7 @@ from repro.runtime import READ, READWRITE, WRITE, DataHandle, Task, TaskGraph
 from repro.stats.normal import norm_cdf, norm_cdf_interval, norm_ppf
 from repro.stats.qmc import HaltonSequence, RichtmyerLattice, first_primes
 from repro.tile import TileMatrix, tiled_cholesky
-from repro.tlr import TLRMatrix, compress_tile, lowrank_add, tlr_cholesky
+from repro.tlr import TLRMatrix, compress_tile, tlr_cholesky
 from repro.tlr.compression import QB_BLOCK, QB_SLACK
 from repro.mvn import mvn_sov_vectorized
 
@@ -155,17 +155,6 @@ class TestTLRProperties:
         assert err <= (1.0 + QB_SLACK) * eps * sv[0]
         if not np.any(np.abs(sv - eps * sv[0]) <= QB_SLACK * eps * sv[0]):
             assert tile.rank == exact
-
-    @_SLOW
-    @given(st.integers(0, 200), st.floats(-3, 3))
-    def test_lowrank_add_matches_dense_addition(self, seed, alpha):
-        rng = np.random.default_rng(seed)
-        a_dense = rng.standard_normal((12, 4)) @ rng.standard_normal((4, 10))
-        b_dense = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 10))
-        a = compress_tile(a_dense, accuracy=1e-12)
-        b = compress_tile(b_dense, accuracy=1e-12)
-        out = lowrank_add(a, b, alpha=alpha, accuracy=1e-12)
-        np.testing.assert_allclose(out.to_dense(), a_dense + alpha * b_dense, atol=1e-6)
 
     @_SLOW
     @given(st.integers(0, 200), st.integers(12, 40))

@@ -202,7 +202,8 @@ class TestCLI:
 
 _SWEEP = ["gemm_propagation", "integration", "kernel_sweep", "qmc_generation", "workspace_setup"]
 _DENSE = ["cholesky", "factorization"]
-_TLR = ["compression", "factorization", "tlr_cholesky"]
+#: TLR compression runs inside the TLR Cholesky's solve tasks: no region of its own
+_TLR = ["factorization", "tlr_cholesky"]
 _DETECTION = ["factorize", "marginals", "pmvn_sweep", "standardize"]
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import mvn_probability
+from repro.core import factorize, mvn_probability
 
 from repro.kernels import ExponentialKernel, Geometry, build_covariance
 from repro.runtime import Runtime, TaskError
@@ -20,7 +20,6 @@ from repro.tlr import (
     LowRankTile,
     TLRMatrix,
     compress_tile,
-    lowrank_add,
     lowrank_matmul_dense,
     rank_distribution,
     rank_histogram,
@@ -142,19 +141,6 @@ class TestCompression:
         assert rounded.rank <= tile.rank + 1
         np.testing.assert_allclose(rounded.to_dense(), inflated.to_dense(), atol=1e-6)
 
-    def test_lowrank_add_matches_dense(self, rng):
-        a_dense, b_dense = _smooth_tile(rng), _smooth_tile(rng)
-        a = compress_tile(a_dense, accuracy=1e-10)
-        b = compress_tile(b_dense, accuracy=1e-10)
-        out = lowrank_add(a, b, alpha=-2.0, accuracy=1e-10)
-        np.testing.assert_allclose(out.to_dense(), a.to_dense() - 2.0 * b.to_dense(), atol=1e-7)
-
-    def test_lowrank_add_shape_check(self, rng):
-        a = compress_tile(rng.standard_normal((4, 4)))
-        b = compress_tile(rng.standard_normal((5, 4)))
-        with pytest.raises(ValueError):
-            lowrank_add(a, b)
-
     def test_lowrank_matmul_dense(self, rng):
         tile = compress_tile(_smooth_tile(rng), accuracy=1e-10)
         x = rng.standard_normal((tile.shape[1], 7))
@@ -266,29 +252,47 @@ class TestTLRCholesky:
         with pytest.raises(TaskError, match="diagonal tile is not positive definite"):
             tlr_cholesky(TLRMatrix.from_dense(bad, 3, accuracy=1e-8))
 
-    def test_gemm_stacks_min_rank(self, monkeypatch):
-        """Every GEMM task rounds ``k_ij + min(k_ik, k_jk)`` stacked columns."""
+    def test_each_tile_is_compressed_once(self, monkeypatch):
+        """A factorization compresses every off-diagonal tile once, after
+        its last trailing update, and never re-rounds one: tile ``(i, k)``
+        is compressed after its ``k`` GEMM updates."""
         geom = Geometry.regular_grid(12, 12)
         sigma = build_covariance(ExponentialKernel(1.0, 0.1), geom.locations, nugget=1e-6)
-        expected, stacked, unequal = [], [], []
-        real_gemm, real_recompress = tlr_cholesky_module._gemm_lowrank, tlr_compression.recompress
+        updates, compressed, rounded = {}, [], []
+        real_gemm = tlr_cholesky_module._gemm_lowrank
+        real_compress, real_recompress = tlr_compression.compress_tile, tlr_compression.recompress
 
-        def gemm(target, left, right, **kwargs):
-            if left.rank and right.rank:
-                expected.append(target.rank + min(left.rank, right.rank))
-                if left.rank != right.rank:
-                    unequal.append(True)
-            return real_gemm(target, left, right, **kwargs)
+        def gemm(target, *args, **kwargs):
+            updates[id(target)] = updates.get(id(target), 0) + 1
+            return real_gemm(target, *args, **kwargs)
+
+        def compress_tile(tile, *args, **kwargs):
+            compressed.append(updates.get(id(tile), 0))
+            return real_compress(tile, *args, **kwargs)
 
         def recompress(tile, *args, **kwargs):
-            stacked.append(tile.rank)
+            rounded.append(tile.rank)
             return real_recompress(tile, *args, **kwargs)
 
         monkeypatch.setattr(tlr_cholesky_module, "_gemm_lowrank", gemm)
+        monkeypatch.setattr(tlr_compression, "compress_tile", compress_tile)
         monkeypatch.setattr(tlr_compression, "recompress", recompress)
-        tlr_cholesky(TLRMatrix.from_dense(sigma, 16, accuracy=1e-3), Runtime(n_workers=1))
-        assert unequal  # some task multiplies tiles of different ranks
-        assert stacked == expected
+        factor = factorize(sigma, method="tlr", tile_size=16, accuracy=1e-3)
+        nt = factor.n_blocks
+        assert len(factor.tlr.offdiag) == nt * (nt - 1) // 2
+        assert sorted(compressed) == sorted(k for i in range(nt) for k in range(i))
+        assert rounded == []
+
+    def test_gemm_updates_the_dense_tile_at_min_rank(self, rng):
+        """A trailing update subtracts ``U_ik (V_ik^T V_jk) U_jk^T`` from the
+        dense tile, whichever of the two ranks is smaller."""
+        target = rng.standard_normal((12, 10))
+        for k_left, k_right in ((2, 5), (5, 2)):
+            left = LowRankTile(rng.standard_normal((12, k_left)), rng.standard_normal((8, k_left)))
+            right = LowRankTile(rng.standard_normal((10, k_right)), rng.standard_normal((8, k_right)))
+            updated = target.copy()
+            tlr_cholesky_module._gemm_lowrank(updated, left, right)
+            np.testing.assert_allclose(updated, target - left.to_dense() @ right.to_dense().T, atol=1e-12)
 
     def test_flop_model_much_smaller_than_dense(self):
         dense_flops = 19600**3 / 3
