@@ -170,20 +170,6 @@ class FactorCache:
             accuracy, max_rank = None, None
         return (method, tile_size, accuracy, max_rank, precision)
 
-    @staticmethod
-    def key(
-        sigma,
-        method: str = "dense",
-        tile_size: int | None = None,
-        accuracy: float = 1e-3,
-        max_rank: int | None = None,
-        precision: str = "double",
-    ) -> tuple:
-        """The cache key for a covariance + factorization settings."""
-        return (sigma_fingerprint(sigma),) + FactorCache._settings_key(
-            method, tile_size, accuracy, max_rank, precision
-        )
-
     def get_or_factorize(
         self,
         sigma,

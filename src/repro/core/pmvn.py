@@ -130,10 +130,6 @@ class PMVNOptions:
     return_prefix : bool
         Also estimate the joint probability of every prefix of the
         dimensions (used by the confidence-region driver).
-    max_workspace_cols : int, optional
-        Batched sweep only: cap on the total chains materialized at once
-        (defaults to :data:`BATCH_WORKSPACE_COLS` scaled by the dimension);
-        additional boxes are swept in waves through the same runtime.
     backend : str, optional
         QMC kernel backend (``"numpy"`` or ``"reference"``); ``None``
         follows ``$REPRO_KERNEL_BACKEND`` and defaults to the fused
@@ -150,7 +146,6 @@ class PMVNOptions:
     qmc: str = "richtmyer"
     rng: object = None
     return_prefix: bool = False
-    max_workspace_cols: int | None = None
     backend: str | None = None
     workspace: "SweepWorkspace | None" = field(default=None, repr=False)
 
@@ -297,7 +292,6 @@ def pmvn_integrate_batch(
     fused, waves = sweep_tiles(
         n_boxes, n, n_samples, rt.n_workers, factor.tile_size,
         prefix=options.return_prefix, chain_block=options.chain_block,
-        max_cols=options.max_workspace_cols,
     )
 
     # Uniform variates: the SOV recursion consumes one row per dimension
@@ -473,7 +467,6 @@ def sweep_tiles(
     *,
     prefix: bool = False,
     chain_block: int | None = None,
-    max_cols: int | None = None,
 ) -> tuple[bool, list[tuple[list[int], list[list[tuple[int, int, int, int]]]]]]:
     """The sweep's layout rule: ``(fused, [(wave, tiles), ...])``.
 
@@ -485,9 +478,8 @@ def sweep_tiles(
     each segment is also one accumulation segment of the prefix sums.
 
     * A wave holds up to ``n_workers * C`` chains, at least one box and at
-      most ``max_cols`` (:data:`BATCH_WORKSPACE_COLS` scaled by the
-      dimension ``n``), so the pooled working set stays wave-sized however
-      many boxes are queued.
+      most ``max(n_samples, BATCH_WORKSPACE_COLS // n)``, so the pooled
+      working set stays wave-sized however many boxes are queued.
     * By default ``C`` is :data:`WORKER_TILE_COLS` and a wave of ``cols``
       chains is cut into ``max(n_workers, ceil(cols / C))`` tiles, their
       width rounded up to the column lane: one tile per worker at least,
@@ -514,7 +506,7 @@ def sweep_tiles(
         n_boxes > 1 and not prefix and n_samples % _COLUMN_LANE == 0
         and (chain_block is None or chain_block % _COLUMN_LANE == 0)
     )
-    max_cols = int(max_cols or max(n_samples, BATCH_WORKSPACE_COLS // max(n, 1)))
+    max_cols = max(n_samples, BATCH_WORKSPACE_COLS // max(n, 1))
     wave_cols = min(n_workers * (chain_block or WORKER_TILE_COLS), max_cols)
     per_wave = min(n_boxes, max(1, wave_cols // n_samples))
     waves = []

@@ -9,11 +9,9 @@ and 3).
 
 from repro.excursion.maps import (
     excursion_map,
-    excursion_map_sweep,
     marginal_probability_map,
     region_overlap,
 )
-from repro.excursion.regions import RegionSummary, label_regions, region_summaries
 from repro.excursion.sets import (
     ExcursionAnalysis,
     excursion_analysis,
@@ -28,16 +26,12 @@ from repro.excursion.validation import (
 
 __all__ = [
     "excursion_map",
-    "excursion_map_sweep",
     "marginal_probability_map",
     "region_overlap",
     "ExcursionAnalysis",
     "excursion_analysis",
     "excursion_threshold_sweep",
     "negative_confidence_region",
-    "RegionSummary",
-    "label_regions",
-    "region_summaries",
     "MCValidationResult",
     "mc_validate_regions",
     "compare_confidence_functions",

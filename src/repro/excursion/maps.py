@@ -19,7 +19,6 @@ __all__ = [
     "marginal_probability_map",
     "excursion_map",
     "region_overlap",
-    "excursion_map_sweep",
 ]
 
 
@@ -48,35 +47,6 @@ def excursion_map(geometry: Geometry, result: ConfidenceRegionResult, alpha: flo
     if geometry.grid_shape is not None:
         return geometry.as_image(mask)
     return mask
-
-
-def excursion_map_sweep(geometry: Geometry, sigma, mean, thresholds,
-                        alpha: float = 0.05, **kwargs) -> dict:
-    """Per-threshold excursion classification maps from one pipeline run.
-
-    Runs :func:`repro.excursion.excursion_threshold_sweep` (the
-    threshold-sweep excursion pipeline: one solver session, shared factor
-    cache across every threshold and sign) and reshapes each threshold's
-    three-way classification — ``+1`` above, ``-1`` below, ``0`` uncertain
-    — onto the geometry's grid (flat vectors for irregular geometries).
-
-    Returns ``{"thresholds", "maps", "analyses"}`` with ``maps`` stacked as
-    ``(len(thresholds), *grid_shape)``.
-    """
-    # imported late to keep the module graph acyclic at import time
-    from repro.excursion.sets import excursion_threshold_sweep
-
-    analyses = excursion_threshold_sweep(sigma, mean, thresholds, alpha, **kwargs)
-    layers = []
-    for analysis in analyses:
-        labels = analysis.classification().astype(float)
-        layers.append(geometry.as_image(labels)
-                      if geometry.grid_shape is not None else labels)
-    return {
-        "thresholds": np.asarray(thresholds, dtype=np.float64).ravel(),
-        "maps": np.stack(layers),
-        "analyses": analyses,
-    }
 
 
 def region_overlap(mask_a, mask_b) -> dict[str, float]:

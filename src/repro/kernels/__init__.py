@@ -24,7 +24,6 @@ from repro.kernels.covariance import (
     ExponentialKernel,
     GaussianKernel,
     PoweredExponentialKernel,
-    kernel_from_name,
 )
 from repro.kernels.builder import (
     build_covariance,
@@ -44,7 +43,6 @@ __all__ = [
     "ExponentialKernel",
     "GaussianKernel",
     "PoweredExponentialKernel",
-    "kernel_from_name",
     "build_covariance",
     "build_covariance_tile",
     "build_tiled_covariance",

@@ -26,7 +26,6 @@ __all__ = [
     "ExponentialKernel",
     "GaussianKernel",
     "PoweredExponentialKernel",
-    "kernel_from_name",
 ]
 
 
@@ -181,19 +180,3 @@ class PoweredExponentialKernel(CovarianceKernel):
     def __call__(self, h) -> np.ndarray:
         h = _as_distance(h)
         return self.sigma2 * np.exp(-np.power(h / self.range_, self.power))
-
-
-_KERNELS = {
-    "matern": MaternKernel,
-    "exponential": ExponentialKernel,
-    "gaussian": GaussianKernel,
-    "powered_exponential": PoweredExponentialKernel,
-}
-
-
-def kernel_from_name(name: str, **params) -> CovarianceKernel:
-    """Instantiate a kernel by name (``"matern"``, ``"exponential"``, ...)."""
-    key = name.lower()
-    if key not in _KERNELS:
-        raise ValueError(f"unknown kernel {name!r}; available: {sorted(_KERNELS)}")
-    return _KERNELS[key](**params)

@@ -16,24 +16,11 @@ All estimators return an :class:`~repro.mvn.result.MVNResult`.
 from repro.mvn.result import MVNResult
 from repro.mvn.mc import mvn_mc
 from repro.mvn.sov import mvn_sov, mvn_sov_vectorized, sov_transform_limits
-from repro.mvn.reordering import (
-    apply_ordering,
-    gb_reordering,
-    inverse_permutation,
-    univariate_reordering,
-)
-from repro.mvn.student_t import chi_quantile, mvt_sov_vectorized
 
 __all__ = [
-    "chi_quantile",
-    "mvt_sov_vectorized",
     "MVNResult",
     "mvn_mc",
     "mvn_sov",
     "mvn_sov_vectorized",
     "sov_transform_limits",
-    "apply_ordering",
-    "gb_reordering",
-    "inverse_permutation",
-    "univariate_reordering",
 ]

@@ -38,7 +38,7 @@ see ``docs/pipelines.md`` for the narrative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np

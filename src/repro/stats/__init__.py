@@ -14,7 +14,7 @@ beyond linear algebra lives here:
   given noisy partial observations (equations 7 and 8 of the paper).
 """
 
-from repro.stats.normal import norm_cdf, norm_pdf, norm_ppf, norm_cdf_interval, truncnorm_sample
+from repro.stats.normal import norm_cdf, norm_ppf
 from repro.stats.qmc import (
     HaltonSequence,
     RichtmyerLattice,
@@ -28,10 +28,7 @@ from repro.stats.posterior import PosteriorResult, posterior_from_observations, 
 
 __all__ = [
     "norm_cdf",
-    "norm_pdf",
     "norm_ppf",
-    "norm_cdf_interval",
-    "truncnorm_sample",
     "HaltonSequence",
     "RichtmyerLattice",
     "SobolSequence",

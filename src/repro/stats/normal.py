@@ -25,26 +25,14 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 __all__ = [
-    "norm_pdf",
     "norm_cdf",
     "norm_ppf",
-    "norm_cdf_interval",
-    "truncnorm_sample",
     "PPF_EPS",
 ]
 
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
 #: probabilities are clipped into [PPF_EPS, 1 - PPF_EPS] before inversion;
 #: ndtri maps these to roughly +/- 8.2 standard deviations, safely finite
 PPF_EPS = 1e-16
-# retained private alias (pre-existing internal name)
-_PPF_EPS = PPF_EPS
-
-
-def norm_pdf(x) -> np.ndarray:
-    """Standard normal density, elementwise."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
 def norm_cdf(x, out: np.ndarray | None = None) -> np.ndarray:
@@ -75,40 +63,3 @@ def norm_ppf(p, out: np.ndarray | None = None) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     clipped = np.clip(p, PPF_EPS, 1.0 - PPF_EPS)
     return ndtri(clipped)
-
-
-def norm_cdf_interval(a, b, out: np.ndarray | None = None) -> np.ndarray:
-    """``Phi(b) - Phi(a)`` computed elementwise, guaranteed non-negative.
-
-    For well-ordered limits the difference is mathematically non-negative,
-    but cancellation can produce tiny negative values in floating point; the
-    result is clipped at zero because it is used as a probability factor.
-    With ``out=`` the buffer receives ``Phi(b)``, then the subtraction of
-    ``Phi(a)`` (one temporary) and the clip happen in place.  ``out`` may
-    alias ``b`` but must not alias ``a``.
-    """
-    if out is not None:
-        ndtr(b, out=out)
-        np.subtract(out, ndtr(a), out=out)
-        return np.maximum(out, 0.0, out=out)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    diff = ndtr(b) - ndtr(a)
-    return np.maximum(diff, 0.0)
-
-
-def truncnorm_sample(a, b, u) -> np.ndarray:
-    """Inverse-CDF sample of a standard normal truncated to ``[a, b]``.
-
-    ``u`` are uniform(0,1) variates (from a QMC sequence or an RNG); the
-    returned values satisfy ``a <= x <= b`` up to the PPF clipping.  This is
-    exactly the update ``y_i`` of the SOV recursion.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if np.any((u < 0.0) | (u > 1.0)):
-        raise ValueError("uniform variates must lie in [0, 1]")
-    phi_a = ndtr(a)
-    phi_b = ndtr(b)
-    return norm_ppf(phi_a + u * (phi_b - phi_a))

@@ -10,19 +10,13 @@ SYRK, GEMM) submitted to the runtime.  This subpackage provides:
 * :func:`~repro.tile.cholesky.tiled_cholesky` — the right-looking tile
   Cholesky factorization expressed as runtime tasks (its codelets are the
   task bodies; :mod:`repro.tile.dense_kernels` holds their flop counts).
-* :mod:`repro.tile.operations` — tiled GEMM / TRSM helpers used by the PMVN
-  sweep and by the tests.
 """
 
 from repro.tile.layout import TileMatrix, tile_ranges
 from repro.tile.cholesky import tiled_cholesky
-from repro.tile.operations import tiled_gemm, tiled_lower_solve, tiled_matvec
 
 __all__ = [
     "TileMatrix",
     "tile_ranges",
     "tiled_cholesky",
-    "tiled_gemm",
-    "tiled_lower_solve",
-    "tiled_matvec",
 ]

@@ -26,13 +26,8 @@ from repro.tlr.compression import (
 from repro.tlr.matrix import TLRMatrix
 from repro.tlr.cholesky import tlr_cholesky, tlr_cholesky_flops
 from repro.tlr.ranks import RankReport, rank_distribution, rank_histogram
-from repro.tlr.operations import tlr_lower_solve, tlr_matmat, tlr_matvec, tlr_quadratic_form
 
 __all__ = [
-    "tlr_lower_solve",
-    "tlr_matmat",
-    "tlr_matvec",
-    "tlr_quadratic_form",
     "LowRankTile",
     "compress_tile",
     "lowrank_matmul_dense",

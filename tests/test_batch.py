@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import repro.core.crd as crd_module
+import repro.core.pmvn as pmvn_module
 from repro import confidence_region, factorize, mvn_probability
 from repro.batch import (
     FactorCache,
@@ -49,13 +50,15 @@ class TestBatchMatchesSingles:
             assert batch_result.details["batch_index"] == idx
             assert batch_result.details["batch_size"] == len(boxes)
 
-    def test_wave_splitting_does_not_change_results(self, batch_sigma):
+    def test_wave_splitting_does_not_change_results(self, batch_sigma, monkeypatch):
         factor = factorize(batch_sigma, method="dense")
         boxes = _boxes(factor.n, 5)
         one_wave = pmvn_integrate_batch(boxes, factor, PMVNOptions(n_samples=200, rng=3))
-        waved = pmvn_integrate_batch(
-            boxes, factor, PMVNOptions(n_samples=200, rng=3, max_workspace_cols=200)
-        )
+        # a 200-chain workspace cap sweeps one box per wave
+        monkeypatch.setattr(pmvn_module, "BATCH_WORKSPACE_COLS", 200 * factor.n)
+        _fused, waves = pmvn_module.sweep_tiles(5, factor.n, 200, 1, factor.tile_size)
+        assert len(waves) == 5
+        waved = pmvn_integrate_batch(boxes, factor, PMVNOptions(n_samples=200, rng=3))
         for a_res, b_res in zip(one_wave, waved):
             assert a_res.probability == b_res.probability
 

@@ -282,23 +282,24 @@ class TestVariateDraws:
         return calls
 
     @staticmethod
-    def _sweep(spd20, rng):
+    def _sweep(spd20, rng, monkeypatch):
         """Five identical boxes, swept in three waves (two boxes fit 128 columns)."""
         n = spd20.shape[0]
         box = (np.full(n, -np.inf), np.full(n, 0.5))
-        options = PMVNOptions(n_samples=64, rng=rng, max_workspace_cols=128)
+        monkeypatch.setattr(pmvn_module, "BATCH_WORKSPACE_COLS", 128 * n)
+        options = PMVNOptions(n_samples=64, rng=rng)
         return pmvn_integrate_batch([box] * 5, factorize(spd20, tile_size=6), options)
 
     @pytest.mark.parametrize("seed", [3, np.int64(3)])
-    def test_integer_seed_draws_once(self, spd20, draws, seed):
-        results = self._sweep(spd20, seed)
+    def test_integer_seed_draws_once(self, spd20, draws, seed, monkeypatch):
+        results = self._sweep(spd20, seed, monkeypatch)
         assert len(draws) == 1
         assert len({result.probability for result in results}) == 1
 
     @pytest.mark.parametrize("source", ["generator", None])
-    def test_other_sources_draw_per_box(self, spd20, draws, source):
+    def test_other_sources_draw_per_box(self, spd20, draws, source, monkeypatch):
         rng = np.random.default_rng(3) if source == "generator" else None
-        results = self._sweep(spd20, rng)
+        results = self._sweep(spd20, rng, monkeypatch)
         assert len(draws) == 5
         # identical boxes, different variates: every estimate differs
         assert len({result.probability for result in results}) == 5

@@ -11,7 +11,9 @@ Four layers keep the documentation honest:
   generated block of ``docs/methods.md`` — one shared tuple, no drift,
 * the generated API reference (``docs/api.md``) is regenerated from
   :func:`repro.utils.apidoc.api_markdown` and compared, so the public
-  surface cannot drift from its documentation.
+  surface cannot drift from its documentation; every ``repro`` module's
+  ``__all__`` must resolve, and every ``benchmarks/bench_*.py`` must
+  import, so a deleted name fails here and not at the next figure run.
 
 All of these carry the ``docs`` marker: ``pytest -m docs`` runs exactly
 the executable-documentation suite (it is part of the default tier-1 run).
@@ -20,6 +22,8 @@ the executable-documentation suite (it is part of the default tier-1 run).
 from __future__ import annotations
 
 import doctest
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -159,6 +163,24 @@ class TestMethodRegistrySync:
         text = (REPO_ROOT / "docs" / "methods.md").read_text()
         for script in sorted((REPO_ROOT / "benchmarks").glob("bench_*.py")):
             assert script.name in text, f"{script.name} missing from docs/methods.md"
+
+    @pytest.mark.parametrize(
+        "stem", sorted(path.stem for path in (REPO_ROOT / "benchmarks").glob("bench_*.py"))
+    )
+    def test_every_benchmark_imports(self, stem, monkeypatch):
+        monkeypatch.syspath_prepend(str(REPO_ROOT))
+        importlib.import_module(f"benchmarks.{stem}")
+
+    def test_every_module_all_resolves(self):
+        checked = []
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            module = importlib.import_module(info.name)
+            names = getattr(module, "__all__", ())
+            assert len(set(names)) == len(names), f"{info.name}.__all__ repeats a name"
+            for name in names:
+                assert hasattr(module, name), f"{info.name}.__all__ names missing {name!r}"
+            checked.append(info.name)
+        assert "repro.core.pmvn" in checked and "repro.serve.net.gateway" in checked
 
     def test_api_md_matches_generator(self):
         text = (REPO_ROOT / "docs" / "api.md").read_text()

@@ -17,7 +17,6 @@ from repro.excursion import (
     MCValidationResult,
     compare_confidence_functions,
     excursion_map,
-    excursion_map_sweep,
     marginal_probability_map,
     mc_validate_regions,
     region_overlap,
@@ -107,20 +106,6 @@ class TestRegionOverlap:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="same number of locations"):
             region_overlap(np.zeros(3), np.zeros(4))
-
-
-class TestExcursionMapSweep:
-    def test_sweep_stacks_classification_maps(self):
-        geom, sigma, mean = _grid_field(4)
-        out = excursion_map_sweep(geom, sigma, mean, [0.0, 0.5],
-                                  n_samples=100, rng=0)
-        assert np.array_equal(out["thresholds"], [0.0, 0.5])
-        assert out["maps"].shape == (2, 4, 4)
-        assert len(out["analyses"]) == 2
-        assert set(np.unique(out["maps"])) <= {-1.0, 0.0, 1.0}
-        for layer, analysis in zip(out["maps"], out["analyses"]):
-            assert np.array_equal(layer.ravel(),
-                                  geom.as_image(analysis.classification().astype(float)).ravel())
 
 
 class TestMCValidateRegions:

@@ -5,12 +5,11 @@ import pytest
 from scipy.stats import multivariate_normal, norm
 
 from repro.fields import (
-    conditional_simulation,
     sample_from_cholesky,
     sample_from_covariance,
     sample_gaussian_field,
 )
-from repro.kernels import ExponentialKernel, Geometry, build_covariance
+from repro.kernels import ExponentialKernel, Geometry
 from repro.mvn import MVNResult, mvn_mc, mvn_sov, mvn_sov_vectorized, sov_transform_limits
 
 
@@ -58,23 +57,12 @@ class TestFieldSampling:
         with pytest.raises(ValueError):
             sample_from_covariance(small_spd, mean=np.zeros(3))
 
-    def test_conditional_simulation_interpolates_observations(self, rng):
-        geom = Geometry.regular_grid(6, 6)
-        kern = ExponentialKernel(1.0, 0.3)
-        sigma = build_covariance(kern, geom.locations, nugget=1e-10)
-        observed = np.array([0, 7, 14, 21, 28, 35])
-        values = rng.standard_normal(observed.size)
-        sims = conditional_simulation(sigma, observed, values, n_samples=200, noise_std=0.0, rng=rng)
-        np.testing.assert_allclose(sims[observed].mean(axis=1), values, atol=0.05)
-        np.testing.assert_allclose(sims[observed].std(axis=1), 0.0, atol=0.05)
-
-    def test_conditional_simulation_validation(self, small_spd):
-        with pytest.raises(ValueError):
-            conditional_simulation(small_spd, [0, 1], np.zeros(3))
-        with pytest.raises(ValueError):
-            conditional_simulation(small_spd, [99], np.zeros(1))
-        with pytest.raises(ValueError):
-            conditional_simulation(small_spd, [0], np.zeros(1), noise_std=-1.0)
+    def test_sample_count_follows_the_count_rule(self):
+        samples = sample_from_covariance(np.eye(3), n_samples=1e3, rng=0)
+        assert samples.shape == (3, 1000)
+        for bad in (0, 2.5, True):
+            with pytest.raises(ValueError, match="n_samples"):
+                sample_from_covariance(np.eye(3), n_samples=bad)
 
 
 class TestMVNResult:

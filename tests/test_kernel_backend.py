@@ -22,7 +22,7 @@ from repro.core.kernel_backend import (
     resolve_backend_name,
 )
 from repro.solver import MVNSolver, SolverConfig
-from repro.stats.normal import norm_cdf, norm_cdf_interval, norm_ppf
+from repro.stats.normal import norm_cdf, norm_ppf
 from repro.stats.qmc import qmc_samples
 from repro.utils.timers import collect_timings
 
@@ -315,12 +315,6 @@ class TestStatsOutVariants:
         assert result is p
         np.testing.assert_array_equal(p, expected)
 
-    def test_norm_cdf_interval_out_bit_identical(self, rng):
-        a = rng.standard_normal(129)
-        b = a + np.abs(rng.standard_normal(129))
-        out = np.empty_like(a)
-        np.testing.assert_array_equal(norm_cdf_interval(a, b, out=out), norm_cdf_interval(a, b))
-
     def test_workspace_binds_the_diagonal(self, small_spd):
         l_tile = np.linalg.cholesky(small_spd)
         ws = KernelWorkspace()
@@ -339,17 +333,3 @@ class TestInPlaceGemm:
             result = factor.apply_offdiag_into(2, 0, y, out=out)
             assert result is out
             np.testing.assert_array_equal(out, expected)
-
-    def test_tlr_matmat_out_matches(self, spd36, rng):
-        from repro.tlr.matrix import TLRMatrix
-        from repro.tlr.operations import tlr_matmat
-
-        tlr = TLRMatrix.from_dense(spd36, 7, accuracy=1e-6)
-        x = rng.standard_normal((spd36.shape[0], 5))
-        expected = tlr_matmat(tlr, x)
-        out = np.full_like(expected, np.nan)
-        result = tlr_matmat(tlr, x, out=out)
-        assert result is out
-        np.testing.assert_array_equal(out, expected)
-        with pytest.raises(ValueError, match="out must have shape"):
-            tlr_matmat(tlr, x, out=np.empty((3, 3)))

@@ -16,7 +16,6 @@ from repro.kernels import (
     cross_distances,
     grid_locations,
     irregular_locations,
-    kernel_from_name,
     pairwise_distances,
 )
 
@@ -160,12 +159,6 @@ class TestKernels:
         short = ExponentialKernel(1.0, 0.05).effective_range()
         long = ExponentialKernel(1.0, 0.3).effective_range()
         assert long > short
-
-    def test_kernel_from_name(self):
-        k = kernel_from_name("matern", sigma2=1.0, range_=0.1, smoothness=1.0)
-        assert isinstance(k, MaternKernel)
-        with pytest.raises(ValueError):
-            kernel_from_name("nope")
 
     def test_correlation_normalized(self):
         k = ExponentialKernel(4.0, 0.2)

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.kernels import ExponentialKernel, MaternKernel, pairwise_distances
 from repro.runtime import READ, READWRITE, WRITE, DataHandle, Task, TaskGraph
-from repro.stats.normal import norm_cdf, norm_cdf_interval, norm_ppf
+from repro.stats.normal import norm_cdf, norm_ppf
 from repro.stats.qmc import HaltonSequence, RichtmyerLattice, first_primes
 from repro.tile import TileMatrix, tiled_cholesky
 from repro.tlr import TLRMatrix, compress_tile, tlr_cholesky
@@ -34,14 +34,6 @@ class TestNormalProperties:
     def test_ppf_cdf_roundtrip(self, x):
         # beyond ~6 sigma the CDF saturates and the inverse loses relative accuracy
         np.testing.assert_allclose(norm_ppf(norm_cdf(x)), x, atol=1e-6)
-
-    @given(
-        hnp.arrays(np.float64, 20, elements=st.floats(-10, 10)),
-        hnp.arrays(np.float64, 20, elements=st.floats(0, 5)),
-    )
-    def test_interval_probability_nonnegative(self, a, width):
-        b = a + width
-        assert np.all(norm_cdf_interval(a, b) >= 0.0)
 
     @given(st.floats(-6, 6), st.floats(-6, 6))
     def test_cdf_monotone(self, x, y):

@@ -15,13 +15,10 @@ from repro.stats import (
     indicator_matrix,
     negative_log_likelihood,
     norm_cdf,
-    norm_cdf_interval,
-    norm_pdf,
     norm_ppf,
     posterior_from_observations,
     qmc_samples,
     sequence_from_name,
-    truncnorm_sample,
 )
 from repro.stats.qmc import canonical_qmc, first_primes
 
@@ -30,10 +27,6 @@ class TestNormal:
     def test_cdf_matches_scipy(self, rng):
         x = rng.normal(0, 3, 200)
         np.testing.assert_allclose(norm_cdf(x), scipy_norm.cdf(x), atol=1e-12)
-
-    def test_pdf_matches_scipy(self, rng):
-        x = rng.normal(0, 2, 100)
-        np.testing.assert_allclose(norm_pdf(x), scipy_norm.pdf(x), atol=1e-12)
 
     def test_ppf_inverts_cdf(self, rng):
         x = rng.normal(0, 1, 100)
@@ -46,22 +39,6 @@ class TestNormal:
         vals = norm_ppf(np.array([0.0, 1.0]))
         assert np.all(np.isfinite(vals))
         assert vals[0] < -7 and vals[1] > 7
-
-    def test_interval_nonnegative(self):
-        a = np.array([0.0, 5.0])
-        b = np.array([1.0, 5.0])
-        widths = norm_cdf_interval(a, b)
-        assert np.all(widths >= 0.0)
-
-    def test_truncnorm_sample_within_bounds(self, rng):
-        a, b = -0.5, 1.2
-        u = rng.random(1000)
-        x = truncnorm_sample(np.full(1000, a), np.full(1000, b), u)
-        assert np.all(x >= a - 1e-9) and np.all(x <= b + 1e-9)
-
-    def test_truncnorm_rejects_bad_uniforms(self):
-        with pytest.raises(ValueError):
-            truncnorm_sample(np.zeros(2), np.ones(2), np.array([0.5, 1.5]))
 
 
 class TestQMC:

@@ -1,14 +1,12 @@
-"""Tests for the Student-t extension, excursion-set variants, IO, and the CLI."""
+"""Tests for the excursion-set variants, IO, and the CLI."""
 
 import numpy as np
 import pytest
-from scipy.stats import multivariate_t, norm, t as student_t
 
 from repro.core import confidence_region
 from repro.core.kernel_backend import available_backends
 from repro.excursion import excursion_analysis, negative_confidence_region
 from repro.kernels import ExponentialKernel, Geometry, build_covariance
-from repro.mvn import chi_quantile, mvt_sov_vectorized, mvn_sov_vectorized
 from repro.tlr import TLRMatrix
 from repro.utils.io import (
     load_confidence_region,
@@ -25,63 +23,6 @@ def field(rng):
     sigma = build_covariance(ExponentialKernel(1.0, 0.3), geom.locations, nugget=1e-8)
     mean = 0.8 * np.exp(-((geom.locations[:, 0] - 0.3) ** 2 + (geom.locations[:, 1] - 0.5) ** 2) / 0.1)
     return geom, sigma, mean
-
-
-class TestStudentT:
-    def test_chi_quantile_median(self):
-        """Median of the chi^2_k distribution maps back through the quantile."""
-        from scipy.stats import chi2
-
-        for dof in (1.0, 4.0, 10.0):
-            u = np.array([0.25, 0.5, 0.9])
-            expected = np.sqrt(chi2(dof).ppf(u))
-            np.testing.assert_allclose(chi_quantile(u, dof), expected, rtol=1e-10)
-
-    def test_chi_quantile_validation(self):
-        with pytest.raises(ValueError):
-            chi_quantile(np.array([0.5]), -1.0)
-        with pytest.raises(ValueError):
-            chi_quantile(np.array([0.0]), 3.0)
-
-    def test_univariate_matches_scipy_t(self):
-        dof = 5.0
-        b = 1.3
-        ref = student_t(dof).cdf(b)
-        res = mvt_sov_vectorized([-np.inf], [b], np.array([[1.0]]), dof, n_samples=20_000, rng=0)
-        assert res.probability == pytest.approx(ref, abs=5e-3)
-
-    def test_bivariate_matches_scipy_multivariate_t(self):
-        sigma = np.array([[1.0, 0.5], [0.5, 2.0]])
-        dof = 7.0
-        b = np.array([0.8, 1.5])
-        ref = multivariate_t(shape=sigma, df=dof).cdf(b)
-        res = mvt_sov_vectorized(np.full(2, -np.inf), b, sigma, dof, n_samples=30_000, rng=1)
-        assert res.probability == pytest.approx(ref, abs=1e-2)
-
-    def test_converges_to_mvn_for_large_dof(self, rng):
-        a_mat = rng.standard_normal((5, 5))
-        sigma = a_mat @ a_mat.T + 5 * np.eye(5)
-        b = rng.standard_normal(5)
-        mvn = mvn_sov_vectorized(np.full(5, -np.inf), b, sigma, n_samples=8000, rng=2).probability
-        mvt = mvt_sov_vectorized(np.full(5, -np.inf), b, sigma, 1e6, n_samples=8000, rng=2).probability
-        assert mvt == pytest.approx(mvn, abs=5e-3)
-
-    def test_heavier_tails_than_gaussian(self):
-        """For a symmetric box the t distribution puts less mass inside."""
-        sigma = np.eye(3)
-        a, b = np.full(3, -1.0), np.full(3, 1.0)
-        gauss = (norm.cdf(1.0) - norm.cdf(-1.0)) ** 3
-        res = mvt_sov_vectorized(a, b, sigma, dof=3.0, n_samples=20_000, rng=3)
-        assert res.probability < gauss
-
-    def test_invalid_dof(self):
-        with pytest.raises(ValueError):
-            mvt_sov_vectorized([0.0], [1.0], np.eye(1), dof=0.0)
-
-    def test_result_metadata(self):
-        res = mvt_sov_vectorized([-1.0], [1.0], np.eye(1), dof=4.0, n_samples=500, rng=0)
-        assert res.method == "mvt-sov"
-        assert res.details["dof"] == 4.0
 
 
 class TestExcursionSetVariants:

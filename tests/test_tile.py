@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import Runtime, TaskError
-from repro.tile import (
-    TileMatrix,
-    tile_ranges,
-    tiled_cholesky,
-    tiled_gemm,
-    tiled_lower_solve,
-    tiled_matvec,
-)
+from repro.tile import TileMatrix, tile_ranges, tiled_cholesky
 from repro.tile.dense_kernels import potrf_flops
 
 
@@ -132,51 +125,3 @@ class TestTiledCholesky:
 
     def test_flop_count(self):
         assert potrf_flops(100) == pytest.approx(100**3 / 3)
-
-
-class TestTiledOperations:
-    def test_tiled_gemm_matches_numpy(self, rng):
-        a = rng.standard_normal((12, 9))
-        b = rng.standard_normal((9, 7))
-        at = TileMatrix.from_dense(a, 4)
-        bt = TileMatrix.from_dense(b, 4)
-        c = tiled_gemm(at, bt)
-        np.testing.assert_allclose(c.to_dense(), a @ b, atol=1e-10)
-
-    def test_tiled_gemm_symmetric_lower_input(self, medium_spd, rng):
-        x = rng.standard_normal((medium_spd.shape[0], 5))
-        at = TileMatrix.from_dense(medium_spd, 10, lower_only=True)
-        bt = TileMatrix.from_dense(x, 10)
-        c = tiled_gemm(at, bt)
-        np.testing.assert_allclose(c.to_dense(), medium_spd @ x, atol=1e-9)
-
-    def test_tiled_gemm_dimension_check(self, rng):
-        at = TileMatrix.from_dense(rng.standard_normal((4, 4)), 2)
-        bt = TileMatrix.from_dense(rng.standard_normal((5, 3)), 2)
-        with pytest.raises(ValueError):
-            tiled_gemm(at, bt)
-
-    def test_tiled_lower_solve_vector(self, medium_spd, rng):
-        factor = tiled_cholesky(TileMatrix.from_dense(medium_spd, 9, lower_only=True))
-        rhs = rng.standard_normal(medium_spd.shape[0])
-        x = tiled_lower_solve(factor, rhs)
-        np.testing.assert_allclose(np.linalg.cholesky(medium_spd) @ x, rhs, atol=1e-9)
-
-    def test_tiled_lower_solve_matrix_rhs(self, medium_spd, rng):
-        factor = tiled_cholesky(TileMatrix.from_dense(medium_spd, 9, lower_only=True))
-        rhs = rng.standard_normal((medium_spd.shape[0], 3))
-        x = tiled_lower_solve(factor, rhs)
-        assert x.shape == rhs.shape
-        np.testing.assert_allclose(np.linalg.cholesky(medium_spd) @ x, rhs, atol=1e-9)
-
-    def test_tiled_matvec_full_and_symmetric(self, medium_spd, rng):
-        x = rng.standard_normal(medium_spd.shape[0])
-        full = TileMatrix.from_dense(medium_spd, 11)
-        np.testing.assert_allclose(tiled_matvec(full, x), medium_spd @ x, atol=1e-10)
-        lower = TileMatrix.from_dense(medium_spd, 11, lower_only=True)
-        np.testing.assert_allclose(tiled_matvec(lower, x), medium_spd @ x, atol=1e-10)
-
-    def test_tiled_matvec_length_check(self, small_spd):
-        tiles = TileMatrix.from_dense(small_spd, 3)
-        with pytest.raises(ValueError):
-            tiled_matvec(tiles, np.zeros(5))
