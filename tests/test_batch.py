@@ -132,6 +132,35 @@ class TestBatchMatchesSingles:
         with pytest.raises(ValueError, match="ambiguous"):
             mvn_probability_batch(boxes, sigma, n_samples=50, means=[0.1, 0.2])
 
+    def test_mixed_per_box_means_match_single_calls(self, batch_sigma):
+        """A ragged list may give one box a scalar and another a vector."""
+        n = batch_sigma.shape[0]
+        boxes = _boxes(n, 3)
+        means = [0.1, np.linspace(-0.2, 0.3, n), -0.25]
+        singles = [
+            mvn_probability(a, b, batch_sigma, method="dense", n_samples=150, rng=4, mean=mu)
+            for (a, b), mu in zip(boxes, means)
+        ]
+        batched = mvn_probability_batch(
+            boxes, batch_sigma, method="dense", n_samples=150, rng=4, means=means
+        )
+        for single, batch_result in zip(singles, batched):
+            assert batch_result.probability == pytest.approx(single.probability, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "means, message",
+        [
+            ([0.1, 0.2], r"3 per-box scalars, or an \(3, 36\) array; got shape \(2,\)"),
+            (np.zeros((2, 36)), r"per-box means must have shape \(3, 36\), got \(2, 36\)"),
+            ([0.1, np.zeros(36)], r"one entry per box \(3\), got 2"),
+        ],
+        ids=["scalar-count", "array-shape", "ragged-count"],
+    )
+    def test_means_of_the_wrong_count_rejected(self, batch_sigma, means, message):
+        boxes = _boxes(batch_sigma.shape[0], 3)
+        with pytest.raises(ValueError, match=message):
+            mvn_probability_batch(boxes, batch_sigma, method="dense", n_samples=50, means=means)
+
     def test_return_prefix_matches_single_sweeps(self, batch_sigma):
         factor = factorize(batch_sigma, method="dense", tile_size=12)
         n = factor.n

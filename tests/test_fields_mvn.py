@@ -42,6 +42,14 @@ class TestFieldSampling:
         samples = sample_from_covariance(sigma, n_samples=4, rng=rng)
         assert np.all(np.isfinite(samples))
 
+    def test_singular_covariance_samples_its_subspace(self):
+        """Cholesky fails on an exactly rank-1 covariance; the eigen factor
+        still samples it: every draw repeats one N(mean, 2) value."""
+        samples = sample_from_covariance(np.full((4, 4), 2.0), n_samples=4000, mean=1.0, rng=0)
+        np.testing.assert_allclose(samples, np.broadcast_to(samples[0], samples.shape), atol=1e-12)
+        assert samples[0].var() == pytest.approx(2.0, rel=0.1)
+        assert samples[0].mean() == pytest.approx(1.0, abs=0.1)
+
     def test_gaussian_field_variance(self, rng):
         geom = Geometry.regular_grid(7, 7)
         kern = ExponentialKernel(2.0, 0.2)

@@ -145,6 +145,13 @@ class TestConstruction:
         for query, (lower, upper) in zip(members, boxes):
             assert np.array_equal(query.a, lower) and np.array_equal(query.b, upper)
 
+    def test_prefix_chain_limits_must_match_the_sigma_ref(self, sigma8):
+        pipe = QueryPipeline()
+        pipe.add_sigma("s", sigma8)
+        with pytest.raises(ValueError, match="limits have length 5 but sigma ref 's' has dimension 8"):
+            pipe.add_prefix_chain("chain", np.zeros(5), sigma="s")
+        assert pipe.node_names == ()
+
     def test_empty_pipeline_cannot_freeze(self):
         with pytest.raises(ValueError, match="has no nodes"):
             QueryPipeline(name="empty").freeze()

@@ -1,11 +1,14 @@
 """Property-based tests (hypothesis) on the core numerical invariants."""
 
+import json
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.kernels import ExponentialKernel, MaternKernel, pairwise_distances
+from repro.query import MVNQuery
 from repro.runtime import READ, READWRITE, WRITE, DataHandle, Task, TaskGraph
 from repro.stats.normal import norm_cdf, norm_ppf
 from repro.stats.qmc import HaltonSequence, RichtmyerLattice, first_primes
@@ -199,3 +202,23 @@ class TestMVNProperties:
         small = mvn_sov_vectorized(a, b, sigma, n_samples=3000, rng=seed)
         large = mvn_sov_vectorized(a - 0.5, b + 0.5, sigma, n_samples=3000, rng=seed)
         assert large.probability >= small.probability - 5e-3
+
+
+class TestQueryWireProperties:
+    @given(
+        st.integers(1, 12).flatmap(lambda n: st.tuples(
+            hnp.arrays(np.float64, n, elements=st.one_of(st.floats(-5, 5), st.just(-np.inf))),
+            hnp.arrays(np.float64, n, elements=st.one_of(st.floats(-5, 5), st.just(np.inf))),
+            hnp.arrays(np.float64, n, elements=st.floats(-3, 3)),
+        )),
+        st.one_of(st.none(), st.integers(0, 2**63 - 1)),
+    )
+    def test_wire_round_trip_is_exact(self, arrays, seed):
+        """Any box (infinite limits included) survives JSON bit for bit."""
+        x, y, mean = arrays
+        query = MVNQuery(np.minimum(x, y), np.maximum(x, y), mean=mean, rng=seed)
+        restored = MVNQuery.from_dict(json.loads(json.dumps(query.to_dict())))
+        assert restored.a.tobytes() == query.a.tobytes()
+        assert restored.b.tobytes() == query.b.tobytes()
+        assert np.asarray(restored.mean).tobytes() == np.asarray(query.mean).tobytes()
+        assert restored.rng == seed

@@ -15,8 +15,9 @@ Five concerns:
   identically through all entry points for integer seeds,
 * **observability** — every result carries ``details["plan"]``, and plans
   survive batch and serve round-trips,
-* **serialization** — ``MVNResult.to_dict``/``from_dict`` round-trip through
-  JSON, including nested ``details`` trees and numpy arrays.
+* **serialization** — ``MVNQuery`` and ``MVNResult`` ``to_dict``/``from_dict``
+  round-trip through JSON, including nested ``details`` trees and numpy
+  arrays, and reject malformed wire payloads with a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -155,6 +156,46 @@ class TestMVNQueryValidation:
                 broker.submit(a_bad, b, sigma25)
             with pytest.raises(ValueError, match="must not contain NaN"):
                 broker.submit(np.full(n, np.nan), b, sigma25)
+
+
+class TestQueryWireForm:
+    """``MVNQuery.to_dict``/``from_dict``: the gateway's request encoding."""
+
+    def test_round_trip_through_json(self):
+        query = MVNQuery([-np.inf, 0.0], [1.0, np.inf], mean=np.array([0.1, -0.2]),
+                         n_samples=300, rng=np.int64(5), qmc="Lattice",
+                         target_error=1e-3, max_samples=5000, tag="cell-7")
+        payload = json.loads(json.dumps(query.to_dict()))
+        assert payload["mean"] == [0.1, -0.2]
+        assert payload["rng"] == 5 and isinstance(payload["rng"], int)
+        restored = MVNQuery.from_dict(payload)
+        np.testing.assert_array_equal(restored.a, query.a)
+        np.testing.assert_array_equal(restored.b, query.b)
+        np.testing.assert_array_equal(restored.mean, query.mean)
+        for name in ("n_samples", "rng", "qmc", "target_error", "max_samples", "tag"):
+            assert getattr(restored, name) == getattr(query, name), name
+
+    def test_generator_rng_does_not_serialize(self):
+        query = MVNQuery([0.0], [1.0], rng=np.random.default_rng(1))
+        with pytest.raises(TypeError, match="only integer seeds"):
+            query.to_dict()
+
+    def test_non_primitive_tag_does_not_serialize(self):
+        with pytest.raises(TypeError, match="tag must be a JSON primitive.*tuple"):
+            MVNQuery([0.0], [1.0], tag=(1, 2)).to_dict()
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([[0.0], [1.0]], "must be a JSON object, got list"),
+            ({"a": [0.0], "b": [1.0], "samples": 10}, r"unknown MVNQuery field\(s\): \['samples'\]"),
+            ({"a": [0.0]}, r"missing field\(s\): \['b'\]"),
+        ],
+        ids=["not-an-object", "unknown-field", "missing-limits"],
+    )
+    def test_from_dict_rejects_malformed_payloads(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            MVNQuery.from_dict(payload)
 
 
 class TestBatchBoundary:
@@ -494,6 +535,17 @@ class TestServeQueries:
         with pytest.raises(TypeError, match="duplicate keyword"):
             broker.submit(query, sigma25, n_samples=50)
 
+    def test_submit_query_takes_sigma_by_keyword_only_once(self, sigma25, broker):
+        """``submit(query, sigma=...)`` works; limits beside a query do not."""
+        n = sigma25.shape[0]
+        a, b = _box(n)
+        query = MVNQuery(a, b, rng=3)
+        by_keyword = broker.submit(query, sigma=sigma25).result(timeout=60)
+        positional = broker.submit(query, sigma25).result(timeout=60)
+        assert by_keyword.probability == positional.probability
+        with pytest.raises(TypeError, match="takes no separate b= limits"):
+            broker.submit(query, b, sigma25)
+
     def test_adaptive_through_serve_matches_direct(self, sigma25, broker):
         n = sigma25.shape[0]
         a, b = _box(n)
@@ -585,6 +637,47 @@ class TestResultSerialization:
         payload = result.to_dict()
         json.dumps(payload)  # must not raise
         assert isinstance(payload["details"]["tag"], str)
+
+    def test_marker_shaped_caller_dicts_stay_dicts(self):
+        """A caller dict keyed like an encoding marker is escaped, not decoded."""
+        details = {"user": {"__ndarray__": "not an array"},
+                   "nested": {"__escaped-dict__": {"k": 1}}}
+        result = MVNResult(0.5, 1e-3, 100, 2, details=details)
+        restored = MVNResult.from_dict(json.loads(json.dumps(result.to_dict())))
+        assert restored.details == details
+
+    def test_arrays_inside_lists_round_trip(self):
+        details = {"history": [np.array([0.5, 0.25]), {"ranks": np.arange(3)}]}
+        result = MVNResult(0.5, 1e-3, 100, 2, details=details)
+        restored = MVNResult.from_dict(json.loads(json.dumps(result.to_dict())))
+        first, second = restored.details["history"]
+        assert isinstance(first, np.ndarray) and first.dtype == np.float64
+        np.testing.assert_array_equal(first, [0.5, 0.25])
+        assert second["ranks"].dtype == np.arange(3).dtype
+        np.testing.assert_array_equal(second["ranks"], [0, 1, 2])
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (None, "must be a JSON object, got list"),
+            ({"drop": "error"}, r"missing field\(s\): \['error'\]"),
+            ({"details": [1, 2]}, "'details' must be an object, got list"),
+            ({"n_samples": "many"}, "malformed MVNResult payload"),
+            ({"details": {"x": {"__ndarray__": [1, 2]}}}, "malformed ndarray encoding"),
+        ],
+        ids=["not-an-object", "missing-field", "details-not-an-object",
+             "non-numeric-count", "malformed-array"],
+    )
+    def test_from_dict_rejects_malformed_payloads(self, change, message):
+        payload = MVNResult(0.5, 1e-3, 100, 2).to_dict()
+        if change is None:
+            payload = [payload]
+        elif "drop" in change:
+            del payload[change["drop"]]
+        else:
+            payload.update(change)
+        with pytest.raises(ValueError, match=message):
+            MVNResult.from_dict(payload)
 
     def test_real_result_round_trips(self, sigma25):
         a, b = _box(sigma25.shape[0])

@@ -144,6 +144,19 @@ class TestRuntimeSerial:
     def test_empty_wait_all(self):
         assert Runtime().wait_all() == []
 
+    def test_serial_trace_records_every_task_in_order(self):
+        rt = Runtime(n_workers=1, trace=True)
+        h = rt.register(0, name="counter")
+        for i in range(4):
+            rt.insert_task(lambda _x: None, (h, READWRITE), name=f"t{i}",
+                           tag="even" if i % 2 == 0 else "odd")
+        rt.wait_all()
+        records = list(rt.trace.records)
+        assert [r.name for r in records] == ["t0", "t1", "t2", "t3"]
+        assert {r.worker for r in records} == {0}
+        assert all(r.start <= r.end <= later.start for r, later in zip(records, records[1:]))
+        assert rt.trace.tag_counts() == {"even": 2, "odd": 2}
+
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             Runtime(n_workers=0)

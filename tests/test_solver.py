@@ -554,6 +554,23 @@ class TestConfig:
         with pytest.raises(TypeError, match="SolverConfig"):
             MVNSolver(42)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"cache": {}}, "cache must be a FactorCache or None, got dict"),
+         ({"planner": "auto"}, "planner must be a QueryPlanner, got str")],
+        ids=["cache", "planner"],
+    )
+    def test_solver_rejects_foreign_collaborators(self, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            MVNSolver("dense", **kwargs)
+
+    def test_model_needs_a_covariance_or_a_factor(self, solver_sigma):
+        with MVNSolver("dense") as solver:
+            with pytest.raises(ValueError, match="needs a covariance matrix or a pre-computed factor"):
+                solver.model(None)
+            with pytest.raises(TypeError, match="factor must be a CholeskyFactor, got ndarray"):
+                solver.model(solver_sigma, factor=np.linalg.cholesky(solver_sigma))
+
     def test_model_rejects_factor_for_baselines(self, solver_sigma):
         factor = factorize(solver_sigma, method="dense")
         with MVNSolver("sov") as solver:

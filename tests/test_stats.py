@@ -192,6 +192,14 @@ class TestMLE:
         with pytest.raises(ValueError):
             negative_log_likelihood(ExponentialKernel(), grid_geometry.locations, np.zeros(3))
 
+    def test_nll_infinite_for_a_singular_covariance(self):
+        """Two observations at one site without a nugget: no Cholesky, so the
+        optimizer sees +inf and backs away."""
+        locations = np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
+        nll = negative_log_likelihood(ExponentialKernel(1.0, 0.2), locations,
+                                      np.array([0.1, 0.2, 0.3]), nugget=0.0)
+        assert nll == np.inf
+
 
 class TestPosterior:
     def _setup(self, rng, n_side=6):

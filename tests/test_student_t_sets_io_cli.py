@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import MVNSolver, SolverConfig
 from repro.core import confidence_region
 from repro.core.kernel_backend import available_backends
 from repro.excursion import excursion_analysis, negative_confidence_region
@@ -105,6 +106,69 @@ class TestCLI:
         ])
         assert code == 0
         assert "dimension        : 8" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [{"other": np.eye(3), "covariance": None}, {"sigma": None, "extra": np.eye(3)}],
+        ids=["covariance-key", "first-array"],
+    )
+    def test_mvn_from_npz(self, tmp_path, capsys, small_spd, arrays):
+        """An ``.npz`` covariance is its ``covariance`` array, else its first."""
+        path = tmp_path / "sigma.npz"
+        np.savez(path, **{key: small_spd if value is None else value
+                          for key, value in arrays.items()})
+        code = cli.main(["mvn", "--covariance", str(path), "--samples", "200"])
+        assert code == 0
+        assert "dimension        : 8" in capsys.readouterr().out
+
+    @staticmethod
+    def _update_reference(sigma, u, *, downdate, lower, samples, seed):
+        """The parent and updated probabilities the ``update`` command reports."""
+        n = sigma.shape[0]
+        a, b = np.full(n, lower), np.full(n, 1.0)
+        with MVNSolver(SolverConfig(method="dense", n_samples=samples)) as solver:
+            model = solver.model(sigma)
+            parent = model.probability(a, b, rng=seed).probability
+            child = model.update(u, downdate=downdate).probability(a, b, rng=seed).probability
+        return f"{parent:.8g}", f"{child:.8g}"
+
+    def test_update_synthetic(self, capsys):
+        code = cli.main(["update", "--grid", "5", "--samples", "300", "--seed", "2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        sigma = build_covariance(ExponentialKernel(1.0, 0.1),
+                                 Geometry.regular_grid(5, 5).locations, nugget=1e-6)
+        u = 0.1 * np.random.default_rng(2).standard_normal((25, 4))
+        parent, child = self._update_reference(sigma, u, downdate=False, lower=-np.inf,
+                                               samples=300, seed=2)
+        assert "dimension        : 25" in out
+        assert "update           : rank 4 update" in out
+        assert f"parent prob      : {parent}  " in out
+        assert f"updated prob     : {child}  " in out
+        assert "lineage          : depth 1, parent " in out
+
+    def test_update_file_downdate(self, tmp_path, capsys, small_spd):
+        u = 0.5 * np.random.default_rng(3).standard_normal((8, 2))
+        np.save(tmp_path / "sigma.npy", small_spd)
+        np.save(tmp_path / "u.npy", u)
+        code = cli.main([
+            "update", "--covariance", str(tmp_path / "sigma.npy"),
+            "--update-file", str(tmp_path / "u.npy"), "--downdate",
+            "--lower", "-1.0", "--samples", "400", "--seed", "5",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        parent, child = self._update_reference(small_spd, u, downdate=True, lower=-1.0,
+                                               samples=400, seed=5)
+        assert "update           : rank 2 downdate" in out
+        assert f"parent prob      : {parent}  " in out
+        assert f"updated prob     : {child}  " in out
+        assert parent != child
+
+    def test_update_rejected_downdate_exits(self, capsys):
+        with pytest.raises(SystemExit, match="downdate rejected"):
+            cli.main(["update", "--grid", "4", "--samples", "200", "--downdate",
+                      "--scale", "5"])
 
     def test_crd_with_save_and_map(self, tmp_path, capsys):
         out_path = tmp_path / "result.npz"

@@ -151,6 +151,19 @@ class TestCompression:
         with pytest.raises(ValueError):
             lowrank_matmul_dense(tile, np.zeros((5, 2)))
 
+    def test_lowrank_matmul_dense_out(self, rng):
+        """``out=`` receives the product; a rank-0 tile writes zeros over it."""
+        tile = compress_tile(_smooth_tile(rng), accuracy=1e-10)
+        x = rng.standard_normal((tile.shape[1], 7))
+        out = np.full((tile.shape[0], 7), np.nan)
+        assert lowrank_matmul_dense(tile, x, out=out) is out
+        np.testing.assert_array_equal(out, lowrank_matmul_dense(tile, x))
+        empty = compress_tile(np.zeros((tile.shape[0], tile.shape[1])))
+        assert empty.rank == 0
+        assert lowrank_matmul_dense(empty, x, out=out) is out
+        assert np.all(out == 0.0)
+        np.testing.assert_array_equal(lowrank_matmul_dense(empty, x), np.zeros(out.shape))
+
 
 @pytest.fixture
 def cov_matrix():
@@ -316,6 +329,21 @@ class TestEndToEndAccuracy:
             tlr = mvn_probability(a, b, sigma, method="tlr", n_samples=2000, tile_size=32,
                                   accuracy=eps, rng=7).probability
             assert abs(tlr - dense) <= 0.025 * eps
+
+    def test_independent_tiles_compress_to_rank_zero(self):
+        """Uncorrelated tile blocks give rank-0 factor tiles, and the sweep
+        propagates nothing through them: TLR then equals dense."""
+        block = build_covariance(ExponentialKernel(1.0, 0.3),
+                                 Geometry.regular_grid(4, 2).locations, nugget=1e-6)
+        sigma = np.kron(np.eye(3), block)
+        n = sigma.shape[0]
+        factor = factorize(sigma, method="tlr", tile_size=8, accuracy=1e-6)
+        np.testing.assert_array_equal(factor.tlr.rank_matrix(), 8 * np.eye(3, dtype=np.int64))
+        a, b = np.full(n, -np.inf), np.linspace(0.5, 1.5, n)
+        tlr = mvn_probability(a, b, sigma, method="tlr", factor=factor, n_samples=500, rng=3)
+        dense = mvn_probability(a, b, sigma, method="dense", tile_size=8, n_samples=500, rng=3)
+        assert tlr.method == "pmvn-tlr"
+        assert tlr.probability == pytest.approx(dense.probability, rel=1e-12)
 
 
 class TestRankAnalysis:
